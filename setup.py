@@ -11,8 +11,7 @@ extensions = [
         "bimine._nwcore",
         ["src/bimine/_nwcore.pyx"],
         include_dirs=[np.get_include()],
-        extra_compile_args=["-O3", "-fopenmp"],
-        extra_link_args=["-fopenmp"],
+        extra_compile_args=["-O3"],
     )
 ]
 

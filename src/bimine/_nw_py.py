@@ -1,10 +1,8 @@
-"""Pure-Python fill kernels, used when the compiled extension is absent.
+"""Pure-Python fill kernel, used when the compiled extension is absent.
 
-Same recurrence and same arithmetic as the compiled kernels, evaluated
-with numpy over anti-diagonals.  The wavefront variant partitions each
-diagonal into ``workers`` contiguous chunks; chunks are evaluated in
-order on one thread (the layout is data-parallel, the execution here is
-not), which cannot change any value.
+Same recurrence and same arithmetic as the compiled kernel, evaluated
+with numpy one anti-diagonal at a time: every cell of a diagonal reads
+only the two previous diagonals, so a whole diagonal is one vector step.
 """
 
 from __future__ import annotations
@@ -12,39 +10,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def _fill_diagonal_range(
-    dp: np.ndarray,
-    sim: np.ndarray,
-    mismatch: float,
-    bonus: float,
-    gap: float,
-    d: int,
-    i_values: np.ndarray,
-) -> None:
-    j_values = d - i_values
-    c = mismatch + sim[i_values - 1, j_values - 1] * (bonus - mismatch)
-    best = np.maximum(
-        dp[i_values - 1, j_values - 1] + c,
-        np.maximum(dp[i_values - 1, j_values] - gap, dp[i_values, j_values - 1] - gap),
-    )
-    dp[i_values, j_values] = best
-
-
 def nw_fill(dp: np.ndarray, sim: np.ndarray, mismatch: float, bonus: float, gap: float) -> None:
     n, m = sim.shape
     for d in range(2, n + m + 1):
-        lo = max(1, d - m)
-        hi = min(n, d - 1)
-        _fill_diagonal_range(dp, sim, mismatch, bonus, gap, d, np.arange(lo, hi + 1))
-
-
-def nw_fill_wavefront(
-    dp: np.ndarray, sim: np.ndarray, mismatch: float, bonus: float, gap: float, workers: int
-) -> None:
-    n, m = sim.shape
-    for d in range(2, n + m + 1):
-        lo = max(1, d - m)
-        hi = min(n, d - 1)
-        for chunk in np.array_split(np.arange(lo, hi + 1), max(workers, 1)):
-            if chunk.size:
-                _fill_diagonal_range(dp, sim, mismatch, bonus, gap, d, chunk)
+        i_values = np.arange(max(1, d - m), min(n, d - 1) + 1)
+        j_values = d - i_values
+        c = mismatch + sim[i_values - 1, j_values - 1] * (bonus - mismatch)
+        dp[i_values, j_values] = np.maximum(
+            dp[i_values - 1, j_values - 1] + c,
+            np.maximum(dp[i_values - 1, j_values] - gap, dp[i_values, j_values - 1] - gap),
+        )

@@ -1,19 +1,15 @@
 # cython: boundscheck=False, wraparound=False, initializedcheck=False
-"""Compiled fill kernels for the alignment score table.
+"""Compiled fill kernel for the alignment score table.
 
-Both kernels evaluate the same recurrence
+The kernel evaluates the recurrence
 
     dp[i, j] = max(dp[i-1, j-1] + c, dp[i-1, j] - gap, dp[i, j-1] - gap)
     c        = mismatch + sim[i-1, j-1] * (bonus - mismatch)
 
-over a table whose first row and column the caller has initialized.
-The wavefront variant sweeps anti-diagonals and splits each diagonal's
-cells across OpenMP threads; cells within one anti-diagonal only read
-cells of the two previous diagonals, so the result is bit-identical to
-the row-major fill for every thread count.
+row by row over a table whose first row and column the caller has
+initialized, with the same arithmetic as the numpy fallback, so both
+backends produce bit-identical tables.
 """
-
-from cython.parallel import prange
 
 
 def nw_fill(double[:, ::1] dp, const double[:, ::1] sim,
@@ -34,37 +30,3 @@ def nw_fill(double[:, ::1] dp, const double[:, ::1] sim,
                 if cand > best:
                     best = cand
                 dp[i, j] = best
-
-
-# Diagonals shorter than this per thread are not worth a thread team:
-# a cell costs a few ns while waking an OpenMP team costs about a
-# microsecond, so each thread needs a four-digit cell count to pay.
-DEF MIN_CELLS_PER_THREAD = 1024
-
-
-def nw_fill_wavefront(double[:, ::1] dp, const double[:, ::1] sim,
-                      double mismatch, double bonus, double gap, int workers):
-    cdef Py_ssize_t n = sim.shape[0]
-    cdef Py_ssize_t m = sim.shape[1]
-    cdef Py_ssize_t d, i, j, lo, hi
-    cdef double c, best, cand
-    cdef int max_threads = workers if workers > 0 else 1
-    cdef int num_threads
-    for d in range(2, n + m + 1):
-        lo = d - m if d - m > 1 else 1
-        hi = n if n < d - 1 else d - 1
-        num_threads = <int> ((hi - lo) // MIN_CELLS_PER_THREAD) + 1
-        if num_threads > max_threads:
-            num_threads = max_threads
-        for i in prange(lo, hi + 1, num_threads=num_threads,
-                        schedule='static', nogil=True):
-            j = d - i
-            c = mismatch + sim[i - 1, j - 1] * (bonus - mismatch)
-            best = dp[i - 1, j - 1] + c
-            cand = dp[i - 1, j] - gap
-            if cand > best:
-                best = cand
-            cand = dp[i, j - 1] - gap
-            if cand > best:
-                best = cand
-            dp[i, j] = best

@@ -3,13 +3,11 @@
 A document pair is scored into an N x M similarity matrix (one cell per
 sentence pair, values in [0, 1]).  Cell values are mapped affinely onto
 [mismatch_cost, match_bonus] and an alignment maximizing total mapped
-score minus gap penalties is found by one of three engines:
+score minus gap penalties is found by one of two engines:
 
-* ``nw_align``          -- dynamic programming, row-major fill;
-* ``nw_align_wavefront`` -- the same table filled anti-diagonal by
-  anti-diagonal with each diagonal's cells split across workers.
-  Returns bit-identical scores and steps for every worker count;
-* ``astar_align``       -- best-first search over the alignment grid.
+* ``nw_align``    -- dynamic programming: one table fill (compiled or
+  numpy, see ``kernels``) and a tie-ordered traceback;
+* ``astar_align`` -- best-first search over the alignment grid.
   Constrained to right/down/diagonal moves it matches the dynamic
   program; unconstrained it may also step left at no cost, re-entering
   earlier columns, which reproduces the repetition artifact of greedy
@@ -42,7 +40,7 @@ from .classifier import (
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
-ENGINES = ("nw", "nw_wavefront", "astar_constrained")
+ENGINES = ("nw", "astar_constrained")
 
 
 @dataclass(frozen=True)
@@ -184,20 +182,8 @@ def nw_align(scores: np.ndarray, config: MiningConfig, backend: str | None = Non
 def nw_align_wavefront(
     scores: np.ndarray, config: MiningConfig, workers: int, backend: str | None = None
 ) -> Alignment:
-    """Anti-diagonal fill of the same table; identical output to ``nw_align``."""
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    sim = _validate_scores(scores)
-    dp_rev = kernels.fill_wavefront(
-        _reversed_scores(sim),
-        config.mismatch_cost,
-        config.match_bonus,
-        config.gap_penalty,
-        workers,
-        backend=backend,
-    )
-    steps = _traceback(dp_rev, sim, config.mismatch_cost, config.match_bonus, config.gap_penalty)
-    return Alignment(steps=tuple(steps), score=float(dp_rev[-1, -1]))
+    """Former anti-diagonal engine, kept as a name: ``workers`` is ignored."""
+    return nw_align(scores, config, backend)
 
 
 def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = True) -> Alignment:
@@ -332,13 +318,9 @@ def filter_by_threshold(
     return emitted
 
 
-def run_engine(
-    scores: np.ndarray, config: MiningConfig, engine: str, wavefront_workers: int = 1
-) -> Alignment:
+def run_engine(scores: np.ndarray, config: MiningConfig, engine: str) -> Alignment:
     if engine == "nw":
         return nw_align(scores, config)
-    if engine == "nw_wavefront":
-        return nw_align_wavefront(scores, config, wavefront_workers)
     if engine == "astar_constrained":
         return astar_align(scores, config, constrained=True)
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -349,12 +331,11 @@ def align_pair_indices(
     lexicon: Lexicon,
     pair: DocumentPair,
     config: MiningConfig,
-    engine: str = "nw_wavefront",
-    wavefront_workers: int = 1,
+    engine: str = "nw",
 ) -> list[tuple[float, int, int]]:
     """Mine one document pair down to (score, i, j) index triples."""
     scores = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-    alignment = run_engine(scores, config, engine, wavefront_workers)
+    alignment = run_engine(scores, config, engine)
     return filter_by_threshold(scores, alignment, config.threshold)
 
 
@@ -363,12 +344,11 @@ def mine_document_pair(
     lexicon: Lexicon,
     pair: DocumentPair,
     config: MiningConfig,
-    engine: str = "nw_wavefront",
-    wavefront_workers: int = 1,
+    engine: str = "nw",
 ) -> list[tuple[float, str, str]]:
     """Mined sentence pairs of one document pair, with similarity scores."""
     try:
-        matches = align_pair_indices(model, lexicon, pair, config, engine, wavefront_workers)
+        matches = align_pair_indices(model, lexicon, pair, config, engine)
     except ValueError as exc:
         raise ValueError(f"pair {pair.topic_id}: {exc}") from None
     return [
@@ -404,15 +384,14 @@ def mine_corpus(
     lexicon: Lexicon,
     pairs: Sequence[DocumentPair],
     config: MiningConfig,
-    engine: str = "nw_wavefront",
+    engine: str = "nw",
 ) -> MiningOutcome:
     """Mine document pairs across ``config.workers`` worker processes.
 
     The model and lexicon are shared read-only with the workers; output
     concatenation follows the input pair order whatever the completion
-    order, and failing pairs are reported and skipped.  Inside workers
-    the alignment kernels run single-threaded; parallelism comes from
-    the pair-level fan-out.
+    order, and failing pairs are reported and skipped.  Parallelism comes
+    from the pair-level fan-out only; every alignment runs on one thread.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")

@@ -30,6 +30,9 @@ ZERO_VARIANCE_EPS = 1e-12
 
 _RATIO_CAP = 4.0
 
+_VECTOR_FIELDS = ("weights", "feature_means", "feature_scales")
+_SCALAR_FIELDS = ("bias", "sigmoid_a", "sigmoid_b")
+
 
 @dataclass(frozen=True)
 class SentenceProfile:
@@ -124,11 +127,19 @@ class SimilarityModel:
     feature_scales: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        for name in ("weights", "feature_means", "feature_scales"):
-            if len(getattr(self, name)) != FEATURE_COUNT:
+        # A non-finite parameter would score every cell NaN or 1.0, so
+        # reject it here rather than mine garbage.
+        for name in _VECTOR_FIELDS:
+            values = getattr(self, name)
+            if len(values) != FEATURE_COUNT:
                 raise ValueError(f"{name} must have length {FEATURE_COUNT}")
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite")
+        for name in _SCALAR_FIELDS:
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if any(scale <= 0.0 for scale in self.feature_scales):
-            raise ValueError("feature scales must be positive")
+            raise ValueError("feature scales must be positive (feature_scales)")
         if self.sigmoid_a >= 0.0:
             raise ValueError("sigmoid_a must be negative")
 
@@ -160,17 +171,21 @@ class SimilarityModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SimilarityModel":
+        if not isinstance(data, dict):
+            raise ValueError("model must be a JSON object")
         version = data.get("version")
         if version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
-        return cls(
-            weights=tuple(data["weights"]),
-            bias=float(data["bias"]),
-            sigmoid_a=float(data["sigmoid_a"]),
-            sigmoid_b=float(data["sigmoid_b"]),
-            feature_means=tuple(data["feature_means"]),
-            feature_scales=tuple(data["feature_scales"]),
-        )
+        fields: dict = {}
+        for name in _VECTOR_FIELDS + _SCALAR_FIELDS:
+            try:
+                value = data[name]
+                fields[name] = (
+                    tuple(float(v) for v in value) if name in _VECTOR_FIELDS else float(value)
+                )
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(f"{name} is missing or not numeric") from None
+        return cls(**fields)
 
 
 def save_model(model: SimilarityModel, path: str | os.PathLike) -> None:
@@ -181,7 +196,10 @@ def save_model(model: SimilarityModel, path: str | os.PathLike) -> None:
 
 def load_model(path: str | os.PathLike) -> SimilarityModel:
     with open(path, encoding="utf-8") as handle:
-        return SimilarityModel.from_dict(json.load(handle))
+        try:
+            return SimilarityModel.from_dict(json.load(handle))
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def make_negative_pairs(

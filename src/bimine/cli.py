@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import __version__, kernels
-from .align import MiningConfig, astar_align, mine_corpus, nw_align, nw_align_wavefront
+from .align import MiningConfig, astar_align, mine_corpus, nw_align
 from .classifier import load_model, make_negative_pairs, save_model, train_classifier, training_accuracy
 from .corpus import (
     corpus_stats,
@@ -38,7 +38,9 @@ from .lexicon import build_lexicon, merge_title_lexicon, read_lexicon, write_lex
 from .manifest import RunManifest, file_digest, write_manifest
 from .tuning import TuningSample, read_reference, tune
 
-_CLI_ENGINES = {"nw": "nw", "nw-wavefront": "nw_wavefront", "astar": "astar_constrained"}
+# "nw-wavefront" named a retired anti-diagonal fill with the same output;
+# it stays as an alias of "nw" so existing command lines keep working.
+_CLI_ENGINES = {"nw": "nw", "nw-wavefront": "nw", "astar": "astar_constrained"}
 
 
 def _engine_args(parser: argparse.ArgumentParser) -> None:
@@ -49,7 +51,7 @@ def _engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--engine",
         choices=sorted(_CLI_ENGINES) + ["astar-unconstrained"],
-        default="nw-wavefront",
+        default="nw",
     )
 
 
@@ -245,18 +247,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    sizes = _parse_int_list(args.sizes)
-    workers_list = _parse_int_list(args.workers_list)
+    sizes = [int(part) for part in args.sizes.split(",") if part]
     if not sizes or min(sizes) < 1:
         raise UsageError("sizes must be positive integers")
-    if not workers_list or min(workers_list) < 1:
-        raise UsageError("workers list must be positive integers")
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
     for name in engines:
         if name not in _CLI_ENGINES:
@@ -269,46 +264,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         matrix = rng.random((size, size))
         for engine in engines:
             for backend in kernels.available_backends():
-                worker_counts = workers_list if engine == "nw-wavefront" else [1]
-                for workers in worker_counts:
-                    if engine == "nw":
-                        run = lambda: nw_align(matrix, config, backend=backend)
-                    elif engine == "nw-wavefront":
-                        run = lambda: nw_align_wavefront(matrix, config, workers, backend=backend)
-                    else:
-                        if backend != "python":
-                            continue  # the search engine runs in Python only
-                        run = lambda: astar_align(matrix, config, constrained=True)
-                    run()  # warm caches and thread pools before timing
-                    elapsed_ms = float("inf")
-                    for _ in range(3):
-                        start = time.perf_counter()
-                        run()
-                        elapsed_ms = min(elapsed_ms, (time.perf_counter() - start) * 1000.0)
-                    records.append(
-                        {
-                            "size": size,
-                            "engine": engine,
-                            "backend": backend,
-                            "workers": workers,
-                            "ms": round(elapsed_ms, 3),
-                        }
-                    )
-
-    baseline = {
-        (r["size"], r["engine"], r["backend"]): r["ms"] for r in records if r["workers"] == 1
-    }
-    for record in records:
-        base = baseline.get((record["size"], record["engine"], record["backend"]))
-        record["speedup_vs_1_worker"] = (
-            round(base / record["ms"], 3) if base and record["ms"] > 0 else 1.0
-        )
+                if _CLI_ENGINES[engine] == "nw":
+                    run = lambda: nw_align(matrix, config, backend=backend)
+                elif backend == "python":
+                    run = lambda: astar_align(matrix, config, constrained=True)
+                else:
+                    continue  # the search engine runs in Python only
+                run()  # warm caches before timing
+                elapsed_ms = float("inf")
+                for _ in range(3):
+                    start = time.perf_counter()
+                    run()
+                    elapsed_ms = min(elapsed_ms, (time.perf_counter() - start) * 1000.0)
+                records.append(
+                    {"size": size, "engine": engine, "backend": backend, "ms": round(elapsed_ms, 3)}
+                )
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(
-            handle,
-            fieldnames=["size", "engine", "backend", "workers", "ms", "speedup_vs_1_worker"],
-        )
+        writer = csv.DictWriter(handle, fieldnames=["size", "engine", "backend", "ms"])
         writer.writeheader()
         writer.writerows(records)
     write_manifest(args.out + ".manifest.json", _manifest_for(args, [], started))
@@ -376,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("reference_file")
     p_tune.add_argument("--budget", type=int, default=100)
     p_tune.add_argument(
-        "--engine", choices=sorted(_CLI_ENGINES), default="nw-wavefront"
+        "--engine", choices=sorted(_CLI_ENGINES), default="nw"
     )
     p_tune.add_argument("--out", default="tuning_report.json")
     p_tune.set_defaults(func=_cmd_tune)
@@ -396,8 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", parents=[common], help="time the alignment engines")
     p_bench.add_argument("--sizes", default="200")
-    p_bench.add_argument("--workers-list", default="1,2,4")
-    p_bench.add_argument("--engines", default="nw,nw-wavefront,astar")
+    p_bench.add_argument("--engines", default="nw,astar")
     p_bench.add_argument("--out", default="bench.csv")
     p_bench.set_defaults(func=_cmd_bench)
 

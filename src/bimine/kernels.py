@@ -2,8 +2,9 @@
 
 The compiled extension is preferred when it imports; setting the
 environment variable ``BIMINE_PURE_PYTHON=1`` before import forces the
-fallback.  Both backends expose the same two functions and produce
-bit-identical tables, which the test suite checks directly.
+fallback.  Both backends expose the same ``nw_fill`` and produce
+bit-identical tables, which the test suite checks against a plain-loop
+oracle.
 """
 
 from __future__ import annotations
@@ -66,8 +67,5 @@ def fill_wavefront(
     workers: int,
     backend: str | None = None,
 ) -> np.ndarray:
-    impl = _BACKENDS[backend] if backend else _impl
-    sim = np.ascontiguousarray(sim, dtype=np.float64)
-    dp = _init_table(sim, gap)
-    impl.nw_fill_wavefront(dp, sim, mismatch, bonus, gap, workers)
-    return dp
+    """Former anti-diagonal engine, kept as a name: ``workers`` is ignored."""
+    return fill_sequential(sim, mismatch, bonus, gap, backend)

@@ -9,6 +9,7 @@ so ``sum_t p(t | s) == 1`` for every source token seen in training.
 
 from __future__ import annotations
 
+import math
 import os
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -174,5 +175,13 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
-            table[fields[0]][fields[1]] = float(fields[2])
+            try:
+                prob = float(fields[2])
+            except ValueError:
+                prob = math.nan
+            if not 0.0 <= prob <= 1.0:  # also rejects nan
+                raise ValueError(
+                    f"{path}: line {lineno}: probability must lie in [0, 1], got {fields[2]!r}"
+                )
+            table[fields[0]][fields[1]] = prob
     return Lexicon(table)

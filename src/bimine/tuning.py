@@ -1,12 +1,11 @@
 """Threshold and gap-penalty tuning against human-aligned samples.
 
-Agreement between a machine alignment and a human reference is itself
-measured by sequence alignment: the two index-pair lists are aligned
-with exact-equality scoring and the share of reference pairs matched
-becomes a percentage.  Tuning then draws random (threshold, penalty)
-candidates from a seeded generator -- always evaluating the configured
-defaults first, so the result can never fall below them -- and keeps
-the candidate with the best mean agreement.
+Agreement between a machine alignment and a human reference is the
+share of reference index pairs that the machine alignment also
+produced.  Tuning then draws random (threshold, penalty) candidates
+from a seeded generator -- always evaluating the configured defaults
+first, so the result can never fall below them -- and keeps the
+candidate with the best mean agreement.
 """
 
 from __future__ import annotations
@@ -17,15 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .align import Match, MiningConfig, filter_by_threshold, nw_align, build_score_matrix, run_engine
+from .align import MiningConfig, build_score_matrix, filter_by_threshold, run_engine
 from .classifier import SimilarityModel
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
 GAP_PENALTY_RANGE = (0.0, 5.0)
-
-# Exact-equality scoring used when comparing two index-pair lists.
-_AGREEMENT_CONFIG = MiningConfig(threshold=0.0, gap_penalty=1.0, match_bonus=1.0, mismatch_cost=-1.0)
 
 
 @dataclass(frozen=True)
@@ -62,24 +58,16 @@ def alignment_agreement(
 ) -> float:
     """Percentage of reference pairs matched by the candidate.
 
-    The two lists are aligned as item sequences (match +1, mismatch -1,
-    gap 1); only matches joining equal pairs count.  An empty candidate
-    agrees fully with an empty reference and not at all otherwise.
+    Both lists are strictly increasing in both indices (references are
+    checked on construction, mined alignments are monotone), so their
+    longest common subsequence is exactly the set of shared pairs.  An
+    empty candidate agrees fully with an empty reference and not at all
+    otherwise.
     """
     if not reference:
         return 100.0 if not candidate else 0.0
-    if not candidate:
-        return 0.0
-    sim = np.zeros((len(candidate), len(reference)), dtype=np.float64)
-    for i, c in enumerate(candidate):
-        for j, r in enumerate(reference):
-            if tuple(c) == tuple(r):
-                sim[i, j] = 1.0
-    alignment = nw_align(sim, _AGREEMENT_CONFIG)
-    matched = sum(
-        1 for step in alignment.steps if isinstance(step, Match) and sim[step.i, step.j] == 1.0
-    )
-    return 100.0 * matched / len(reference)
+    shared = {tuple(pair) for pair in candidate} & {tuple(pair) for pair in reference}
+    return 100.0 * len(shared) / len(reference)
 
 
 def _candidate_indices(
@@ -95,7 +83,7 @@ def tune(
     samples: Sequence[TuningSample],
     budget: int,
     seed: int,
-    engine: str = "nw_wavefront",
+    engine: str = "nw",
     base_config: MiningConfig | None = None,
 ) -> TuningResult:
     """Seeded random search over (threshold, gap_penalty).

@@ -39,20 +39,38 @@ def brute_force_best_score(
 def reference_dp_table(
     sim: np.ndarray, mismatch_cost: float, match_bonus: float, gap_penalty: float
 ) -> np.ndarray:
-    """Plain-loop fill of the score table (no vectorization)."""
+    """Plain-loop fill of the score table (no vectorization).
+
+    Works on Python lists of floats: the arithmetic is the same IEEE
+    double arithmetic as numpy's, at a fraction of numpy's per-element
+    indexing cost.
+    """
     n, m = sim.shape
-    dp = np.zeros((n + 1, m + 1))
+    cells = sim.tolist()
+    dp = [[0.0] * (m + 1) for _ in range(n + 1)]
     for i in range(1, n + 1):
-        dp[i, 0] = -gap_penalty * i
+        dp[i][0] = -gap_penalty * i
     for j in range(1, m + 1):
-        dp[0, j] = -gap_penalty * j
+        dp[0][j] = -gap_penalty * j
     for i in range(1, n + 1):
         for j in range(1, m + 1):
-            cell = mismatch_cost + sim[i - 1, j - 1] * (match_bonus - mismatch_cost)
-            dp[i, j] = max(
-                dp[i - 1, j - 1] + cell, dp[i - 1, j] - gap_penalty, dp[i, j - 1] - gap_penalty
+            cell = mismatch_cost + cells[i - 1][j - 1] * (match_bonus - mismatch_cost)
+            dp[i][j] = max(
+                dp[i - 1][j - 1] + cell, dp[i - 1][j] - gap_penalty, dp[i][j - 1] - gap_penalty
             )
-    return dp
+    return np.array(dp)
+
+
+def longest_common_subsequence(first: list, second: list) -> int:
+    """Length of the longest common subsequence, by the textbook table."""
+    table = [[0] * (len(second) + 1) for _ in range(len(first) + 1)]
+    for i, a in enumerate(first, 1):
+        for j, b in enumerate(second, 1):
+            if a == b:
+                table[i][j] = table[i - 1][j - 1] + 1
+            else:
+                table[i][j] = max(table[i - 1][j], table[i][j - 1])
+    return table[-1][-1]
 
 
 def em_translation_oracle(

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from bimine import kernels
 from bimine.align import (
     Match,
     MiningConfig,
@@ -41,7 +42,7 @@ from conftest import (
     make_mining_pair,
     make_parallel_sentences,
 )
-from oracles import brute_force_best_score
+from oracles import brute_force_best_score, reference_dp_table
 
 EXACT_CONFIG = MiningConfig(threshold=0.0, gap_penalty=2.0, match_bonus=1.0, mismatch_cost=-1.0)
 
@@ -106,6 +107,31 @@ def test_criterion_2_wavefront_equivalence():
         "wavefront bit-exact equivalence",
         mismatches == 0 and elapsed < 60.0,
         f"500 instances x workers {{1,2,4,8}}, {mismatches} mismatches, "
+        f"{elapsed:.1f}s (budget 60s)",
+    )
+
+
+def test_criterion_2_fill_matches_oracle():
+    started = time.perf_counter()
+    rng = np.random.default_rng(2002)
+    backends = kernels.available_backends()
+    mismatches = 0
+    for _ in range(500):
+        n = int(rng.integers(1, 201))
+        m = int(rng.integers(1, 201))
+        sim = rng.random((n, m))
+        config = MiningConfig(gap_penalty=float(rng.uniform(0.0, 3.0)))
+        args = (config.mismatch_cost, config.match_bonus, config.gap_penalty)
+        expected = reference_dp_table(sim, *args)
+        for backend in backends:
+            if not np.array_equal(kernels.fill_sequential(sim, *args, backend=backend), expected):
+                mismatches += 1
+    elapsed = time.perf_counter() - started
+    report(
+        2,
+        "fill equal to the plain-loop oracle, cell for cell",
+        mismatches == 0 and elapsed < 60.0,
+        f"500 instances x backends {{{','.join(backends)}}}, {mismatches} mismatches, "
         f"{elapsed:.1f}s (budget 60s)",
     )
 

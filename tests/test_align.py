@@ -1,4 +1,4 @@
-"""Alignment engines: optimality, equivalence, demos and mining."""
+"""Alignment engines: optimality, oracles, demos and mining."""
 
 import numpy as np
 import pytest
@@ -114,6 +114,18 @@ class TestNwAlign:
                 counts.append(gap_count(nw_align(sim, MiningConfig(gap_penalty=penalty))))
             assert all(b <= a for a, b in zip(counts, counts[1:]))
 
+    def test_backends_produce_identical_tables(self):
+        rng = np.random.default_rng(31)
+        available = kernels.available_backends()
+        if len(available) < 2:
+            pytest.skip("only one kernel backend built")
+        for _ in range(10):
+            sim = rng.random((int(rng.integers(1, 60)), int(rng.integers(1, 60))))
+            tables = [
+                kernels.fill_sequential(sim, -1.0, 1.0, 0.7, backend=b) for b in available
+            ]
+            assert all(np.array_equal(tables[0], t) for t in tables[1:])
+
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             nw_align(np.zeros((0, 3)), MiningConfig())
@@ -124,11 +136,16 @@ class TestNwAlign:
 
 
 class TestWavefront:
+    """The retired anti-diagonal engine's names stay importable and
+    delegate to the single fill, whatever the worker count."""
+
     def test_single_worker_equals_sequential(self):
         rng = np.random.default_rng(23)
         sim = rng.random((12, 9))
         config = MiningConfig(gap_penalty=1.3)
         assert nw_align_wavefront(sim, config, 1) == nw_align(sim, config)
+        wave = kernels.fill_wavefront(sim, -1.0, 1.0, 1.3, 4)
+        assert np.array_equal(wave, kernels.fill_sequential(sim, -1.0, 1.0, 1.3))
 
     @pytest.mark.parametrize("workers", [1, 2, 4, 8])
     def test_equivalence_on_random_instances(self, workers):
@@ -148,22 +165,6 @@ class TestWavefront:
         expected = nw_align(sim, DEMO_CONFIG)
         for workers in (1, 2, 4):
             assert nw_align_wavefront(sim, DEMO_CONFIG, workers) == expected
-
-    def test_backends_produce_identical_tables(self):
-        rng = np.random.default_rng(31)
-        available = kernels.available_backends()
-        if len(available) < 2:
-            pytest.skip("only one kernel backend built")
-        for _ in range(10):
-            sim = rng.random((int(rng.integers(1, 60)), int(rng.integers(1, 60))))
-            tables = [
-                kernels.fill_sequential(sim, -1.0, 1.0, 0.7, backend=b) for b in available
-            ]
-            assert all(np.array_equal(tables[0], t) for t in tables[1:])
-            waves = [
-                kernels.fill_wavefront(sim, -1.0, 1.0, 0.7, 3, backend=b) for b in available
-            ]
-            assert all(np.array_equal(tables[0], w) for w in waves)
 
 
 class TestAstar:
@@ -362,10 +363,9 @@ class TestMining:
         pair, _ = make_mining_pair(rng, "beta")
         results = [
             mine_document_pair(toy_model, toy_lexicon, pair, MiningConfig(), engine=e)
-            for e in ("nw", "nw_wavefront", "astar_constrained")
+            for e in ("nw", "astar_constrained")
         ]
-        assert results[0] == results[1]
-        assert {r[1:] for r in results[0]} == {r[1:] for r in results[2]}
+        assert {r[1:] for r in results[0]} == {r[1:] for r in results[1]}
 
     def test_corpus_output_invariant_to_workers(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(67)

@@ -1,7 +1,12 @@
 """Feature extraction, classifier training and calibrated scoring."""
 
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimine.classifier import (
     SimilarityModel,
@@ -193,3 +198,85 @@ class TestModelFile:
                 feature_means=(0.0,) * 6,
                 feature_scales=(1.0,) * 6,
             )
+
+
+VALID_MODEL = {
+    "version": 1,
+    "weights": [0.5, 1.0, 1.0, 0.5, 0.1, 0.2],
+    "bias": -0.3,
+    "sigmoid_a": -1.5,
+    "sigmoid_b": 0.2,
+    "feature_means": [1.0, 0.5, 0.5, 0.4, 1.0, 0.1],
+    "feature_scales": [0.3, 0.2, 0.2, 0.3, 0.3, 0.1],
+}
+NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+SCALAR_FIELDS = ("bias", "sigmoid_a", "sigmoid_b")
+VECTOR_FIELDS = ("weights", "feature_means", "feature_scales")
+
+
+def write_model_json(path, data):
+    # json writes NaN and Infinity literals, which json.load reads back.
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+class TestModelLoaderFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(SCALAR_FIELDS), bad=NON_FINITE)
+    def test_non_finite_scalar_named(self, tmp_path_factory, field, bad):
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model_json(path, {**VALID_MODEL, field: bad})
+        with pytest.raises(ValueError, match=field):
+            load_model(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(field=st.sampled_from(VECTOR_FIELDS), index=st.integers(0, 5), bad=NON_FINITE)
+    def test_non_finite_vector_entry_named(self, tmp_path_factory, field, index, bad):
+        values = list(VALID_MODEL[field])
+        values[index] = bad
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        write_model_json(path, {**VALID_MODEL, field: values})
+        with pytest.raises(ValueError, match=field):
+            load_model(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(index=st.integers(0, 5), bad=st.floats(max_value=0.0, allow_nan=False))
+    def test_nonpositive_scale_named(self, index, bad):
+        scales = list(VALID_MODEL["feature_scales"])
+        scales[index] = bad
+        with pytest.raises(ValueError, match="feature_scales"):
+            SimilarityModel.from_dict({**VALID_MODEL, "feature_scales": scales})
+
+    @settings(max_examples=40, deadline=None)
+    @given(field=st.sampled_from(VECTOR_FIELDS), length=st.integers(0, 12).filter(lambda n: n != 6))
+    def test_wrong_length_named(self, field, length):
+        with pytest.raises(ValueError, match=field):
+            SimilarityModel.from_dict({**VALID_MODEL, field: [1.0] * length})
+
+    @pytest.mark.parametrize("field", SCALAR_FIELDS + VECTOR_FIELDS)
+    def test_missing_or_non_numeric_named(self, field):
+        missing = {key: value for key, value in VALID_MODEL.items() if key != field}
+        with pytest.raises(ValueError, match=field):
+            SimilarityModel.from_dict(missing)
+        with pytest.raises(ValueError, match=field):
+            SimilarityModel.from_dict({**VALID_MODEL, field: "abc"})
+
+    def test_error_names_the_file(self, tmp_path):
+        path = write_model_json(tmp_path / "model.json", {**VALID_MODEL, "sigmoid_a": float("nan")})
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sigmoid_a"):
+            load_model(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.floats(-1e6, 1e6), min_size=6, max_size=6),
+        sigmoid_a=st.floats(-1e3, -1e-9),
+        scales=st.lists(st.floats(1e-6, 1e6), min_size=6, max_size=6),
+        margin=st.floats(-1e3, 1e3),
+    )
+    def test_finite_models_load_and_score_in_unit_interval(
+        self, weights, sigmoid_a, scales, margin
+    ):
+        model = SimilarityModel.from_dict(
+            {**VALID_MODEL, "weights": weights, "sigmoid_a": sigmoid_a, "feature_scales": scales}
+        )
+        assert 0.0 <= model.score_from_margin(margin) <= 1.0

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from bimine import kernels
 from bimine.cli import main
 from bimine.corpus import load_corpus
 
@@ -201,6 +202,25 @@ class TestMine:
         assert "0 sentence pairs" in capsys.readouterr().out
         assert (pipeline / "mined_none.tsv").read_text(encoding="utf-8") == ""
 
+    def test_non_finite_model_is_an_error(self, pipeline, tmp_path, capsys):
+        data = json.loads((pipeline / "model.json").read_text(encoding="utf-8"))
+        data["sigmoid_a"] = float("nan")
+        bad_model = tmp_path / "model.json"
+        bad_model.write_text(json.dumps(data), encoding="utf-8")
+        code = main(
+            [
+                "mine",
+                str(pipeline / "corpus"),
+                str(bad_model),
+                str(pipeline / "lexicon.tsv"),
+                str(tmp_path / "mined.tsv"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "sigmoid_a" in err
+        assert not (tmp_path / "mined.tsv").exists()
+
     def test_unconstrained_engine_is_usage_error(self, pipeline, capsys):
         with pytest.raises(SystemExit) as excinfo:
             self.run_mine(pipeline, "mined_bad.tsv", "--engine", "astar-unconstrained")
@@ -327,28 +347,25 @@ class TestTune:
 
 
 class TestBench:
-    def test_single_worker_speedups_are_one(self, tmp_path, capsys):
+    def test_one_row_per_size_engine_backend(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
-        code = main(
-            [
-                "bench",
-                "--sizes",
-                "24",
-                "--workers-list",
-                "1",
-                "--out",
-                str(out),
-            ]
-        )
+        code = main(["bench", "--sizes", "8,24", "--out", str(out)])
         assert code == 0
-        rows = out.read_text(encoding="utf-8").splitlines()
-        header = rows[0].split(",")
-        speedup_col = header.index("speedup_vs_1_worker")
-        for row in rows[1:]:
-            assert float(row.split(",")[speedup_col]) == 1.0
+        header, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert header == "size,engine,backend,ms"
+        keys = [tuple(row.split(",")[:3]) for row in rows]
+        expected = [
+            (size, engine, backend)
+            for size in ("8", "24")
+            for engine in ("nw", "astar")
+            for backend in kernels.available_backends()
+            if engine == "nw" or backend == "python"
+        ]
+        assert keys == expected
+        assert all(float(row.split(",")[3]) >= 0.0 for row in rows)
 
     def test_demo_alignments_printed(self, tmp_path, capsys):
-        code = main(["bench", "--sizes", "16", "--workers-list", "1,2", "--out", str(tmp_path / "b.csv")])
+        code = main(["bench", "--sizes", "16", "--out", str(tmp_path / "b.csv")])
         assert code == 0
         out = capsys.readouterr().out
         assert "a, d, -, -, e, g, f" in out

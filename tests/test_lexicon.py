@@ -1,7 +1,11 @@
 """Translation-lexicon estimation and the title merge."""
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimine.lexicon import Lexicon, build_lexicon, merge_title_lexicon, read_lexicon, write_lexicon
 from bimine.text import tokenize
@@ -126,3 +130,31 @@ class TestLexiconFile:
         flipped = lexicon.transposed()
         assert flipped.prob("x", "a") == 1.0
         assert flipped.prob("y", "a") == 1.0
+
+
+class TestLexiconReader:
+    @pytest.mark.parametrize(
+        "value", ["nan", "NaN", "inf", "-inf", "-0.5", "-1e-9", "1.000001", "2", "abc", ""]
+    )
+    def test_bad_probability_names_path_and_line(self, tmp_path, value):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"a\tx\t0.500000\nb\ty\t{value}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: probability"):
+            read_lexicon(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_accepts_exactly_the_unit_interval(self, tmp_path_factory, prob):
+        path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+        path.write_text(f"a\tx\t{prob!r}\n", encoding="utf-8")
+        if 0.0 <= prob <= 1.0:
+            assert read_lexicon(path).prob("a", "x") == prob
+        else:
+            with pytest.raises(ValueError, match="line 1: probability"):
+                read_lexicon(path)
+
+    def test_bounds_are_accepted(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("a\tx\t0.000000\na\ty\t1.000000\n", encoding="utf-8")
+        lexicon = read_lexicon(path)
+        assert lexicon.prob("a", "x") == 0.0 and lexicon.prob("a", "y") == 1.0

@@ -2,11 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimine.align import MiningConfig, align_pair_indices
 from bimine.tuning import TuningSample, alignment_agreement, read_reference, tune
 
 from conftest import make_mining_pair
+from oracles import longest_common_subsequence
+
+
+def strictly_monotone(pairs):
+    """Keep the pairs that increase in both indices over the last kept one."""
+    kept = []
+    for i, j in pairs:
+        if not kept or (i > kept[-1][0] and j > kept[-1][1]):
+            kept.append((i, j))
+    return kept
+
+
+MONOTONE_PAIRS = st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=8).map(
+    lambda pairs: strictly_monotone(sorted(set(pairs)))
+)
 
 
 class TestAgreement:
@@ -46,6 +63,20 @@ class TestAgreement:
             k = int(rng.integers(1, 8))
             items = sorted({(int(a), int(a) + 1) for a in rng.integers(0, 20, size=k)})
             assert alignment_agreement(items, items) == 100.0
+
+
+    def test_shared_pair_counts_whatever_precedes_it(self):
+        # One shared pair behind three unshared ones must still count.
+        candidate = [(5, 5), (6, 6), (7, 7), (8, 8)]
+        assert alignment_agreement(candidate, [(1, 1), (2, 2), (3, 3), (5, 5)]) == 25.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(MONOTONE_PAIRS, MONOTONE_PAIRS.filter(bool))
+    def test_equals_intersection_share_and_lcs(self, candidate, reference):
+        value = alignment_agreement(candidate, reference)
+        shared = set(candidate) & set(reference)
+        assert value == 100.0 * len(shared) / len(reference)
+        assert len(shared) == longest_common_subsequence(candidate, reference)
 
 
 class TestTuningSample:
