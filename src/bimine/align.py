@@ -1,7 +1,9 @@
 """Sentence-sequence alignment engines and document-pair mining.
 
 A document pair is scored into an N x M similarity matrix (one cell per
-sentence pair, values in [0, 1]).  Cell values are mapped affinely onto
+sentence pair, values in [0, 1]) by ``classifier.score_matrix``, which
+computes the features of whole row blocks with numpy and matches scoring
+each cell on its own bit for bit.  Cell values are mapped affinely onto
 [mismatch_cost, match_bonus] and an alignment maximizing total mapped
 score minus gap penalties is found by one of two engines:
 
@@ -16,13 +18,15 @@ score minus gap penalties is found by one of two engines:
 Matches above a confidence threshold become mined sentence pairs.
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
-are identical for any worker count.
+are identical for any worker count.  A worker that dies costs only the
+pairs whose results had not arrived.
 """
 
 from __future__ import annotations
 
 import heapq
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Sequence
@@ -30,13 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernels
-from .classifier import (
-    SentenceProfile,
-    SimilarityModel,
-    features_from_profiles,
-    profile_sentence,
-    reachable_targets,
-)
+from .classifier import SentenceProfile, SimilarityModel, profile_sentence, score_matrix
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
@@ -116,15 +114,9 @@ def build_score_matrix(
                 raise ValueError(f"{side} sentence {index}: {exc}") from None
         return result
 
-    source_profiles = profiles(source_sentences, "source")
-    target_profiles = profiles(target_sentences, "target")
-    matrix = np.empty((len(source_profiles), len(target_profiles)), dtype=np.float64)
-    for i, sp in enumerate(source_profiles):
-        reach = reachable_targets(sp, lexicon)
-        for j, tp in enumerate(target_profiles):
-            features = features_from_profiles(sp, tp, lexicon, source_reach=reach)
-            matrix[i, j] = model.score_from_margin(model.margin(features))
-    return matrix
+    return score_matrix(
+        model, lexicon, profiles(source_sentences, "source"), profiles(target_sentences, "target")
+    )
 
 
 def _traceback(
@@ -365,18 +357,29 @@ class MiningOutcome:
 
 _POOL_STATE: dict = {}
 
+WORKER_DIED = "worker process died"
+
 
 def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig, engine: str) -> None:
     _POOL_STATE["args"] = (model, lexicon, config, engine)
 
 
-def _pool_mine(item: tuple[int, DocumentPair]):
-    index, pair = item
-    model, lexicon, config, engine = _POOL_STATE["args"]
+def _mine_or_fail(
+    model: SimilarityModel,
+    lexicon: Lexicon,
+    pair: DocumentPair,
+    config: MiningConfig,
+    engine: str,
+) -> tuple[list[tuple[float, str, str]] | None, str | None]:
     try:
-        return index, mine_document_pair(model, lexicon, pair, config, engine), None
+        return mine_document_pair(model, lexicon, pair, config, engine), None
     except Exception as exc:  # the run continues past failing pairs
-        return index, None, str(exc)
+        return None, str(exc)
+
+
+def _pool_mine(chunk: list[DocumentPair]):
+    model, lexicon, config, engine = _POOL_STATE["args"]
+    return [_mine_or_fail(model, lexicon, pair, config, engine) for pair in chunk]
 
 
 def mine_corpus(
@@ -390,32 +393,33 @@ def mine_corpus(
 
     The model and lexicon are shared read-only with the workers; output
     concatenation follows the input pair order whatever the completion
-    order, and failing pairs are reported and skipped.  Parallelism comes
-    from the pair-level fan-out only; every alignment runs on one thread.
+    order, and failing pairs are reported and skipped.  A worker process
+    that dies (out of memory, a signal) costs only the pairs whose
+    results had not arrived: each is reported as a failure and the rest
+    are kept.  Parallelism comes from the pair-level fan-out only; every
+    alignment runs on one thread.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     workers = min(config.workers, max(len(pairs), 1))
     outcomes: list[tuple[list[tuple[float, str, str]] | None, str | None]] = []
     if workers <= 1:
-        for pair in pairs:
-            try:
-                outcomes.append((mine_document_pair(model, lexicon, pair, config, engine), None))
-            except Exception as exc:
-                outcomes.append((None, str(exc)))
+        outcomes = [_mine_or_fail(model, lexicon, pair, config, engine) for pair in pairs]
     else:
         chunksize = max(1, len(pairs) // (workers * 4))
+        chunks = [list(pairs[k : k + chunksize]) for k in range(0, len(pairs), chunksize)]
         with ProcessPoolExecutor(
             max_workers=workers,
             mp_context=get_context("fork"),
             initializer=_pool_init,
             initargs=(model, lexicon, config, engine),
         ) as executor:
-            ordered = sorted(
-                executor.map(_pool_mine, enumerate(pairs), chunksize=chunksize),
-                key=lambda r: r[0],
-            )
-        outcomes = [(rows, error) for _, rows, error in ordered]
+            futures = [executor.submit(_pool_mine, chunk) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
+                try:
+                    outcomes.extend(future.result())
+                except BrokenProcessPool:
+                    outcomes.extend((None, WORKER_DIED) for _ in chunk)
 
     mined: list[tuple[float, str, str]] = []
     failures: list[tuple[str, str]] = []

@@ -6,6 +6,12 @@ A linear max-margin classifier is trained on them with hinge loss and
 L2 regularization, and the signed distance to its hyperplane is mapped
 into [0, 1] by a Platt-style sigmoid fit, so scores behave like the
 probability that the two sentences translate each other.
+
+``extract_features`` describes one pair and serves training.
+``score_matrix`` scores every sentence pair of a document pair at once,
+computing each feature for a block of pairs with array operations; its
+scores are bit-identical to scoring each pair through
+``extract_features``.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -30,8 +37,19 @@ ZERO_VARIANCE_EPS = 1e-12
 
 _RATIO_CAP = 4.0
 
+# Cells per array block in ``score_matrix``: large enough that per-block
+# Python overhead is small, small enough that the block's temporaries
+# stay in cache and off the peak memory of long document pairs.
+BLOCK_CELLS = 2048
+
 _VECTOR_FIELDS = ("weights", "feature_means", "feature_scales")
 _SCALAR_FIELDS = ("bias", "sigmoid_a", "sigmoid_b")
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """libm ``exp`` element-wise: ``np.exp`` rounds some inputs differently,
+    which would change scores in the last bit."""
+    return np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
 @dataclass(frozen=True)
@@ -54,22 +72,18 @@ def _clip_ratio(numerator: float, denominator: float) -> float:
     return min(numerator / denominator, _RATIO_CAP)
 
 
-def reachable_targets(source: SentenceProfile, lexicon: Lexicon) -> frozenset[str]:
-    """All target tokens some source token can translate to."""
-    reach: set[str] = set()
-    for s in source.token_set:
-        reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
-    return frozenset(reach)
-
-
-def features_from_profiles(
-    source: SentenceProfile,
-    target: SentenceProfile,
-    lexicon: Lexicon,
-    source_reach: frozenset[str] | None = None,
+def extract_features(
+    source_sentence: str, target_sentence: str, lexicon: Lexicon
 ) -> list[float]:
-    # source_reach lets a caller scoring one source sentence against many
-    # targets hoist the reachable-target set out of the pair loop.
+    """Six-feature description of a sentence pair.
+
+    Order: token-length ratio (capped at 4), source lexicon coverage,
+    target lexicon coverage, mean best translation probability over
+    covered source tokens, character-length ratio (capped at 4), and
+    fraction of shared identical tokens.
+    """
+    source = profile_sentence(source_sentence)
+    target = profile_sentence(target_sentence)
     token_ratio = _clip_ratio(len(source.tokens), len(target.tokens))
     char_ratio = _clip_ratio(len(source.text), len(target.text))
 
@@ -86,11 +100,12 @@ def features_from_profiles(
     source_coverage = covered / len(source.tokens)
     mean_best_prob = best_prob_sum / covered if covered else 0.0
 
-    if source_reach is None:
-        source_reach = reachable_targets(source, lexicon)
+    reach: set[str] = set()
+    for s in source.token_set:
+        reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
     covered_target = 0
     for t in target.tokens:
-        if t in source_reach:
+        if t in reach:
             covered_target += 1
     target_coverage = covered_target / len(target.tokens)
 
@@ -100,19 +115,126 @@ def features_from_profiles(
     return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
 
 
-def extract_features(
-    source_sentence: str, target_sentence: str, lexicon: Lexicon
-) -> list[float]:
-    """Six-feature description of a sentence pair.
+def _padded(rows: Sequence[Sequence], fill, dtype) -> np.ndarray:
+    """Rows of unequal length as one array, padded on the right with ``fill``."""
+    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
+    for r, row in enumerate(rows):
+        out[r, : len(row)] = row
+    return out
 
-    Order: token-length ratio (capped at 4), source lexicon coverage,
-    target lexicon coverage, mean best translation probability over
-    covered source tokens, character-length ratio (capped at 4), and
-    fraction of shared identical tokens.
-    """
-    return features_from_profiles(
-        profile_sentence(source_sentence), profile_sentence(target_sentence), lexicon
+
+def _marks(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
+    """Boolean rows, True at the listed ids, with one more column never set."""
+    marks = np.zeros((len(rows), width + 1), dtype=bool)
+    row_of_id = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
+    marks[row_of_id, list(chain.from_iterable(rows))] = True
+    return marks
+
+
+def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    return (
+        np.array([len(p.tokens) for p in profiles]),
+        np.array([len(p.text) for p in profiles]),
+        np.array([len(p.token_set) for p in profiles]),
     )
+
+
+def score_matrix(
+    model: "SimilarityModel",
+    lexicon: Lexicon,
+    sources: Sequence[SentenceProfile],
+    targets: Sequence[SentenceProfile],
+) -> np.ndarray:
+    """Score of every source profile against every target profile.
+
+    Equal, bit for bit, to ``score_from_margin(margin(extract_features(s, t)))``
+    per cell, but computed for row blocks of at most ``BLOCK_CELLS``
+    cells with array operations.  Once per call, target tokens get ids,
+    and each source token gets its target ids reachable through the
+    lexicon and its best present translation probability per target
+    sentence.  Every feature keeps the per-cell arithmetic: probability
+    sums add token positions in sentence order, counts are integer sums
+    and ratios single divisions.  Ids are padded with -1, which indexes
+    a trailing entry that is never set.
+    """
+    m = len(targets)
+    vocab: dict[str, int] = {}
+    # Padded id arrays are stored as [position, sentence], so that the
+    # block sums below add contiguous rows.
+    target_positions = _padded(
+        [[vocab.setdefault(t, len(vocab)) for t in tp.tokens] for tp in targets], -1, np.intp
+    ).T.copy()
+    type_lists = [[vocab[t] for t in tp.token_set] for tp in targets]
+    target_types = _padded(type_lists, -1, np.intp).T.copy()
+    present = np.ascontiguousarray(_marks(type_lists, len(vocab)).T)  # [target id, sentence]
+
+    reach: dict[str, list[int]] = {}
+    probs: dict[str, list[float]] = {}
+    for sp in sources:
+        for s in sp.token_set:
+            if s not in reach:
+                found = [
+                    (vocab[t], p)
+                    for t, p in lexicon.translations(s).items()
+                    if p > 0.0 and t in vocab
+                ]
+                reach[s] = [k for k, _ in found]
+                probs[s] = [p for _, p in found]
+
+    # best[row, j]: highest p(t|s) over the translations t of a source
+    # token present in target sentence j, by max (exact in any order) over
+    # the token's translations; the last row stays 0 for tokens with none.
+    # Tokens are sorted by translation count so chunks pad little.
+    translated = sorted((s for s in reach if reach[s]), key=lambda s: len(reach[s]))
+    best_row = {s: r for r, s in enumerate(translated)}
+    best = np.zeros((len(translated) + 1, m))
+    translation_ids = _padded([reach[s] for s in translated], -1, np.intp)
+    translation_probs = _padded([probs[s] for s in translated], 0.0, np.float64)[:, :, None]
+    step = max(1, BLOCK_CELLS // m)
+    for a in range(0, len(translated), step):
+        b = min(a + step, len(translated))
+        width = len(reach[translated[b - 1]])
+        hit = present[translation_ids[a:b, :width]]
+        best[a:b] = np.where(hit, translation_probs[a:b, :width], 0.0).max(axis=1)
+
+    source_positions = _padded(
+        [[best_row.get(s, -1) for s in sp.tokens] for sp in sources], -1, np.intp
+    )
+    # Per source sentence: the target ids its tokens reach, and its own
+    # tokens that also occur on the target side.
+    reach_marks = _marks(
+        [[k for s in sp.token_set for k in reach[s]] for sp in sources], len(vocab)
+    )
+    own_marks = _marks(
+        [[vocab[s] for s in sp.token_set if s in vocab] for sp in sources], len(vocab)
+    )
+    s_tokens, s_chars, s_types = (v[:, None] for v in _lengths(sources))
+    t_tokens, t_chars, t_types = _lengths(targets)
+
+    result = np.empty((len(sources), m))
+    rows_per_block = max(1, BLOCK_CELLS // m)
+    for start in range(0, len(sources), rows_per_block):
+        rows = slice(start, start + rows_per_block)
+        block_tokens = s_tokens[rows]
+        prob_sum = np.zeros((len(block_tokens), m))
+        covered = np.zeros((len(block_tokens), m), dtype=np.int64)
+        for column in source_positions[rows, : block_tokens.max()].T:
+            token_best = best[column]
+            prob_sum += token_best
+            covered += token_best > 0.0
+        reached = reach_marks[rows][:, target_positions].sum(axis=1)
+        shared = own_marks[rows][:, target_types].sum(axis=1)
+
+        features = [
+            np.minimum(block_tokens / t_tokens, _RATIO_CAP),
+            covered / block_tokens,
+            reached / t_tokens,
+            prob_sum / np.maximum(covered, 1),
+            np.minimum(s_chars[rows] / t_chars, _RATIO_CAP),
+            shared / np.maximum(s_types[rows], t_types),
+        ]
+        result[rows] = model.scores_from_margins(model.margin(features))
+    return result
 
 
 @dataclass(frozen=True)
@@ -144,7 +266,11 @@ class SimilarityModel:
             raise ValueError("sigmoid_a must be negative")
 
     def margin(self, features: Sequence[float]) -> float:
-        """Signed distance from the decision hyperplane."""
+        """Signed distance from the decision hyperplane.
+
+        Also element-wise over six equally shaped feature arrays, with
+        the same operation order per element.
+        """
         d = self.bias
         for k in range(FEATURE_COUNT):
             d += self.weights[k] * (features[k] - self.feature_means[k]) / self.feature_scales[k]
@@ -157,6 +283,18 @@ class SimilarityModel:
         else:
             p = 1.0 / (1.0 + math.exp(z)) if z > -700 else 1.0
         return min(max(p, 0.0), 1.0)
+
+    def scores_from_margins(self, margins: np.ndarray) -> np.ndarray:
+        """``score_from_margin`` element-wise, with the same libm ``exp``."""
+        z = self.sigmoid_a * margins + self.sigmoid_b
+        upper = z >= 0
+        e = _exp(np.where(upper, -z, z))
+        p = np.where(
+            upper,
+            np.where(z < 700, e / (1.0 + e), 0.0),
+            np.where(z > -700, 1.0 / (1.0 + e), 1.0),
+        )
+        return np.minimum(np.maximum(p, 0.0), 1.0)
 
     def to_dict(self) -> dict:
         return {

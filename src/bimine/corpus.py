@@ -10,6 +10,7 @@ segmented sentences.
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from dataclasses import dataclass
@@ -218,7 +219,15 @@ def read_bitext(path: str | os.PathLike) -> list[tuple[float, str, str]]:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
-            rows.append((float(fields[0]), fields[1], fields[2]))
+            try:
+                score = float(fields[0])
+            except ValueError:
+                score = math.nan
+            if not math.isfinite(score):
+                raise ValueError(
+                    f"{path}: line {lineno}: score must be a finite number, got {fields[0]!r}"
+                )
+            rows.append((score, fields[1], fields[2]))
     return rows
 
 
@@ -267,9 +276,16 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
             if len(fields) != 4:
                 raise ValueError(f"{sentences_path}: line {lineno}: malformed sentence row")
             topic_id, side, index, sentence = fields
-            sentences.setdefault((unescape_field(topic_id), side), []).append(
-                (int(index), sentence)
-            )
+            try:
+                position = int(index)
+            except ValueError:
+                position = -1
+            if position < 0:
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: sentence index must be a "
+                    f"non-negative integer, got {index!r}"
+                )
+            sentences.setdefault((unescape_field(topic_id), side), []).append((position, sentence))
 
     def doc_sentences(topic_id: str, side: str) -> tuple[str, ...]:
         rows = sorted(sentences.get((topic_id, side), []))

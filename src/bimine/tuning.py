@@ -154,5 +154,12 @@ def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
                 raise ValueError(
                     f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
                 )
-            reference.setdefault(fields[0], []).append((int(fields[1]), int(fields[2])))
+            try:
+                pair = (int(fields[1]), int(fields[2]))
+            except ValueError:
+                raise ValueError(
+                    f"{path}: line {lineno}: indices must be integers, got "
+                    f"{fields[1]!r} and {fields[2]!r}"
+                ) from None
+            reference.setdefault(fields[0], []).append(pair)
     return reference

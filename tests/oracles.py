@@ -1,8 +1,10 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive: exhaustive enumeration instead
-of dynamic programming, dict-based EM written from the update equations.
-These stay separate from the package so each check has two routes.
+of dynamic programming, dict-based EM written from the update equations,
+and scoring one cell at a time through the per-pair feature extractor
+instead of array blocks.  These stay separate from the package's fast
+paths so each check has two routes.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from collections import defaultdict
 
 import numpy as np
+
+from bimine.classifier import extract_features
 
 
 def brute_force_best_score(
@@ -59,6 +63,16 @@ def reference_dp_table(
                 dp[i - 1][j - 1] + cell, dp[i - 1][j] - gap_penalty, dp[i][j - 1] - gap_penalty
             )
     return np.array(dp)
+
+
+def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -> np.ndarray:
+    """Similarity matrix one cell at a time: features, margin, sigmoid."""
+    matrix = np.empty((len(source_sentences), len(target_sentences)))
+    for i, source in enumerate(source_sentences):
+        for j, target in enumerate(target_sentences):
+            features = extract_features(source, target, lexicon)
+            matrix[i, j] = model.score_from_margin(model.margin(features))
+    return matrix
 
 
 def longest_common_subsequence(first: list, second: list) -> int:

@@ -1,9 +1,14 @@
 """Alignment engines: optimality, oracles, demos and mining."""
 
+import os
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bimine import kernels
+from bimine import align, kernels
 from bimine.align import (
     Alignment,
     GapSource,
@@ -18,7 +23,9 @@ from bimine.align import (
     nw_align,
     nw_align_wavefront,
 )
+from bimine.classifier import BLOCK_CELLS, SimilarityModel
 from bimine.corpus import Document, DocumentPair
+from bimine.lexicon import Lexicon
 from bimine.demos import (
     DEMO_CONFIG,
     SYMBOL_SOURCE,
@@ -30,7 +37,7 @@ from bimine.demos import (
 )
 
 from conftest import make_mining_pair
-from oracles import brute_force_best_score, reference_dp_table
+from oracles import brute_force_best_score, reference_dp_table, reference_score_matrix
 
 EXACT_CONFIG = MiningConfig(threshold=0.0, gap_penalty=2.0, match_bonus=1.0, mismatch_cost=-1.0)
 
@@ -331,6 +338,122 @@ class TestScoreMatrix:
             build_score_matrix(toy_model, toy_lexicon, [], ["house"])
 
 
+# Generated scoring inputs: two small vocabularies that share some words,
+# lexicons with zero and absent-target entries, and arbitrary models.
+SOURCE_WORDS = ("ka", "lo", "mi", "nu", "po", "same", "also")
+TARGET_WORDS = ("ab", "cd", "ef", "gh", "ij", "same", "also")
+ABSENT_WORDS = ("nowhere", "never")
+
+
+def sentence_strategy(words):
+    return st.lists(st.sampled_from(words), min_size=1, max_size=7).map(" ".join)
+
+
+LEXICONS = st.dictionaries(
+    st.sampled_from(SOURCE_WORDS + ABSENT_WORDS),
+    st.dictionaries(
+        st.sampled_from(TARGET_WORDS + ABSENT_WORDS),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        max_size=5,
+    ),
+    max_size=9,
+).map(Lexicon)
+
+MODELS = st.builds(
+    SimilarityModel,
+    weights=st.tuples(*[st.floats(-50.0, 50.0)] * 6),
+    bias=st.floats(-50.0, 50.0),
+    sigmoid_a=st.floats(-200.0, -1e-6),
+    sigmoid_b=st.floats(-50.0, 50.0),
+    feature_means=st.tuples(*[st.floats(-2.0, 2.0)] * 6),
+    feature_scales=st.tuples(*[st.floats(1e-3, 10.0)] * 6),
+)
+
+
+def assert_matches_oracle(model, lexicon, sources, targets):
+    matrix = build_score_matrix(model, lexicon, sources, targets)
+    expected = reference_score_matrix(model, lexicon, sources, targets)
+    assert matrix.shape == expected.shape
+    assert np.array_equal(matrix, expected)
+    return matrix
+
+
+class TestScoreMatrixOracle:
+    """Block scoring equals the per-cell oracle bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        model=MODELS,
+        lexicon=LEXICONS,
+        sources=st.lists(sentence_strategy(SOURCE_WORDS), min_size=1, max_size=6),
+        targets=st.lists(sentence_strategy(TARGET_WORDS), min_size=1, max_size=6),
+    )
+    def test_generated_inputs(self, model, lexicon, sources, targets):
+        assert_matches_oracle(model, lexicon, sources, targets)
+
+    def test_trained_model_on_mining_pair(self, toy_model, toy_lexicon):
+        rng = np.random.default_rng(89)
+        pair, _ = make_mining_pair(rng, "oracle", true_pairs=9, target_noise=4)
+        assert_matches_oracle(toy_model, toy_lexicon, pair.source.sentences, pair.target.sentences)
+
+    def test_zero_probability_entries(self, toy_model):
+        # p = 0.0 neither covers a token nor makes a target reachable.
+        lexicon = Lexicon({"ka": {"ab": 0.0, "cd": 0.4}, "lo": {"ab": 0.0}})
+        matrix = assert_matches_oracle(toy_model, lexicon, ["ka lo", "lo"], ["ab", "cd ab", "ef"])
+        only_zero = reference_score_matrix(toy_model, Lexicon({}), ["lo"], ["ab", "cd ab", "ef"])
+        assert np.array_equal(matrix[1], only_zero[0])
+
+    def test_tokens_shared_across_languages(self, toy_model):
+        lexicon = Lexicon({"same": {"same": 0.7}, "ka": {"same": 0.2}})
+        assert_matches_oracle(
+            toy_model, lexicon, ["same ka", "same same", "ka"], ["same", "ab same cd", "ab"]
+        )
+
+    def test_repeated_tokens(self, toy_model):
+        lexicon = Lexicon({"ka": {"ab": 0.3, "cd": 0.9}, "lo": {"ab": 1.0}})
+        assert_matches_oracle(
+            toy_model, lexicon, ["ka ka ka lo", "lo lo"], ["ab ab cd", "cd cd cd cd", "ab"]
+        )
+
+    def test_translations_absent_from_the_document(self, toy_model):
+        lexicon = Lexicon({"ka": {"nowhere": 0.9, "ab": 0.1}, "lo": {"never": 1.0}})
+        assert_matches_oracle(toy_model, lexicon, ["ka lo", "lo"], ["ab cd", "ef"])
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)])
+    def test_row_and_column_shapes(self, toy_model, toy_lexicon, shape):
+        rng = np.random.default_rng(97)
+        pair, _ = make_mining_pair(rng, "shape", true_pairs=7, target_noise=0)
+        sources = pair.source.sentences[: shape[0]]
+        targets = pair.target.sentences[: shape[1]]
+        assert assert_matches_oracle(toy_model, toy_lexicon, sources, targets).shape == shape
+
+    @pytest.mark.parametrize("shape", [(60, 50), (3, BLOCK_CELLS + 5)])
+    def test_more_than_one_row_block(self, toy_model, toy_lexicon, shape):
+        rng = np.random.default_rng(101)
+        pair, _ = make_mining_pair(rng, "wide", true_pairs=shape[0], target_noise=0)
+        targets = [pair.target.sentences[k % shape[0]] for k in range(shape[1])]
+        assert shape[0] * shape[1] > BLOCK_CELLS
+        assert_matches_oracle(toy_model, toy_lexicon, pair.source.sentences, targets)
+
+    def test_sigmoid_saturates_on_both_sides(self, toy_lexicon):
+        # Coverage between 0 and 1 spreads margins over +-3000, which
+        # pushes z past +700 and -700.
+        model = SimilarityModel(
+            weights=(0.0, 3000.0, 3000.0, 0.0, 0.0, 0.0),
+            bias=-3000.0,
+            sigmoid_a=-1.0,
+            sigmoid_b=0.0,
+            feature_means=(0.0,) * 6,
+            feature_scales=(1.0,) * 6,
+        )
+        rng = np.random.default_rng(103)
+        pair, _ = make_mining_pair(rng, "saturate", true_pairs=6, target_noise=3)
+        matrix = assert_matches_oracle(
+            model, toy_lexicon, pair.source.sentences, pair.target.sentences
+        )
+        assert matrix.min() == 0.0 and matrix.max() == 1.0
+
+
 class TestMining:
     def test_true_pairs_mined_no_noise(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(59)
@@ -390,6 +513,30 @@ class TestMining:
         assert outcome.failures[0][0] == "bad"
         assert "untokenizable" in outcome.failures[0][1]
         assert len(outcome.rows) > 0
+
+    def test_dead_worker_costs_only_unfinished_pairs(self, toy_model, toy_lexicon, monkeypatch):
+        rng = np.random.default_rng(107)
+        pairs = [make_mining_pair(rng, f"alive-{k}")[0] for k in range(7)]
+        pairs.append(make_mining_pair(rng, "boom")[0])
+        parent = os.getpid()
+        real = align.mine_document_pair
+
+        def dying(model, lexicon, pair, config, engine):
+            if pair.topic_id == "boom" and os.getpid() != parent:
+                time.sleep(0.5)  # let the other worker's results arrive first
+                os._exit(1)
+            return real(model, lexicon, pair, config, engine)
+
+        monkeypatch.setattr(align, "mine_document_pair", dying)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
+        failed = dict(outcome.failures)
+        assert failed["boom"] == "worker process died"
+        assert set(failed.values()) == {"worker process died"}
+        kept = [pair for pair in pairs if pair.topic_id not in failed]
+        assert pairs[0] in kept
+        serial = mine_corpus(toy_model, toy_lexicon, kept, MiningConfig(workers=1))
+        assert outcome.rows == serial.rows
+        assert serial.failures == ()
 
     def test_empty_pair_list(self, toy_model, toy_lexicon):
         outcome = mine_corpus(toy_model, toy_lexicon, [], MiningConfig(workers=4))

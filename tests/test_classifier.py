@@ -152,6 +152,31 @@ class TestScoring:
         assert all(b >= a for a, b in zip(scores, scores[1:]))
         assert all(0.0 <= s <= 1.0 for s in scores)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        sigmoid_a=st.floats(-10.0, -1e-3),
+        sigmoid_b=st.floats(-10.0, 10.0),
+        margins=st.lists(
+            st.one_of(st.floats(-100.0, 100.0), st.floats(allow_nan=True, allow_infinity=True)),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    def test_array_sigmoid_equals_scalar_bit_for_bit(self, sigmoid_a, sigmoid_b, margins):
+        model = SimilarityModel(
+            weights=(1.0,) * 6,
+            bias=0.0,
+            sigmoid_a=sigmoid_a,
+            sigmoid_b=sigmoid_b,
+            feature_means=(0.0,) * 6,
+            feature_scales=(1.0,) * 6,
+        )
+        expected = [model.score_from_margin(d) for d in margins]
+        with np.errstate(invalid="ignore", over="ignore"):
+            scores = model.scores_from_margins(np.array(margins).reshape(-1, 1))
+        assert scores.shape == (len(margins), 1)
+        assert scores[:, 0].tolist() == expected
+
     def test_positives_score_above_negatives(self, toy_model, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(70), 25)
         negatives = make_negative_pairs(positives, 71)

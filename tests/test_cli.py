@@ -345,6 +345,26 @@ class TestTune:
         assert code == 1
         assert "NoSuchTopic" in capsys.readouterr().err
 
+    def test_non_numeric_reference_index_is_an_error(self, pipeline, capsys):
+        reference = pipeline / "nonnumeric_reference.tsv"
+        reference.write_text("Topic 0\t0\tzero\n", encoding="utf-8")
+        code = main(
+            [
+                "tune",
+                str(pipeline / "corpus"),
+                str(pipeline / "model.json"),
+                str(pipeline / "lexicon.tsv"),
+                str(reference),
+                "--budget",
+                "2",
+                "--out",
+                str(pipeline / "tuning_nonnumeric.json"),
+            ]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {reference}: line 1: indices")
+
 
 class TestBench:
     def test_one_row_per_size_engine_backend(self, tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Document ingestion, article pairing and corpus statistics."""
 
 import random
+import re
 
 import pytest
 
@@ -167,3 +168,24 @@ class TestFiles:
         save_corpus(result.pairs, tmp_path / "corpus")
         loaded = load_corpus(tmp_path / "corpus")
         assert loaded == list(result.pairs)
+
+    @pytest.mark.parametrize("score", ["high", "", "nan", "inf"])
+    def test_bitext_bad_score_names_line(self, tmp_path, score):
+        path = tmp_path / "bitext.tsv"
+        path.write_text(f"0.5\ts\tt\n{score}\ts\tt\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: score"):
+            read_bitext(path)
+
+    @pytest.mark.parametrize("index", ["one", "-1", "1.5", ""])
+    def test_corpus_bad_sentence_index_names_line(self, tmp_path, index):
+        source = make_doc("s1", "Alpha", "en", ("First one.", "Second one."))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        sentences = tmp_path / "sentences.tsv"
+        lines = sentences.read_text(encoding="utf-8").splitlines()
+        lines[1] = lines[1].replace("\t1\t", f"\t{index}\t")
+        sentences.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(sentences))}: line 2: sentence index"
+        ):
+            load_corpus(tmp_path)

@@ -1,5 +1,7 @@
 """Agreement measurement and random-search parameter tuning."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,4 +177,11 @@ class TestReferenceFile:
         path = tmp_path / "reference.tsv"
         path.write_text("topicA\t0\n", encoding="utf-8")
         with pytest.raises(ValueError, match="line 1"):
+            read_reference(path)
+
+    @pytest.mark.parametrize("row", ["topicA\tx\t0", "topicA\t0\t", "topicA\t1.0\t2"])
+    def test_non_integer_index_names_line(self, tmp_path, row):
+        path = tmp_path / "reference.tsv"
+        path.write_text(f"topicA\t0\t0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: indices"):
             read_reference(path)
