@@ -8,7 +8,9 @@ each cell on its own bit for bit.  Cell values are mapped affinely onto
 score minus gap penalties is found by one of two engines:
 
 * ``nw_align``    -- dynamic programming: one table fill (compiled or
-  numpy, see ``kernels``) and a tie-ordered traceback;
+  numpy, see ``kernels``) and a tie-ordered traceback.
+  ``nw_align_batch`` aligns one matrix for many gap penalties, filling
+  their tables together in bounded batches (tuning uses it);
 * ``astar_align`` -- best-first search over the alignment grid.
   Constrained to right/down/diagonal moves it matches the dynamic
   program; unconstrained it may also step left at no cost, re-entering
@@ -19,17 +21,18 @@ Matches above a confidence threshold become mined sentence pairs.
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
 are identical for any worker count.  A worker that dies costs only the
-pairs whose results had not arrived.
+pairs of the chunk that killed it.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from multiprocessing import get_context
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -80,6 +83,10 @@ class MiningConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.threshold <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
+        for name in ("gap_penalty", "match_bonus", "mismatch_cost"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.gap_penalty < 0.0:
             raise ValueError("gap penalty must be >= 0")
         if self.workers < 1:
@@ -120,14 +127,17 @@ def build_score_matrix(
 
 
 def _traceback(
-    dp_rev: np.ndarray, sim: np.ndarray, mismatch: float, bonus: float, gap: float
+    dp_rev: memoryview, sim: memoryview, mismatch: float, bonus: float, gap: float
 ) -> list[Step]:
     # dp_rev is the table of the reversed problem, so dp_rev[n-i, m-j] is
     # the best score of the remaining suffixes.  Walking forward from
     # (0, 0) lets ties resolve in reading order: diagonal first, then
     # source gap, then target gap.  Every cell of dp_rev was assigned as
     # the max of the candidates recomputed here, so one equality always
-    # holds exactly.
+    # holds exactly.  Both tables are read through memoryviews, which
+    # return the same IEEE doubles as Python floats at a third of the
+    # cost of a numpy scalar and, unlike ``tolist``, convert only the
+    # O(n + m) cells the walk visits.
     n, m = sim.shape
     steps: list[Step] = []
     i = j = 0
@@ -157,8 +167,19 @@ def _reversed_scores(sim: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sim[::-1, ::-1])
 
 
+def _alignment(
+    dp_rev: np.ndarray, sim: memoryview, mismatch: float, bonus: float, gap: float
+) -> Alignment:
+    steps = _traceback(memoryview(dp_rev), sim, mismatch, bonus, gap)
+    return Alignment(steps=tuple(steps), score=float(dp_rev[-1, -1]))
+
+
 def nw_align(scores: np.ndarray, config: MiningConfig, backend: str | None = None) -> Alignment:
-    """Optimal monotone alignment by dynamic programming."""
+    """Optimal monotone alignment by dynamic programming.
+
+    The one-gap case of ``nw_align_batch``: the same table and the same
+    traceback, filled through ``kernels.fill_sequential``.
+    """
     sim = _validate_scores(scores)
     dp_rev = kernels.fill_sequential(
         _reversed_scores(sim),
@@ -167,8 +188,39 @@ def nw_align(scores: np.ndarray, config: MiningConfig, backend: str | None = Non
         config.gap_penalty,
         backend=backend,
     )
-    steps = _traceback(dp_rev, sim, config.mismatch_cost, config.match_bonus, config.gap_penalty)
-    return Alignment(steps=tuple(steps), score=float(dp_rev[-1, -1]))
+    return _alignment(
+        dp_rev, memoryview(sim), config.mismatch_cost, config.match_bonus, config.gap_penalty
+    )
+
+
+def nw_align_batch(
+    scores: np.ndarray, config: MiningConfig, gaps: Sequence[float]
+) -> Iterator[Alignment]:
+    """``nw_align`` of one matrix for each gap penalty, yielded in order.
+
+    ``config.gap_penalty`` is ignored; every other field applies to all
+    gaps.  The matrix is validated and reversed once.  Tables are filled
+    in batches of at most ``kernels.BATCH_CELLS`` cells and traced back
+    as each batch completes, so memory stays bounded for any number of
+    gaps.  Each alignment equals ``nw_align`` with that gap penalty.
+    """
+    sim = _validate_scores(scores)
+    gaps = [float(gap) for gap in gaps]
+    if not all(math.isfinite(gap) and gap >= 0.0 for gap in gaps):
+        raise ValueError("gap penalties must be finite and >= 0")
+    reversed_sim, cells = _reversed_scores(sim), memoryview(sim)
+    mismatch, bonus = config.mismatch_cost, config.match_bonus
+    n, m = sim.shape
+    per_batch = max(1, kernels.BATCH_CELLS // ((n + 1) * (m + 1)))
+
+    def alignments() -> Iterator[Alignment]:
+        for first in range(0, len(gaps), per_batch):
+            chunk = gaps[first : first + per_batch]
+            dp_rev = kernels.fill_batch(reversed_sim, mismatch, bonus, chunk)
+            for t, gap in enumerate(chunk):
+                yield _alignment(dp_rev[:, :, t], cells, mismatch, bonus, gap)
+
+    return alignments()
 
 
 def nw_align_wavefront(
@@ -382,6 +434,25 @@ def _pool_mine(chunk: list[DocumentPair]):
     return [_mine_or_fail(model, lexicon, pair, config, engine) for pair in chunk]
 
 
+def _pool_results(chunks: list[list[DocumentPair]], workers: int, initargs: tuple) -> list:
+    """Outcomes of each chunk from one fresh pool; ``None`` for every
+    chunk whose result had not arrived when a worker process died."""
+    results: list = []
+    with ProcessPoolExecutor(
+        max_workers=workers,
+        mp_context=get_context("fork"),
+        initializer=_pool_init,
+        initargs=initargs,
+    ) as executor:
+        futures = [executor.submit(_pool_mine, chunk) for chunk in chunks]
+        for future in futures:
+            try:
+                results.append(future.result())
+            except BrokenProcessPool:
+                results.append(None)
+    return results
+
+
 def mine_corpus(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -394,10 +465,12 @@ def mine_corpus(
     The model and lexicon are shared read-only with the workers; output
     concatenation follows the input pair order whatever the completion
     order, and failing pairs are reported and skipped.  A worker process
-    that dies (out of memory, a signal) costs only the pairs whose
-    results had not arrived: each is reported as a failure and the rest
-    are kept.  Parallelism comes from the pair-level fan-out only; every
-    alignment runs on one thread.
+    that dies (out of memory, a signal) breaks the pool, which fails
+    every chunk of pairs still pending; each of those chunks is rerun
+    once, alone in a fresh one-process pool, in input order.  Only the
+    pairs of a chunk that kills its worker again are reported, as
+    ``worker process died``.  Parallelism comes from the pair-level
+    fan-out only; every alignment runs on one thread.
     """
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
@@ -408,18 +481,12 @@ def mine_corpus(
     else:
         chunksize = max(1, len(pairs) // (workers * 4))
         chunks = [list(pairs[k : k + chunksize]) for k in range(0, len(pairs), chunksize)]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=get_context("fork"),
-            initializer=_pool_init,
-            initargs=(model, lexicon, config, engine),
-        ) as executor:
-            futures = [executor.submit(_pool_mine, chunk) for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
-                try:
-                    outcomes.extend(future.result())
-                except BrokenProcessPool:
-                    outcomes.extend((None, WORKER_DIED) for _ in chunk)
+        initargs = (model, lexicon, config, engine)
+        for chunk, result in zip(chunks, _pool_results(chunks, workers, initargs)):
+            if result is None:
+                # Alone, a chunk that kills its worker takes no other pairs with it.
+                (result,) = _pool_results([chunk], 1, initargs)
+            outcomes.extend(result if result is not None else [(None, WORKER_DIED)] * len(chunk))
 
     mined: list[tuple[float, str, str]] = []
     failures: list[tuple[str, str]] = []

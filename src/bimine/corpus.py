@@ -264,9 +264,17 @@ def save_corpus(pairs: Sequence[DocumentPair], out_dir: str | os.PathLike) -> No
 
 
 def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
+    """Read a paired corpus directory written by ``save_corpus``.
+
+    The sentence indices of each topic and side must be exactly
+    ``0..k-1`` (in any row order) and the side ``src`` or ``tgt``;
+    anything else is rejected as ``path: line N: ...``, since a
+    reference alignment would otherwise point at other sentences.
+    """
     pairs_path = os.path.join(corpus_dir, _PAIRS_FILE)
     sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
-    sentences: dict[tuple[str, str], list[tuple[int, str]]] = {}
+    # (topic, side) -> sentence index -> (line number, sentence)
+    sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
     with open(sentences_path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
@@ -276,6 +284,10 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
             if len(fields) != 4:
                 raise ValueError(f"{sentences_path}: line {lineno}: malformed sentence row")
             topic_id, side, index, sentence = fields
+            if side not in ("src", "tgt"):
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
+                )
             try:
                 position = int(index)
             except ValueError:
@@ -285,11 +297,24 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
                     f"{sentences_path}: line {lineno}: sentence index must be a "
                     f"non-negative integer, got {index!r}"
                 )
-            sentences.setdefault((unescape_field(topic_id), side), []).append((position, sentence))
+            rows = sentences.setdefault((unescape_field(topic_id), side), {})
+            if position in rows:
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
+                    f"(first on line {rows[position][0]})"
+                )
+            rows[position] = (lineno, sentence)
+    for (topic_id, side), rows in sentences.items():
+        for expected, position in enumerate(sorted(rows)):
+            if position != expected:
+                raise ValueError(
+                    f"{sentences_path}: line {rows[position][0]}: sentence index {position} "
+                    f"of {topic_id!r} {side} leaves index {expected} missing"
+                )
 
     def doc_sentences(topic_id: str, side: str) -> tuple[str, ...]:
-        rows = sorted(sentences.get((topic_id, side), []))
-        return tuple(sentence for _, sentence in rows)
+        rows = sentences.get((topic_id, side), {})
+        return tuple(rows[position][1] for position in range(len(rows)))
 
     pairs: list[DocumentPair] = []
     with open(pairs_path, encoding="utf-8") as handle:

@@ -5,18 +5,27 @@ share of reference index pairs that the machine alignment also
 produced.  Tuning then draws random (threshold, penalty) candidates
 from a seeded generator -- always evaluating the configured defaults
 first, so the result can never fall below them -- and keeps the
-candidate with the best mean agreement.
+candidate with the best mean agreement.  Only the gap penalty and the
+threshold change between trials, so each sample is scored once and
+realigned for all trials together (batched table fills with ``nw``).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .align import MiningConfig, build_score_matrix, filter_by_threshold, run_engine
+from .align import (
+    Alignment,
+    MiningConfig,
+    build_score_matrix,
+    filter_by_threshold,
+    nw_align_batch,
+    run_engine,
+)
 from .classifier import SimilarityModel
 from .corpus import DocumentPair
 from .lexicon import Lexicon
@@ -70,11 +79,13 @@ def alignment_agreement(
     return 100.0 * len(shared) / len(reference)
 
 
-def _candidate_indices(
-    scores: np.ndarray, config: MiningConfig, engine: str
-) -> list[tuple[int, int]]:
-    alignment = run_engine(scores, config, engine)
-    return [(i, j) for _, i, j in filter_by_threshold(scores, alignment, config.threshold)]
+def _alignments(
+    scores: np.ndarray, config: MiningConfig, gaps: Sequence[float], engine: str
+) -> Iterator[Alignment]:
+    """One alignment of ``scores`` per gap penalty, in order."""
+    if engine == "nw":
+        return nw_align_batch(scores, config, gaps)
+    return (run_engine(scores, replace(config, gap_penalty=gap), engine) for gap in gaps)
 
 
 def tune(
@@ -93,6 +104,11 @@ def tune(
     gap penalty uniformly from [0, 5].  The best mean agreement wins,
     earliest trial on ties, so a longer budget with the same seed can
     never return a worse result.
+
+    All trials are drawn up front.  Each sample is then scored once and
+    realigned for every trial's gap penalty; with the ``nw`` engine the
+    realignments of one sample share batched table fills
+    (``align.nw_align_batch``).
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -100,29 +116,29 @@ def tune(
         raise ValueError("no tuning samples")
     config = base_config if base_config is not None else MiningConfig()
 
+    rng = np.random.default_rng(seed)
+    trials = [(config.threshold, config.gap_penalty)]
+    for _ in range(budget - 1):
+        threshold = float(rng.uniform(0.0, 1.0))
+        trials.append((threshold, float(rng.uniform(*GAP_PENALTY_RANGE))))
+    gaps = [gap_penalty for _, gap_penalty in trials]
+
     # The similarity matrix of a sample does not depend on the searched
     # parameters, so score each sample once and realign per trial.
-    matrices = [
-        build_score_matrix(model, lexicon, s.pair.source.sentences, s.pair.target.sentences)
-        for s in samples
-    ]
+    per_trial = [[0.0] * len(samples) for _ in trials]
+    for s, sample in enumerate(samples):
+        pair = sample.pair
+        matrix = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
+        for trial, alignment in enumerate(_alignments(matrix, config, gaps, engine)):
+            matched = filter_by_threshold(matrix, alignment, trials[trial][0])
+            per_trial[trial][s] = alignment_agreement(
+                [(i, j) for _, i, j in matched], sample.reference
+            )
 
-    rng = np.random.default_rng(seed)
     best: tuple[float, int, float, float, tuple[float, ...]] | None = None
     default_agreement = 0.0
-    for trial in range(budget):
-        if trial == 0:
-            threshold, gap_penalty = config.threshold, config.gap_penalty
-        else:
-            threshold = float(rng.uniform(0.0, 1.0))
-            gap_penalty = float(rng.uniform(*GAP_PENALTY_RANGE))
-        trial_config = replace(config, threshold=threshold, gap_penalty=gap_penalty)
-        agreements = tuple(
-            alignment_agreement(
-                _candidate_indices(matrix, trial_config, engine), sample.reference
-            )
-            for matrix, sample in zip(matrices, samples)
-        )
+    for trial, (threshold, gap_penalty) in enumerate(trials):
+        agreements = tuple(per_trial[trial])
         mean_agreement = sum(agreements) / len(agreements)
         if trial == 0:
             default_agreement = mean_agreement

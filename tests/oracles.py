@@ -10,10 +10,13 @@ paths so each check has two routes.
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 
+from bimine.align import MiningConfig, build_score_matrix, filter_by_threshold, run_engine
 from bimine.classifier import extract_features
+from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
 
 
 def brute_force_best_score(
@@ -73,6 +76,52 @@ def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -
             features = extract_features(source, target, lexicon)
             matrix[i, j] = model.score_from_margin(model.margin(features))
     return matrix
+
+
+def reference_tune(model, lexicon, samples, budget, seed, engine="nw", base_config=None):
+    """Random-search tuning one trial at a time: every trial realigns
+    every sample with its own engine call (no batched fills)."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    if not samples:
+        raise ValueError("no tuning samples")
+    config = base_config if base_config is not None else MiningConfig()
+    matrices = [
+        build_score_matrix(model, lexicon, s.pair.source.sentences, s.pair.target.sentences)
+        for s in samples
+    ]
+    rng = np.random.default_rng(seed)
+    best = None
+    default_agreement = 0.0
+    for trial in range(budget):
+        if trial == 0:
+            threshold, gap_penalty = config.threshold, config.gap_penalty
+        else:
+            threshold = float(rng.uniform(0.0, 1.0))
+            gap_penalty = float(rng.uniform(*GAP_PENALTY_RANGE))
+        trial_config = replace(config, threshold=threshold, gap_penalty=gap_penalty)
+        agreements = []
+        for matrix, sample in zip(matrices, samples):
+            alignment = run_engine(matrix, trial_config, engine)
+            matched = filter_by_threshold(matrix, alignment, threshold)
+            agreements.append(
+                alignment_agreement([(i, j) for _, i, j in matched], sample.reference)
+            )
+        agreements = tuple(agreements)
+        mean_agreement = sum(agreements) / len(agreements)
+        if trial == 0:
+            default_agreement = mean_agreement
+        if best is None or mean_agreement > best[0]:
+            best = (mean_agreement, trial, threshold, gap_penalty, agreements)
+    mean_agreement, _, threshold, gap_penalty, agreements = best
+    return TuningResult(
+        threshold=threshold,
+        gap_penalty=gap_penalty,
+        agreement=mean_agreement,
+        trials=budget,
+        per_sample=agreements,
+        default_agreement=default_agreement,
+    )
 
 
 def longest_common_subsequence(first: list, second: list) -> int:

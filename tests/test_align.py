@@ -2,6 +2,7 @@
 
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from bimine.align import (
     mine_corpus,
     mine_document_pair,
     nw_align,
+    nw_align_batch,
     nw_align_wavefront,
 )
 from bimine.classifier import BLOCK_CELLS, SimilarityModel
@@ -140,6 +142,77 @@ class TestNwAlign:
             nw_align(np.array([[0.5, 1.5]]), MiningConfig())
         with pytest.raises(ValueError):
             nw_align(np.array([[np.nan]]), MiningConfig())
+
+
+class TestFillBatch:
+    GAPS = (0.0, 0.6, 2.0, 0.25, 4.75)
+
+    @pytest.mark.parametrize("backend", kernels.available_backends())
+    def test_every_table_matches_oracle(self, backend):
+        rng = np.random.default_rng(41)
+        shapes = [(1, 1), (1, 7), (7, 1), (1, 30), (30, 1), (2, 2)] + [
+            (int(rng.integers(1, 25)), int(rng.integers(1, 25))) for _ in range(40)
+        ]
+        for n, m in shapes:
+            sim = rng.random((n, m)) if rng.random() < 0.5 else rng.integers(0, 3, (n, m)) / 2.0
+            mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
+            tables = kernels.fill_batch(sim, mismatch, bonus, self.GAPS, backend=backend)
+            assert tables.shape == (n + 1, m + 1, len(self.GAPS))
+            assert tables.flags.c_contiguous
+            for t, gap in enumerate(self.GAPS):
+                expected = reference_dp_table(sim, mismatch, bonus, gap)
+                assert np.array_equal(tables[:, :, t], expected), (n, m, gap)
+
+    def test_sequential_is_the_one_gap_batch(self):
+        sim = np.random.default_rng(43).random((9, 13))
+        table = kernels.fill_sequential(sim, -1.0, 1.0, 0.6)
+        assert table.shape == (10, 14)
+        assert table.tobytes() == kernels.fill_batch(sim, -1.0, 1.0, [0.6])[:, :, 0].tobytes()
+
+    def test_batch_larger_than_the_cell_cap(self):
+        # More trials than one batch may hold: the fill itself does not split.
+        rng = np.random.default_rng(47)
+        sim = rng.random((40, 50))
+        gaps = rng.uniform(0.0, 5.0, 2 * (kernels.BATCH_CELLS // (41 * 51)) + 3)
+        tables = kernels.fill_batch(sim, -1.0, 1.0, gaps)
+        for t in (0, len(gaps) // 2, len(gaps) - 1):
+            assert np.array_equal(tables[:, :, t], reference_dp_table(sim, -1.0, 1.0, gaps[t]))
+
+
+class TestNwAlignBatch:
+    def test_equals_nw_align_for_each_gap(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            n, m = int(rng.integers(1, 15)), int(rng.integers(1, 15))
+            sim = rng.random((n, m)) if rng.random() < 0.5 else rng.integers(0, 2, (n, m)) * 1.0
+            config = MiningConfig(
+                match_bonus=float(rng.uniform(0, 2)), mismatch_cost=float(rng.uniform(-2, 0))
+            )
+            gaps = [0.0, *rng.uniform(0.0, 5.0, 6).tolist(), 1.0]
+            batch = list(nw_align_batch(sim, config, gaps))
+            assert batch == [nw_align(sim, replace(config, gap_penalty=g)) for g in gaps]
+
+    def test_gaps_spanning_several_batches(self):
+        rng = np.random.default_rng(59)
+        sim = rng.random((40, 50))
+        per_batch = kernels.BATCH_CELLS // (41 * 51)
+        gaps = rng.uniform(0.0, 5.0, 2 * per_batch + 7).tolist()
+        batch = list(nw_align_batch(sim, MiningConfig(), gaps))
+        assert len(batch) == len(gaps)
+        for k in (0, per_batch - 1, per_batch, 2 * per_batch, len(gaps) - 1):
+            assert batch[k] == nw_align(sim, MiningConfig(gap_penalty=gaps[k]))
+
+    def test_no_gaps_no_alignments(self):
+        assert list(nw_align_batch(np.eye(3), MiningConfig(), [])) == []
+
+    @pytest.mark.parametrize("gap", [-0.5, float("nan"), float("inf")])
+    def test_rejects_bad_gaps(self, gap):
+        with pytest.raises(ValueError, match="gap penalties"):
+            nw_align_batch(np.eye(3), MiningConfig(), [1.0, gap])
+
+    def test_rejects_bad_matrices(self):
+        with pytest.raises(ValueError):
+            nw_align_batch(np.array([[0.5, 1.5]]), MiningConfig(), [1.0])
 
 
 class TestWavefront:
@@ -303,6 +376,12 @@ class TestConfig:
             MiningConfig(gap_penalty=-0.1)
         with pytest.raises(ValueError):
             MiningConfig(workers=0)
+
+    @pytest.mark.parametrize("field", ["gap_penalty", "match_bonus", "mismatch_cost"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_parameter_names_field(self, field, value):
+        with pytest.raises(ValueError, match=rf"^{field} must be finite"):
+            MiningConfig(**{field: value})
 
 
 class TestScoreMatrix:
@@ -537,6 +616,27 @@ class TestMining:
         serial = mine_corpus(toy_model, toy_lexicon, kept, MiningConfig(workers=1))
         assert outcome.rows == serial.rows
         assert serial.failures == ()
+
+    def test_dead_worker_costs_only_its_own_chunk(self, toy_model, toy_lexicon, monkeypatch):
+        rng = np.random.default_rng(109)
+        pairs = [make_mining_pair(rng, f"pair-{k}")[0] for k in range(40)]
+        chunk = len(pairs) // (2 * 4)  # mine_corpus's chunk size at two workers
+        parent = os.getpid()
+        real = align.mine_document_pair
+
+        def dying(model, lexicon, pair, config, engine):
+            if pair.topic_id == "pair-2" and os.getpid() != parent:
+                os._exit(1)
+            return real(model, lexicon, pair, config, engine)
+
+        monkeypatch.setattr(align, "mine_document_pair", dying)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
+        assert outcome.failures == tuple(
+            (pair.topic_id, "worker process died") for pair in pairs[:chunk]
+        )
+        clean = mine_corpus(toy_model, toy_lexicon, pairs[chunk:], MiningConfig(workers=1))
+        assert outcome.rows == clean.rows
+        assert clean.failures == ()
 
     def test_empty_pair_list(self, toy_model, toy_lexicon):
         outcome = mine_corpus(toy_model, toy_lexicon, [], MiningConfig(workers=4))

@@ -221,6 +221,13 @@ class TestMine:
         assert err.startswith("error: ") and "sigmoid_a" in err
         assert not (tmp_path / "mined.tsv").exists()
 
+    @pytest.mark.parametrize("option", ["--gap-penalty", "--match-bonus", "--mismatch-cost"])
+    def test_non_finite_parameter_is_an_error(self, pipeline, capsys, option):
+        assert self.run_mine(pipeline, "mined_nan.tsv", option, "nan") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be finite" in err
+        assert not (pipeline / "mined_nan.tsv").exists()
+
     def test_unconstrained_engine_is_usage_error(self, pipeline, capsys):
         with pytest.raises(SystemExit) as excinfo:
             self.run_mine(pipeline, "mined_bad.tsv", "--engine", "astar-unconstrained")

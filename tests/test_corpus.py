@@ -176,6 +176,54 @@ class TestFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: score"):
             read_bitext(path)
 
+    def write_corpus_rows(self, tmp_path, rows):
+        source = make_doc("s1", "Alpha", "en", ("First one.",))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        sentences = tmp_path / "sentences.tsv"
+        sentences.write_text("".join(f"Alpha\t{row}\n" for row in rows), encoding="utf-8")
+        return sentences
+
+    def test_corpus_rows_in_any_order(self, tmp_path):
+        self.write_corpus_rows(tmp_path, ["src\t1\tB.", "tgt\t0\tX.", "src\t0\tA."])
+        (pair,) = load_corpus(tmp_path)
+        assert pair.source.sentences == ("A.", "B.")
+        assert pair.target.sentences == ("X.",)
+
+    def test_corpus_duplicate_sentence_index_names_line(self, tmp_path):
+        sentences = self.write_corpus_rows(
+            tmp_path, ["src\t0\tA.", "src\t0\tB.", "src\t5\tC.", "tgt\t0\tX."]
+        )
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(sentences))}: line 2: duplicate sentence index 0 "
+            r"\(first on line 1\)",
+        ):
+            load_corpus(tmp_path)
+
+    @pytest.mark.parametrize(
+        "rows, line, missing",
+        [
+            (["src\t0\tA.", "src\t2\tC.", "tgt\t0\tX."], 2, 1),
+            (["src\t1\tB.", "tgt\t0\tX."], 1, 0),
+            (["src\t0\tA.", "tgt\t0\tX.", "tgt\t3\tY.", "tgt\t1\tZ."], 3, 2),
+        ],
+    )
+    def test_corpus_missing_sentence_index_names_line(self, tmp_path, rows, line, missing):
+        sentences = self.write_corpus_rows(tmp_path, rows)
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(sentences))}: line {line}: .* leaves index {missing} missing",
+        ):
+            load_corpus(tmp_path)
+
+    def test_corpus_unknown_side_names_line(self, tmp_path):
+        sentences = self.write_corpus_rows(tmp_path, ["src\t0\tA.", "tgt\t0\tX.", "trg\t1\tY."])
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(sentences))}: line 3: side must be 'src' or 'tgt'"
+        ):
+            load_corpus(tmp_path)
+
     @pytest.mark.parametrize("index", ["one", "-1", "1.5", ""])
     def test_corpus_bad_sentence_index_names_line(self, tmp_path, index):
         source = make_doc("s1", "Alpha", "en", ("First one.", "Second one."))

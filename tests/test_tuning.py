@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimine import tuning
 from bimine.align import MiningConfig, align_pair_indices
 from bimine.tuning import TuningSample, alignment_agreement, read_reference, tune
 
 from conftest import make_mining_pair
+import oracles
 from oracles import longest_common_subsequence
 
 
@@ -164,6 +166,36 @@ class TestTune:
             tune(toy_model, toy_lexicon, planted, budget=0, seed=1)
         with pytest.raises(ValueError):
             tune(toy_model, toy_lexicon, [], budget=5, seed=1)
+
+    @pytest.mark.parametrize("scores", ["model", "random"])
+    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
+    @pytest.mark.parametrize("budget", [1, 2, 37])
+    def test_equals_trial_major_oracle(
+        self, toy_model, toy_lexicon, planted, monkeypatch, scores, engine, budget
+    ):
+        if scores == "random":
+            # The toy model scores so cleanly that every trial agrees
+            # alike; on uniform random matrices the alignments, and so
+            # the winning trial, change with the gap penalty.
+            rng = np.random.default_rng(61)
+            matrices = {}
+
+            def random_matrix(model, lexicon, source, target):
+                key = (tuple(source), tuple(target))
+                if key not in matrices:
+                    matrices[key] = rng.random((len(source), len(target)))
+                return matrices[key]
+
+            monkeypatch.setattr(tuning, "build_score_matrix", random_matrix)
+            monkeypatch.setattr(oracles, "build_score_matrix", random_matrix)
+        config = MiningConfig(threshold=0.55, gap_penalty=1.5)
+        expected = oracles.reference_tune(
+            toy_model, toy_lexicon, planted, budget, seed=21, engine=engine, base_config=config
+        )
+        result = tune(
+            toy_model, toy_lexicon, planted, budget, seed=21, engine=engine, base_config=config
+        )
+        assert result == expected
 
 
 class TestReferenceFile:
