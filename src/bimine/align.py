@@ -7,8 +7,8 @@ each cell on its own bit for bit.  Cell values are mapped affinely onto
 [mismatch_cost, match_bonus] and an alignment maximizing total mapped
 score minus gap penalties is found by one of two engines:
 
-* ``nw_align``    -- dynamic programming: one table fill (compiled or
-  numpy, see ``kernels``) and a tie-ordered traceback.
+* ``nw_align``    -- dynamic programming: one table fill (a numpy
+  anti-diagonal sweep, see ``kernels``) and a tie-ordered traceback.
   ``nw_align_batch`` aligns one matrix for many gap penalties, filling
   their tables together in bounded batches (tuning uses it);
 * ``astar_align`` -- best-first search over the alignment grid.
@@ -174,7 +174,7 @@ def _alignment(
     return Alignment(steps=tuple(steps), score=float(dp_rev[-1, -1]))
 
 
-def nw_align(scores: np.ndarray, config: MiningConfig, backend: str | None = None) -> Alignment:
+def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
     The one-gap case of ``nw_align_batch``: the same table and the same
@@ -186,7 +186,6 @@ def nw_align(scores: np.ndarray, config: MiningConfig, backend: str | None = Non
         config.mismatch_cost,
         config.match_bonus,
         config.gap_penalty,
-        backend=backend,
     )
     return _alignment(
         dp_rev, memoryview(sim), config.mismatch_cost, config.match_bonus, config.gap_penalty
@@ -223,11 +222,9 @@ def nw_align_batch(
     return alignments()
 
 
-def nw_align_wavefront(
-    scores: np.ndarray, config: MiningConfig, workers: int, backend: str | None = None
-) -> Alignment:
+def nw_align_wavefront(scores: np.ndarray, config: MiningConfig, workers: int) -> Alignment:
     """Former anti-diagonal engine, kept as a name: ``workers`` is ignored."""
-    return nw_align(scores, config, backend)
+    return nw_align(scores, config)
 
 
 def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = True) -> Alignment:
@@ -353,12 +350,19 @@ def _astar_unconstrained(sim: np.ndarray, config: MiningConfig) -> Alignment:
 def filter_by_threshold(
     scores: np.ndarray, alignment: Alignment, threshold: float
 ) -> list[tuple[float, int, int]]:
-    """Match steps whose similarity reaches the threshold, in step order."""
-    sim = np.asarray(scores)
+    """Match steps whose similarity reaches the threshold, in step order.
+
+    Scores are compared and emitted as float64 Python floats, whatever
+    the dtype and layout of ``scores``.
+    """
+    # One memoryview read per matched cell, as in ``_traceback``.
+    cells = memoryview(np.ascontiguousarray(scores, dtype=np.float64))
     emitted = []
     for step in alignment.steps:
-        if isinstance(step, Match) and sim[step.i, step.j] >= threshold:
-            emitted.append((float(sim[step.i, step.j]), step.i, step.j))
+        if isinstance(step, Match):
+            value = cells[step.i, step.j]
+            if value >= threshold:
+                emitted.append((value, step.i, step.j))
     return emitted
 
 

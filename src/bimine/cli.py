@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import __version__, kernels
+from . import __version__
 from .align import MiningConfig, astar_align, mine_corpus, nw_align
 from .classifier import load_model, make_negative_pairs, save_model, train_classifier, training_accuracy
 from .corpus import (
@@ -249,10 +249,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    sizes = [int(part) for part in args.sizes.split(",") if part]
+    try:
+        sizes = [int(part) for part in args.sizes.split(",") if part]
+    except ValueError as exc:
+        raise UsageError(f"sizes must be positive integers: {exc}") from None
     if not sizes or min(sizes) < 1:
         raise UsageError("sizes must be positive integers")
     engines = [name.strip() for name in args.engines.split(",") if name.strip()]
+    if not engines:
+        raise UsageError("engines must name at least one engine")
     for name in engines:
         if name not in _CLI_ENGINES:
             raise UsageError(f"unknown engine {name!r}")
@@ -263,29 +268,24 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for size in sizes:
         matrix = rng.random((size, size))
         for engine in engines:
-            for backend in kernels.available_backends():
-                if _CLI_ENGINES[engine] == "nw":
-                    run = lambda: nw_align(matrix, config, backend=backend)
-                elif backend == "python":
-                    run = lambda: astar_align(matrix, config, constrained=True)
-                else:
-                    continue  # the search engine runs in Python only
-                run()  # warm caches before timing
-                elapsed_ms = float("inf")
-                for _ in range(3):
-                    start = time.perf_counter()
-                    run()
-                    elapsed_ms = min(elapsed_ms, (time.perf_counter() - start) * 1000.0)
-                records.append(
-                    {"size": size, "engine": engine, "backend": backend, "ms": round(elapsed_ms, 3)}
-                )
+            if _CLI_ENGINES[engine] == "nw":
+                run = lambda: nw_align(matrix, config)
+            else:
+                run = lambda: astar_align(matrix, config, constrained=True)
+            run()  # warm caches before timing
+            elapsed_ms = float("inf")
+            for _ in range(3):
+                start = time.perf_counter()
+                run()
+                elapsed_ms = min(elapsed_ms, (time.perf_counter() - start) * 1000.0)
+            records.append({"size": size, "engine": engine, "ms": round(elapsed_ms, 3)})
 
     with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=["size", "engine", "backend", "ms"])
+        writer = csv.DictWriter(handle, fieldnames=["size", "engine", "ms"])
         writer.writeheader()
         writer.writerows(records)
     write_manifest(args.out + ".manifest.json", _manifest_for(args, [], started))
-    print(f"benchmark written to {args.out} ({len(records)} rows, backend={kernels.backend_name()})")
+    print(f"benchmark written to {args.out} ({len(records)} rows)")
 
     for label, source, target in (
         ("symbols", SYMBOL_SOURCE, SYMBOL_TARGET),

@@ -1,48 +1,38 @@
-"""Selection between the compiled fill kernel and the Python fallback.
+"""The fill of the alignment score table.
 
-The compiled extension is preferred when it imports; setting the
-environment variable ``BIMINE_PURE_PYTHON=1`` before import forces the
-fallback.  ``fill_batch`` is the one fill entry point: it fills the
-tables of one similarity matrix for several gap penalties, as one
-``(n+1, m+1, T)`` array with the trial axis last.  The numpy fallback
-sweeps all T tables at once (see ``_nw_py``); the compiled 2-D kernel
-fills one gap at a time.  ``fill_sequential`` is the one-gap case.
-Both backends produce bit-identical tables, which the test suite checks
-against a plain-loop oracle.
+The table of one similarity matrix is filled for several gap penalties
+at once, as one C-contiguous ``(n+1, m+1, T)`` array with the trial axis
+last.  Every cell gets
+
+    dp[i, j] = max(dp[i-1, j-1] + c, max(dp[i-1, j] - gap, dp[i, j-1] - gap))
+    c        = mismatch + sim[i-1, j-1] * (bonus - mismatch)
+
+evaluated with numpy one anti-diagonal at a time: every cell of a
+diagonal reads only the two previous diagonals, so a whole diagonal is
+one vector step.  Flattened to ``((n+1)*(m+1), T)``, cell ``(i, j)``
+sits at row ``i*(m+1) + j``, so the cells of anti-diagonal ``d = i + j``
+with ``lo <= i <= hi`` are the basic slice ``[lo*m + d : hi*m + d + 1 : m]``
+and their up, left and diagonal neighbours are that slice shifted by
+``-(m+1)``, ``-1`` and ``-(m+2)``.  A diagonal step is therefore five
+``out=`` ufunc calls on strided views -- no index arrays, no gathers,
+no copies -- over ``k x T`` cells at once.  Each table is bit-identical
+to filling its gap alone, which the test suite checks against a
+plain-loop oracle.
+
+``fill_batch`` is the one fill entry point; ``fill_sequential`` is its
+one-gap case.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Sequence
 
 import numpy as np
 
-from . import _nw_py
-
-if os.environ.get("BIMINE_PURE_PYTHON"):
-    _impl = _nw_py
-    BACKEND = "python"
-else:
-    try:
-        from . import _nwcore as _impl  # type: ignore[no-redef]
-
-        BACKEND = "compiled"
-    except ImportError:
-        _impl = _nw_py
-        BACKEND = "python"
-
-_BACKENDS = {"python": _nw_py}
-if BACKEND == "compiled":
-    _BACKENDS["compiled"] = _impl
-
 
 def backend_name() -> str:
-    return BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return tuple(sorted(_BACKENDS))
+    """The fill implementation, for benchmark host reports."""
+    return "python"
 
 
 # Cap on the cells of one batched table, all trials together: 1 MB of
@@ -52,58 +42,61 @@ def available_backends() -> tuple[str, ...]:
 BATCH_CELLS = 1 << 17
 
 
-def _init_table(sim: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+def _sweep(
+    dp: np.ndarray, sim: np.ndarray, mismatch: float, bonus: float, gaps: np.ndarray
+) -> None:
+    # Fills dp[1:, 1:, t] for every gaps[t] in place; dp is C-contiguous
+    # with its first row and column already initialized.
     n, m = sim.shape
-    dp = np.empty((n + 1, m + 1, len(gaps)), dtype=np.float64)
-    # Shared boundary initialization keeps every backend bit-identical.
-    dp[0, :, :] = -gaps * np.arange(m + 1, dtype=np.float64)[:, None]
-    dp[1:, 0, :] = -gaps * np.arange(1, n + 1, dtype=np.float64)[:, None]
-    return dp
+    flat = dp.reshape(-1, dp.shape[2])  # a view: writes land in dp
+    # The mapped cost, padded to the table's shape so that the diagonal
+    # slices address it too; built in place (x + mismatch is the same
+    # IEEE sum as mismatch + x) to add no full-size temporaries.
+    cost = np.zeros((n + 1, m + 1))
+    np.multiply(sim, bonus - mismatch, out=cost[1:, 1:])
+    np.add(cost[1:, 1:], mismatch, out=cost[1:, 1:])
+    cost = cost.reshape(-1, 1)
+    scratch = np.empty((min(n, m), dp.shape[2]))
+    up, diag = m + 1, m + 2
+    for d in range(2, n + m + 1):
+        lo, hi = max(1, d - m), min(n, d - 1)
+        start, stop = lo * m + d, hi * m + d + 1
+        cell = flat[start:stop:m]
+        tmp = scratch[: hi - lo + 1]
+        np.subtract(flat[start - up : stop - up : m], gaps, out=cell)
+        np.subtract(flat[start - 1 : stop - 1 : m], gaps, out=tmp)
+        np.maximum(cell, tmp, out=cell)
+        np.add(flat[start - diag : stop - diag : m], cost[start:stop:m], out=tmp)
+        np.maximum(tmp, cell, out=cell)
 
 
 def fill_batch(
-    sim: np.ndarray,
-    mismatch: float,
-    bonus: float,
-    gaps: Sequence[float],
-    backend: str | None = None,
+    sim: np.ndarray, mismatch: float, bonus: float, gaps: Sequence[float]
 ) -> np.ndarray:
     """Score tables of one matrix for several gap penalties at once.
 
     Returns a C-contiguous ``(n+1, m+1, T)`` array whose ``[:, :, t]``
     slice is the table for ``gaps[t]``, bit-identical to filling that
-    gap alone.  The numpy backend sweeps all T tables in one pass; the
-    compiled kernel fills one gap at a time.  Callers bound T (see
-    ``BATCH_CELLS``); this function does not split the batch.
+    gap alone.  Callers bound T (see ``BATCH_CELLS``); this function
+    does not split the batch.
     """
-    impl = _BACKENDS[backend] if backend else _impl
     sim = np.ascontiguousarray(sim, dtype=np.float64)
     gaps = np.asarray(gaps, dtype=np.float64)
-    dp = _init_table(sim, gaps)
-    if impl is _nw_py:
-        _nw_py.nw_fill(dp, sim, mismatch, bonus, gaps)
-        return dp
-    for t, gap in enumerate(gaps.tolist()):
-        table = np.ascontiguousarray(dp[:, :, t])
-        impl.nw_fill(table, sim, mismatch, bonus, gap)
-        dp[:, :, t] = table
+    n, m = sim.shape
+    dp = np.empty((n + 1, m + 1, len(gaps)), dtype=np.float64)
+    dp[0, :, :] = -gaps * np.arange(m + 1, dtype=np.float64)[:, None]
+    dp[1:, 0, :] = -gaps * np.arange(1, n + 1, dtype=np.float64)[:, None]
+    _sweep(dp, sim, mismatch, bonus, gaps)
     return dp
 
 
-def fill_sequential(
-    sim: np.ndarray, mismatch: float, bonus: float, gap: float, backend: str | None = None
-) -> np.ndarray:
+def fill_sequential(sim: np.ndarray, mismatch: float, bonus: float, gap: float) -> np.ndarray:
     """The ``(n+1, m+1)`` score table for one gap penalty."""
-    return fill_batch(sim, mismatch, bonus, [gap], backend)[:, :, 0]
+    return fill_batch(sim, mismatch, bonus, [gap])[:, :, 0]
 
 
 def fill_wavefront(
-    sim: np.ndarray,
-    mismatch: float,
-    bonus: float,
-    gap: float,
-    workers: int,
-    backend: str | None = None,
+    sim: np.ndarray, mismatch: float, bonus: float, gap: float, workers: int
 ) -> np.ndarray:
     """Former anti-diagonal engine, kept as a name: ``workers`` is ignored."""
-    return fill_sequential(sim, mismatch, bonus, gap, backend)
+    return fill_sequential(sim, mismatch, bonus, gap)

@@ -2,13 +2,15 @@
 
 Everything here is deliberately naive: exhaustive enumeration instead
 of dynamic programming, dict-based EM written from the update equations,
-and scoring one cell at a time through the per-pair feature extractor
-instead of array blocks.  These stay separate from the package's fast
-paths so each check has two routes.
+scoring one cell at a time through the per-pair feature extractor
+instead of array blocks, and markup cleaning and sentence segmentation
+by whole-text regex passes that may rescan the text.  These stay
+separate from the package's fast paths so each check has two routes.
 """
 
 from __future__ import annotations
 
+import re
 from collections import defaultdict
 from dataclasses import replace
 
@@ -164,3 +166,63 @@ def em_translation_oracle(
             if total > 0.0:
                 prob[s] = {t: c / total for t, c in row.items()}
     return prob
+
+
+_NOISE_TAGS = ("table", "ref", "references", "figure", "gallery")
+_ENTITY_MAP = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+_ENTITY_RE = re.compile(r"&(amp|lt|gt|quot|apos);")
+_NOISE_RE = re.compile(
+    r"<(" + "|".join(_NOISE_TAGS) + r")\b[^>]*>.*?</\1\s*>",
+    re.IGNORECASE | re.DOTALL,
+)
+_TAG_RE = re.compile(r"</?[a-zA-Z][^>]*>")
+_UNCLOSED_TAG_RE = re.compile(r"<[/a-zA-Z][^>\n]*")
+_WS_RE = re.compile(r"\s+")
+_ABBREVIATIONS = frozenset(
+    ["mr", "mrs", "ms", "dr", "prof", "st", "jr", "sr", "vs", "etc", "eg", "ie", "vol", "no", "fig"]
+)
+_BOUNDARY_RE = re.compile(r"[.!?]\s+(?=[A-Z0-9])")
+_TRAILING_WORD_RE = re.compile(r"([A-Za-z0-9]+)$")
+
+
+def reference_clean_markup(raw: str) -> str:
+    """Markup cleaning as one regex substitution per pass; a noise
+    opening without a close rescans the rest of the text."""
+    text = raw
+    while True:
+        decoded = _ENTITY_RE.sub(lambda m: _ENTITY_MAP[m.group(1)], text)
+        if decoded == text:
+            break
+        text = decoded
+    text = _NOISE_RE.sub(" ", text)
+    text = _TAG_RE.sub(" ", text)
+    text = _UNCLOSED_TAG_RE.sub(" ", text)
+    return _WS_RE.sub(" ", text).strip()
+
+
+def reference_segment_sentences(text: str) -> list[str]:
+    """Sentence segmentation that finds the word before each period by
+    a regex over the whole prefix (quadratic in the text length)."""
+
+    def guarded(prefix: str) -> bool:
+        m = _TRAILING_WORD_RE.search(prefix)
+        if m is None:
+            return False
+        word = m.group(1)
+        if len(word) == 1 and word.isalpha() and word.isupper():
+            return True
+        return word.lower() in _ABBREVIATIONS
+
+    sentences: list[str] = []
+    start = 0
+    for m in _BOUNDARY_RE.finditer(text):
+        if text[m.start()] == "." and guarded(text[: m.start()]):
+            continue
+        piece = text[start : m.start() + 1].strip()
+        if piece:
+            sentences.append(piece)
+        start = m.end()
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from bimine import kernels
 from bimine.cli import main
 from bimine.corpus import load_corpus
 
@@ -374,22 +373,15 @@ class TestTune:
 
 
 class TestBench:
-    def test_one_row_per_size_engine_backend(self, tmp_path, capsys):
+    def test_one_row_per_size_engine(self, tmp_path, capsys):
         out = tmp_path / "bench.csv"
         code = main(["bench", "--sizes", "8,24", "--out", str(out)])
         assert code == 0
         header, *rows = out.read_text(encoding="utf-8").splitlines()
-        assert header == "size,engine,backend,ms"
-        keys = [tuple(row.split(",")[:3]) for row in rows]
-        expected = [
-            (size, engine, backend)
-            for size in ("8", "24")
-            for engine in ("nw", "astar")
-            for backend in kernels.available_backends()
-            if engine == "nw" or backend == "python"
-        ]
-        assert keys == expected
-        assert all(float(row.split(",")[3]) >= 0.0 for row in rows)
+        assert header == "size,engine,ms"
+        keys = [tuple(row.split(",")[:2]) for row in rows]
+        assert keys == [("8", "nw"), ("8", "astar"), ("24", "nw"), ("24", "astar")]
+        assert all(float(row.split(",")[2]) >= 0.0 for row in rows)
 
     def test_demo_alignments_printed(self, tmp_path, capsys):
         code = main(["bench", "--sizes", "16", "--out", str(tmp_path / "b.csv")])
@@ -403,6 +395,22 @@ class TestBench:
         with pytest.raises(SystemExit) as excinfo:
             main(["bench", "--sizes", "0", "--out", str(tmp_path / "b.csv")])
         assert excinfo.value.code == 2
+
+    def test_non_integer_size_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--sizes", "8,x", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "sizes must be positive integers" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_no_engine_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--engines", ",", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "engines must name at least one engine" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestReproducibility:

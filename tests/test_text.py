@@ -5,7 +5,29 @@ import re
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bimine import text
 from bimine.text import clean_markup, segment_sentences, tokenize
+from oracles import reference_clean_markup, reference_segment_sentences
+
+_MARKUP_PIECES = st.sampled_from(
+    [
+        "<table>", "<TABLE class='wide'>", "<Table\nborder=1>", "<ref name=x>", "<REF>",
+        "<references/>", "<References >", "<figure", "<Figure id=\"f\">", "<gallery>",
+        "<GaLLeRy mode=packed>", "<tables>", "<refx>", "</table>", "</TaBle >", "</table\n>",
+        "</ref>", "</Ref  >", "</references>", "</figure>", "</GALLERY>", "</gallery x>",
+        "<b>", "</b>", "<a href='x'>", "<br/>", "<", ">", "</", "&lt;table&gt;", "&amp;lt;",
+        "&amp;", "text", "Word", " ", "  ", "\n", "\t", "é", "ı", "ſ", "\u212a", "İ",
+    ]
+)
+_SENTENCE_PIECES = st.sampled_from(
+    [
+        "Mr", "mr", "MRS", "Dr", "Prof", "St", "etc", "Fig", "fig", "No", "vol", "ie",
+        "A", "B", "x", "Q", "Smith", "went", "home", "1990", "3", "20", "ab1", "Xprof", "prof9",
+        "É", "é", "Øst", "ß", "Ärzte", "İ", "\u212a", "ǅ",
+        ".", "..", "...", "!", "?", "!?", "?.", ".!", ". ", "! ", "? ",
+        " ", "  ", "\n", "\t", "\n\n",
+    ]
+)
 
 
 class TestCleanMarkup:
@@ -53,6 +75,28 @@ class TestCleanMarkup:
         cleaned = clean_markup(raw)
         assert re.search(r"<[A-Za-z/]", cleaned) is None
 
+    @settings(max_examples=500)
+    @given(st.lists(_MARKUP_PIECES, max_size=40).map("".join) | st.text(max_size=200))
+    def test_equals_regex_oracle(self, raw):
+        assert clean_markup(raw) == reference_clean_markup(raw)
+
+    def test_unclosed_noise_openings_are_not_rescanned(self, monkeypatch):
+        class CountingMatch:
+            calls = 0
+
+            def match(self, string, pos):
+                CountingMatch.calls += 1
+                return noise.match(string, pos)
+
+        noise = text._NOISE_RE
+        monkeypatch.setattr(text, "_NOISE_RE", CountingMatch())
+        raw = "<table>x " * 500 + "<Ref>y</ref> " + "<figure x " * 500
+        assert clean_markup(raw) == reference_clean_markup(raw)
+        # One failed match for "table", whose openings never close; one
+        # match from "<Ref>" through "</ref>"; none for the "<figure"
+        # openings, after which no ">" remains.
+        assert CountingMatch.calls == 2
+
 
 class TestSegmentSentences:
     def test_splits_on_period_before_uppercase(self):
@@ -77,6 +121,40 @@ class TestSegmentSentences:
         assert segment_sentences("see fig. 3 vs. shown. next words") == [
             "see fig. 3 vs. shown. next words"
         ]
+
+    def test_word_before_a_final_newline_is_guarded(self):
+        assert segment_sentences("Mr\n. Smith went. Xprof\n. He left.") == [
+            "Mr\n. Smith went.",
+            "Xprof\n.",
+            "He left.",
+        ]
+
+    def test_non_ascii_letters_are_not_word_characters(self):
+        # "Ædr." ends in the guarded "dr" and "ÉA." in the initial "A".
+        assert segment_sentences("Ædr. Smith went. The ÉA. Jones left. Next.") == [
+            "Ædr. Smith went.",
+            "The ÉA. Jones left.",
+            "Next.",
+        ]
+
+    @settings(max_examples=500)
+    @given(st.lists(_SENTENCE_PIECES, max_size=60).map("".join) | st.text(max_size=200))
+    def test_equals_regex_oracle(self, raw):
+        assert segment_sentences(raw) == reference_segment_sentences(raw)
+
+    def test_guard_sees_a_bounded_window(self, monkeypatch):
+        guard = text._guarded_abbreviation
+        windows = []
+
+        def spy(window):
+            windows.append(window)
+            return guard(window)
+
+        monkeypatch.setattr(text, "_guarded_abbreviation", spy)
+        raw = "Mr. Smith went to the marketplace. " * 300
+        assert segment_sentences(raw) == reference_segment_sentences(raw)
+        assert len(windows) == 599  # every period but the last
+        assert max(map(len, windows)) == text._GUARD_WINDOW
 
     def test_digit_starts_a_sentence(self):
         assert segment_sentences("It was 1990. 20 years passed.") == [
