@@ -119,11 +119,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     negatives = make_negative_pairs(positives, args.seed)
     model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed)
     save_model(model, args.out_model)
+    accuracy = training_accuracy(model, positives, negatives, lexicon)
     write_manifest(
         args.out_model + ".manifest.json",
         _manifest_for(args, [args.parallel_file, args.lexicon_file], started),
     )
-    accuracy = training_accuracy(model, positives, negatives, lexicon)
     print(f"training accuracy: {100.0 * accuracy:.1f}%")
     return 0
 

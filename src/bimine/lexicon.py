@@ -5,6 +5,16 @@ co-occurring token pairs: every source token in a sentence pair is
 assumed to translate to exactly one token of the paired sentence, the
 alignment being latent.  Probabilities are normalized per source token,
 so ``sum_t p(t | s) == 1`` for every source token seen in training.
+
+The EM runs on arrays.  Tokens are interned to integer ids per side as
+they are tokenized, each co-occurring (source, target) type pair gets an
+id in order of first touch (by sentence, source position, then target
+position), and each iteration is a few numpy passes over all
+co-occurrences.  Every sum adds its terms in the order of the plain
+nested loop over sentences and tokens (``tests/oracles.py``), so the
+lexicon is bit-identical to that loop's, rows and entries in
+first-touch order included; ``merge_title_lexicon`` renormalizes rows
+in that order.
 """
 
 from __future__ import annotations
@@ -13,6 +23,8 @@ import math
 import os
 from collections import defaultdict
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .text import tokenize
 
@@ -50,7 +62,8 @@ class Lexicon:
             flipped[t][s] = p
         for t, row in flipped.items():
             total = sum(row.values())
-            flipped[t] = {s: p / total for s, p in row.items()}
+            if total > 0.0:  # an all-zero column (possible in a read file) stays as it is
+                flipped[t] = {s: p / total for s, p in row.items()}
         return Lexicon(flipped)
 
     def __len__(self) -> int:
@@ -71,54 +84,87 @@ def build_lexicon(
     co-occurring target tokens and runs ``iterations`` EM rounds.  After
     the final per-source normalization, entries below
     ``prune_threshold`` are dropped (the surviving row is not rescaled).
+
+    Every co-occurrence (one source token position against one target
+    token position of the same pair) is one element of a few flat
+    arrays, so memory grows with the sum of ``|source| * |target|`` over
+    the training pairs.
     """
     if not parallel:
         raise ValueError("no training pairs")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
 
-    tokenized: list[tuple[list[str], list[str]]] = []
+    source_types: dict[str, int] = {}
+    target_types: dict[str, int] = {}
+    source_ids: list[int] = []
+    target_ids: list[int] = []
+    source_lengths: list[int] = []
+    target_lengths: list[int] = []
     for source_sentence, target_sentence in parallel:
         source_tokens = tokenize(source_sentence)
         target_tokens = tokenize(target_sentence)
         if source_tokens and target_tokens:
-            tokenized.append((source_tokens, target_tokens))
-    if not tokenized:
+            source_ids.extend([source_types.setdefault(s, len(source_types)) for s in source_tokens])
+            target_ids.extend([target_types.setdefault(t, len(target_types)) for t in target_tokens])
+            source_lengths.append(len(source_tokens))
+            target_lengths.append(len(target_tokens))
+    if not source_lengths:
         raise ValueError("no training pairs")
 
-    support: dict[str, set[str]] = defaultdict(set)
-    for source_tokens, target_tokens in tokenized:
-        for s in source_tokens:
-            support[s].update(target_tokens)
+    # Co-occurrences (one source position against one target position of
+    # the same pair) in the order EM visits them: by sentence, source
+    # position, then target position.
+    width = np.repeat(target_lengths, source_lengths)  # per source occurrence
+    first_target = np.repeat(np.cumsum(target_lengths) - target_lengths, source_lengths)
+    cell_start = np.cumsum(width) - width
+    occurrence = np.repeat(np.arange(len(width)), width)
+    target_index = np.arange(len(occurrence)) + (first_target - cell_start)[occurrence]
+    source_of_cell = np.array(source_ids)[occurrence]
+    target_of_cell = np.array(target_ids)[target_index]
+    pair_ids, pair_keys = _number_by_first_touch(source_of_cell * len(target_types) + target_of_cell)
+    pair_source, pair_target = np.divmod(pair_keys, len(target_types))
+    # The pair ids that each target position adds to a denominator.  Source
+    # occurrences are sorted by decreasing target length, so the ones long
+    # enough to have position j are a prefix of that order.
+    column_order = np.argsort(-width, kind="stable")
+    reach = len(width) - np.cumsum(np.bincount(width))  # occurrences longer than j
+    columns = [pair_ids[cell_start[column_order[:n]] + j] for j, n in enumerate(reach[:-1])]
 
-    prob: dict[str, dict[str, float]] = {
-        s: {t: 1.0 / len(targets) for t in targets} for s, targets in support.items()
-    }
-
+    prob = 1.0 / np.bincount(pair_source)[pair_source]
     for _ in range(iterations):
-        counts: dict[str, dict[str, float]] = {s: defaultdict(float) for s in prob}
-        for source_tokens, target_tokens in tokenized:
-            for s in source_tokens:
-                row = prob[s]
-                denom = 0.0
-                for t in target_tokens:
-                    denom += row[t]
-                if denom <= 0.0:
-                    continue
-                for t in target_tokens:
-                    counts[s][t] += row[t] / denom
-        for s, row_counts in counts.items():
-            total = sum(row_counts.values())
-            if total > 0.0:
-                prob[s] = {t: c / total for t, c in row_counts.items()}
+        ordered = prob[columns[0]]
+        for column in columns[1:]:
+            ordered[: len(column)] += prob[column]
+        denom = np.empty_like(ordered)
+        denom[column_order] = ordered
+        # No guard against zero: every probability starts positive, and each
+        # occurrence hands its unit of mass to its own sentence's targets.
+        counts = np.bincount(pair_ids, weights=prob[pair_ids] / denom[occurrence])
+        totals = np.bincount(pair_source, weights=counts)
+        prob = counts / totals[pair_source]
 
     if prune_threshold > 0.0:
-        prob = {
-            s: {t: p for t, p in row.items() if p >= prune_threshold}
-            for s, row in prob.items()
-        }
-        prob = {s: row for s, row in prob.items() if row}
-    return Lexicon(prob)
+        keep = prob >= prune_threshold
+        pair_source, pair_target, prob = pair_source[keep], pair_target[keep], prob[keep]
+    source_names = list(source_types)
+    target_names = list(target_types)
+    # Rows in order of first appearance, each row's entries in first-touch order.
+    table: dict[str, dict[str, float]] = {}
+    rows = np.argsort(pair_source, kind="stable")
+    for s, t, p in zip(pair_source[rows].tolist(), pair_target[rows].tolist(), prob[rows].tolist()):
+        table.setdefault(source_names[s], {})[target_names[t]] = p
+    return Lexicon(table)
+
+
+def _number_by_first_touch(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Id of each key, numbering distinct keys in order of first
+    appearance, and the distinct keys in that order."""
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first_touch = np.argsort(first)
+    renumber = np.empty_like(by_first_touch)
+    renumber[by_first_touch] = np.arange(len(by_first_touch))
+    return renumber[inverse], unique_keys[by_first_touch]
 
 
 class MergeResult(NamedTuple):
@@ -164,6 +210,9 @@ def write_lexicon(lexicon: Lexicon, path: str | os.PathLike) -> None:
 
 
 def read_lexicon(path: str | os.PathLike) -> Lexicon:
+    """Read ``write_lexicon``'s format, rejecting a malformed line, a
+    probability outside [0, 1] and a repeated (source, target) pair as
+    ``path: line N: ...``."""
     table: dict[str, dict[str, float]] = defaultdict(dict)
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
@@ -183,5 +232,24 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
                 raise ValueError(
                     f"{path}: line {lineno}: probability must lie in [0, 1], got {fields[2]!r}"
                 )
-            table[fields[0]][fields[1]] = prob
+            row = table[fields[0]]
+            if fields[1] in row:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate entry {fields[0]!r} -> {fields[1]!r} "
+                    f"(first on line {_first_line_of(path, fields[:2])})"
+                )
+            row[fields[1]] = prob
     return Lexicon(table)
+
+
+def _first_line_of(path: str | os.PathLike, entry: list[str]) -> int:
+    """Number of the first line of a lexicon file holding ``entry``.
+
+    Only an error message needs it, so the reader keeps no line numbers
+    and the file is scanned again instead.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if line.rstrip("\n").split("\t")[:2] == entry:
+                return lineno
+    raise ValueError(f"{path}: changed while it was read")

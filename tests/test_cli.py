@@ -1,6 +1,7 @@
 """End-to-end command-line flows over a small synthetic corpus."""
 
 import json
+import time
 
 import numpy as np
 import pytest
@@ -159,6 +160,33 @@ class TestTrain:
         )
         assert code == 1
         assert "no training pairs" in capsys.readouterr().err
+
+    def test_duplicate_lexicon_entry_fails(self, tmp_path, pipeline, capsys):
+        lexicon = tmp_path / "dup.tsv"
+        lexicon.write_text("a\tx\t0.900000\na\tx\t0.100000\n", encoding="utf-8")
+        code = main(
+            ["train", str(pipeline / "parallel.tsv"), str(lexicon), str(tmp_path / "m.json")]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{lexicon}: line 2: duplicate entry 'a' -> 'x' (first on line 1)" in err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_manifest_wall_time_covers_accuracy_pass(self, tmp_path, pipeline, monkeypatch):
+        import bimine.cli
+
+        real_accuracy = bimine.cli.training_accuracy
+
+        def slow_accuracy(*args):
+            time.sleep(0.4)
+            return real_accuracy(*args)
+
+        monkeypatch.setattr(bimine.cli, "training_accuracy", slow_accuracy)
+        model = str(tmp_path / "m.json")
+        assert main(["train", str(pipeline / "parallel.tsv"), str(pipeline / "lexicon.tsv"), model]) == 0
+        manifest = json.loads((tmp_path / "m.json.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["wall_time_ms"] >= 400
 
 
 class TestMine:

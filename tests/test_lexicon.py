@@ -1,13 +1,22 @@
 """Translation-lexicon estimation and the title merge."""
 
 import re
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimine.lexicon import Lexicon, build_lexicon, merge_title_lexicon, read_lexicon, write_lexicon
+import bimine.lexicon
+from bimine.lexicon import (
+    PRUNE_THRESHOLD,
+    Lexicon,
+    build_lexicon,
+    merge_title_lexicon,
+    read_lexicon,
+    write_lexicon,
+)
 from bimine.text import tokenize
 
 from oracles import em_translation_oracle
@@ -15,6 +24,11 @@ from oracles import em_translation_oracle
 # Frozen from the EM oracle on [("a b","x y"), ("a","x")] at 10 iterations.
 TWO_PAIR_P_X_GIVEN_A = 0.99951171875
 TWO_PAIR_P_Y_GIVEN_A = 0.00048828125
+
+
+# Overlapping vocabularies with repeats; "..." tokenizes to nothing, so a
+# sentence of only "..." drops its pair.
+_SENTENCE = st.lists(st.sampled_from(["a", "b", "c", "x", "..."]), max_size=5).map(" ".join)
 
 
 class TestBuildLexicon:
@@ -54,7 +68,7 @@ class TestBuildLexicon:
         )
         for s, row in oracle.items():
             for t, p in row.items():
-                assert lexicon.prob(s, t) == pytest.approx(p, abs=1e-9)
+                assert lexicon.prob(s, t) == p
 
     def test_rows_sum_to_one_before_pruning(self):
         pairs = [("a b c", "x y z"), ("a", "x"), ("b c", "y z")]
@@ -67,11 +81,92 @@ class TestBuildLexicon:
         assert lexicon.prob("a", "y") == 0.0  # fell below the prune threshold
         assert lexicon.prob("a", "x") > 0.999
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(_SENTENCE, _SENTENCE), min_size=1, max_size=8),
+        st.integers(1, 6),
+        st.sampled_from(["zero", "default", "at an entry"]),
+        st.data(),
+    )
+    def test_items_equal_pruned_oracle_in_order(self, pairs, iterations, threshold_kind, data):
+        tokenized = [(tokenize(s), tokenize(t)) for s, t in pairs]
+        tokenized = [(s, t) for s, t in tokenized if s and t]
+        if not tokenized:
+            with pytest.raises(ValueError, match="no training pairs"):
+                build_lexicon(pairs, iterations)
+            return
+        oracle = [
+            (s, t, p)
+            for s, row in em_translation_oracle(tokenized, iterations).items()
+            for t, p in row.items()
+        ]
+        if threshold_kind == "zero":
+            threshold = 0.0
+        elif threshold_kind == "default":
+            threshold = PRUNE_THRESHOLD
+        else:  # ``>=`` keeps the entry the threshold was taken from
+            threshold = data.draw(st.sampled_from(oracle))[2]
+        expected = oracle if threshold == 0.0 else [e for e in oracle if e[2] >= threshold]
+        lexicon = build_lexicon(pairs, iterations, threshold)
+        assert list(lexicon.items()) == expected
+        assert list(lexicon.source_tokens()) == list(dict.fromkeys(s for s, _, _ in expected))
+
+    def test_tokenizes_each_sentence_once(self, monkeypatch):
+        calls = []
+
+        def counting_tokenize(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(bimine.lexicon, "tokenize", counting_tokenize)
+        pairs = [("a b", "x y"), ("...", "x"), ("a", "x z"), ("b", "")]
+        build_lexicon(pairs, iterations=3)
+        assert sorted(calls) == sorted(text for pair in pairs for text in pair)
+
+    def test_iteration_python_work_is_bounded_by_target_length(self):
+        """Each EM iteration runs Python code a number of times bounded by
+        the longest target sentence, not by the number of co-occurrences."""
+        rng = np.random.default_rng(5)
+        pairs = [
+            (
+                " ".join(f"s{k}" for k in rng.integers(0, 10, size=rng.integers(1, 7))),
+                " ".join(f"t{k}" for k in rng.integers(0, 10, size=rng.integers(1, 9))),
+            )
+            for _ in range(200)
+        ]
+        max_target = max(len(tokenize(t)) for _, t in pairs)
+        occurrences = sum(len(tokenize(s)) for s, _ in pairs)
+        per_iteration = (_line_events(pairs, 11) - _line_events(pairs, 1)) / 10
+        assert per_iteration <= 3 * max_target + 10 < occurrences
+
     def test_empty_input_is_an_error(self):
         with pytest.raises(ValueError, match="no training pairs"):
             build_lexicon([], iterations=3)
         with pytest.raises(ValueError, match="no training pairs"):
             build_lexicon([("...", "!!!")], iterations=3)
+
+
+def _line_events(pairs, iterations):
+    """Python line events executed in the lexicon module by one build."""
+    events = 0
+    filename = bimine.lexicon.__file__
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def calls(frame, event, arg):
+        return local if frame.f_code.co_filename == filename else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        build_lexicon(pairs, iterations, prune_threshold=0.0)
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 class TestMergeTitles:
@@ -131,6 +226,11 @@ class TestLexiconFile:
         assert flipped.prob("x", "a") == 1.0
         assert flipped.prob("y", "a") == 1.0
 
+    def test_transposed_leaves_all_zero_column_unnormalized(self):
+        flipped = Lexicon({"a": {"x": 0.0}, "b": {"x": 0.0, "y": 1.0}}).transposed()
+        assert flipped.translations("x") == {"a": 0.0, "b": 0.0}
+        assert flipped.prob("y", "b") == 1.0
+
 
 class TestLexiconReader:
     @pytest.mark.parametrize(
@@ -158,3 +258,12 @@ class TestLexiconReader:
         path.write_text("a\tx\t0.000000\na\ty\t1.000000\n", encoding="utf-8")
         lexicon = read_lexicon(path)
         assert lexicon.prob("a", "x") == 0.0 and lexicon.prob("a", "y") == 1.0
+
+    def test_duplicate_entry_names_both_lines(self, tmp_path):
+        path = tmp_path / "lex.tsv"
+        path.write_text("a\tx\t0.9\na\ty\t0.1\nb\tx\t1.0\na\tx\t0.1\n", encoding="utf-8")
+        with pytest.raises(
+            ValueError,
+            match=rf"^{re.escape(str(path))}: line 4: duplicate entry 'a' -> 'x' \(first on line 1\)$",
+        ):
+            read_lexicon(path)
