@@ -21,7 +21,11 @@ Matches above a confidence threshold become mined sentence pairs.
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
 are identical for any worker count.  A worker that dies costs only the
-pairs of the chunk that killed it.
+pairs of the chunk that killed it.  Within a worker (or the serial run)
+document pairs are mined in blocks of whole pairs: one scoring pass per
+block (``classifier.score_pairs``), and with ``nw`` one table sweep per
+block (``kernels.fill_many``), then a traceback and a filter per pair.
+Every pair's rows equal those of mining it alone (``mine_document_pair``).
 """
 
 from __future__ import annotations
@@ -37,7 +41,14 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .classifier import SentenceProfile, SimilarityModel, profile_sentence, score_matrix
+from .classifier import (
+    SentenceProfile,
+    SimilarityModel,
+    pair_blocks,
+    profile_sentence,
+    score_matrix,
+    score_pairs,
+)
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
@@ -102,6 +113,16 @@ def _validate_scores(scores: np.ndarray) -> np.ndarray:
     return sim
 
 
+def _profiles(sentences: Sequence[str], side: str) -> list[SentenceProfile]:
+    result = []
+    for index, sentence in enumerate(sentences):
+        try:
+            result.append(profile_sentence(sentence))
+        except ValueError as exc:
+            raise ValueError(f"{side} sentence {index}: {exc}") from None
+    return result
+
+
 def build_score_matrix(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -111,18 +132,8 @@ def build_score_matrix(
     """Similarity of every source sentence against every target sentence."""
     if not source_sentences or not target_sentences:
         raise ValueError("both sentence sequences must be non-empty")
-
-    def profiles(sentences: Sequence[str], side: str) -> list[SentenceProfile]:
-        result = []
-        for index, sentence in enumerate(sentences):
-            try:
-                result.append(profile_sentence(sentence))
-            except ValueError as exc:
-                raise ValueError(f"{side} sentence {index}: {exc}") from None
-        return result
-
     return score_matrix(
-        model, lexicon, profiles(source_sentences, "source"), profiles(target_sentences, "target")
+        model, lexicon, _profiles(source_sentences, "source"), _profiles(target_sentences, "target")
     )
 
 
@@ -420,22 +431,81 @@ def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig, e
     _POOL_STATE["args"] = (model, lexicon, config, engine)
 
 
-def _mine_or_fail(
+def _profile_pair(pair: DocumentPair) -> tuple[list[SentenceProfile], list[SentenceProfile]]:
+    """Profiles of both sides of one pair, the per-pair step of mining."""
+    return _profiles(pair.source.sentences, "source"), _profiles(pair.target.sentences, "target")
+
+
+def _align_block(
+    matrices: Sequence[np.ndarray], config: MiningConfig, engine: str
+) -> list[Alignment]:
+    """Alignments of a block's score matrices: with ``nw`` all tables
+    come from one sweep (``kernels.fill_many``), with ``astar_constrained``
+    each matrix is searched on its own."""
+    if engine != "nw":
+        return [run_engine(matrix, config, engine) for matrix in matrices]
+    mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
+    tables = kernels.fill_many([matrix[::-1, ::-1] for matrix in matrices], mismatch, bonus, gap)
+    alignments = []
+    for k, matrix in enumerate(matrices):
+        n, m = matrix.shape
+        table = tables[: n + 1, : m + 1, k]
+        alignments.append(_alignment(table, memoryview(matrix), mismatch, bonus, gap))
+    return alignments
+
+
+def _mine_pairs(
     model: SimilarityModel,
     lexicon: Lexicon,
-    pair: DocumentPair,
+    pairs: Sequence[DocumentPair],
     config: MiningConfig,
     engine: str,
-) -> tuple[list[tuple[float, str, str]] | None, str | None]:
-    try:
-        return mine_document_pair(model, lexicon, pair, config, engine), None
-    except Exception as exc:  # the run continues past failing pairs
-        return None, str(exc)
+) -> list[tuple[list[tuple[float, str, str]] | None, str | None]]:
+    """Mined rows or an error message for each pair, in order.
+
+    The one mining path of the serial run and of every pool worker.
+    Pairs are taken in the blocks of ``classifier.pair_blocks``.  Each
+    pair of a block is profiled on its own; a pair that fails there is
+    reported as ``pair <id>: ...`` and leaves the block.  The rest of the
+    block is scored together (``classifier.score_pairs``) and aligned
+    together (``_align_block``), and each pair is traced back and
+    filtered.  Every pair's rows equal ``mine_document_pair``'s.
+    """
+    outcomes: list = [None] * len(pairs)
+    shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
+    for block in pair_blocks(shapes):
+        kept: list[int] = []
+        profiled = []
+        for k in range(block.start, block.stop):
+            try:
+                profiled.append(_profile_pair(pairs[k]))
+            except ValueError as exc:
+                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
+            else:
+                kept.append(k)
+        if not kept:
+            continue
+        try:
+            matrices = score_pairs(model, lexicon, profiled)
+            alignments = _align_block(matrices, config, engine)
+            for k, matrix, alignment in zip(kept, matrices, alignments):
+                source, target = pairs[k].source.sentences, pairs[k].target.sentences
+                outcomes[k] = (
+                    [
+                        (score, source[i], target[j])
+                        for score, i, j in filter_by_threshold(matrix, alignment, config.threshold)
+                    ],
+                    None,
+                )
+        except Exception as exc:  # the run continues past failing pairs
+            for k in kept:
+                outcomes[k] = (None, str(exc))
+    return outcomes
 
 
 def _pool_mine(chunk: list[DocumentPair]):
     model, lexicon, config, engine = _POOL_STATE["args"]
-    return [_mine_or_fail(model, lexicon, pair, config, engine) for pair in chunk]
+    return _mine_pairs(model, lexicon, chunk, config, engine)
 
 
 def _pool_results(chunks: list[list[DocumentPair]], workers: int, initargs: tuple) -> list:
@@ -479,10 +549,11 @@ def mine_corpus(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     workers = min(config.workers, max(len(pairs), 1))
-    outcomes: list[tuple[list[tuple[float, str, str]] | None, str | None]] = []
+    lexicon.compiled()  # built here once, so that forked workers share it
     if workers <= 1:
-        outcomes = [_mine_or_fail(model, lexicon, pair, config, engine) for pair in pairs]
+        outcomes = _mine_pairs(model, lexicon, pairs, config, engine)
     else:
+        outcomes = []
         chunksize = max(1, len(pairs) // (workers * 4))
         chunks = [list(pairs[k : k + chunksize]) for k in range(0, len(pairs), chunksize)]
         initargs = (model, lexicon, config, engine)

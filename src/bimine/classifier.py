@@ -8,10 +8,14 @@ into [0, 1] by a Platt-style sigmoid fit, so scores behave like the
 probability that the two sentences translate each other.
 
 ``extract_features`` describes one pair and serves training.
-``score_matrix`` scores every sentence pair of a document pair at once,
-computing each feature for a block of pairs with array operations; its
-scores are bit-identical to scoring each pair through
-``extract_features``.
+``score_pairs`` scores every sentence pair of many document pairs: it
+groups consecutive whole document pairs into blocks of at most
+``BLOCK_CELLS`` cells (a larger pair is a block of its own) and computes
+each feature for a whole block with array operations, against the
+lexicon compiled once into arrays (``Lexicon.compiled``).  Short pairs
+thus share a few array passes instead of paying for passes of their
+own.  ``score_matrix`` is its one-pair case.  Scores are bit-identical
+to scoring each sentence pair through ``extract_features``.
 """
 
 from __future__ import annotations
@@ -19,13 +23,14 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .lexicon import Lexicon
+from .lexicon import CompiledLexicon, Lexicon
 from .text import tokenize
 
 FEATURE_COUNT = 6
@@ -37,9 +42,10 @@ ZERO_VARIANCE_EPS = 1e-12
 
 _RATIO_CAP = 4.0
 
-# Cells per array block in ``score_matrix``: large enough that per-block
-# Python overhead is small, small enough that the block's temporaries
-# stay in cache and off the peak memory of long document pairs.
+# Cells per block of document pairs in ``score_pairs``, and per row block
+# of a larger pair: large enough that per-block Python overhead is small,
+# small enough that the block's temporaries stay in cache and off the
+# peak memory of long document pairs.
 BLOCK_CELLS = 2048
 
 _VECTOR_FIELDS = ("weights", "feature_means", "feature_scales")
@@ -115,22 +121,6 @@ def extract_features(
     return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
 
 
-def _padded(rows: Sequence[Sequence], fill, dtype) -> np.ndarray:
-    """Rows of unequal length as one array, padded on the right with ``fill``."""
-    out = np.full((len(rows), max(map(len, rows), default=0)), fill, dtype=dtype)
-    for r, row in enumerate(rows):
-        out[r, : len(row)] = row
-    return out
-
-
-def _marks(rows: Sequence[Sequence[int]], width: int) -> np.ndarray:
-    """Boolean rows, True at the listed ids, with one more column never set."""
-    marks = np.zeros((len(rows), width + 1), dtype=bool)
-    row_of_id = np.repeat(np.arange(len(rows)), [len(row) for row in rows])
-    marks[row_of_id, list(chain.from_iterable(rows))] = True
-    return marks
-
-
 def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (
         np.array([len(p.tokens) for p in profiles]),
@@ -139,102 +129,274 @@ def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarra
     )
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for each (start, count), concatenated."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - counts), counts)
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """Offset of each run of ``counts`` in their concatenation."""
+    return np.cumsum(counts) - counts
+
+
+def _first_of_each(keys: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    first = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    return first
+
+
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """Sorted distinct values (``np.unique`` without its slower hash path)."""
+    keys = np.sort(keys)
+    return keys[_first_of_each(keys)]
+
+
+def _marks(sentences: int, width: int, sentence: np.ndarray, token: np.ndarray) -> np.ndarray:
+    """Boolean ``[sentence, token]`` table, True at the given pairs."""
+    marks = np.zeros(sentences * width, dtype=bool)
+    marks[sentence * width + token] = True
+    return marks.reshape(sentences, width)
+
+
+def _sums_by_sentence(
+    marks: np.ndarray, tokens: np.ndarray, starts: np.ndarray, local: np.ndarray
+) -> np.ndarray:
+    """``out[r, j]``: how many tokens of sentence ``local[r, j]`` are True
+    in ``marks[r]``.
+
+    Sentence ``k`` has the tokens ``tokens[starts[k]:starts[k + 1]]``;
+    ``local`` equal to ``len(starts) - 1`` stands for padding and reads
+    0.  Each row is summed over every sentence with one gather and one
+    ``np.add.reduceat``; the sums are integers, so exact.
+    """
+    counts = np.zeros((len(marks), len(starts)), dtype=np.int64)
+    np.add.reduceat(
+        marks[:, tokens[starts[0] : starts[-1]]],
+        starts[:-1] - starts[0],
+        axis=1,
+        dtype=np.int64,
+        out=counts[:, :-1],
+    )
+    return np.take_along_axis(counts, local, axis=1)
+
+
+def _best_present(
+    shape: tuple[int, int],
+    row: np.ndarray,
+    key: np.ndarray,
+    prob: np.ndarray,
+    occurrence_key: np.ndarray,
+    occurrence_slot: np.ndarray,
+) -> np.ndarray:
+    """``best[r, j]``: the highest ``prob`` of the entries of row ``r``
+    whose ``key`` equals that of an occurrence in slot ``j``, else 0.
+
+    A sorted join: the occurrences are sorted by key once, each entry
+    finds its run of equal keys by one binary search, and the matches
+    are expanded and folded in with ``np.maximum.at`` (max is exact in
+    any order) in runs of at most ``BLOCK_CELLS`` matches, so memory
+    stays bounded however many occurrences share a key.
+    """
+    by_key = np.argsort(occurrence_key, kind="stable")
+    key_start = np.flatnonzero(_first_of_each(occurrence_key[by_key]))
+    keys = occurrence_key[by_key[key_start]]
+    key_count = np.diff(key_start, append=len(by_key))
+    place = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+    low = key_start[place]
+    hits = np.where(keys[place] == key, key_count[place], 0)
+    best = np.zeros(shape)
+    for run in _runs(hits, BLOCK_CELLS):
+        occurrence = by_key[_ranges(low[run], hits[run])]
+        match = np.repeat(np.arange(run.start, run.stop), hits[run])
+        np.maximum.at(
+            best.reshape(-1), row[match] * shape[1] + occurrence_slot[occurrence], prob[match]
+        )
+    return best
+
+
+def _runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
+    """Consecutive runs of items whose sizes total at most ``cap``; an
+    item larger than ``cap`` is a run of its own."""
+    ends = np.cumsum(sizes).tolist()
+    start = 0
+    while start < len(ends):
+        stop = max(start + 1, bisect_right(ends, (ends[start - 1] if start else 0) + cap))
+        yield slice(start, stop)
+        start = stop
+
+
+ProfilePair = tuple[Sequence[SentenceProfile], Sequence[SentenceProfile]]
+
+
+def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
+    """Runs of consecutive whole pairs of at most ``BLOCK_CELLS`` cells in
+    total, given each pair's (sources, targets) shape; a larger pair is a
+    run of its own."""
+    return _runs([n * m for n, m in shapes], BLOCK_CELLS)
+
+
+def score_pairs(
+    model: "SimilarityModel", lexicon: Lexicon, pairs: Sequence[ProfilePair]
+) -> list[np.ndarray]:
+    """Score matrix of each (source profiles, target profiles) pair.
+
+    Every cell equals ``score_from_margin(margin(extract_features(s, t)))``
+    bit for bit.  Pairs are scored together in the blocks of
+    ``pair_blocks``, so a short pair costs a share of a few array passes
+    rather than passes of its own.  Both sides of every pair must be
+    non-empty.
+    """
+    compiled = lexicon.compiled()
+    pairs = list(pairs)
+    matrices: list[np.ndarray] = []
+    for block in pair_blocks([(len(sources), len(targets)) for sources, targets in pairs]):
+        matrices.extend(_score_block(model, compiled, pairs[block]))
+    return matrices
+
+
 def score_matrix(
     model: "SimilarityModel",
     lexicon: Lexicon,
     sources: Sequence[SentenceProfile],
     targets: Sequence[SentenceProfile],
 ) -> np.ndarray:
-    """Score of every source profile against every target profile.
+    """Score of every source profile against every target profile: the
+    one-pair case of ``score_pairs``."""
+    return score_pairs(model, lexicon, [(sources, targets)])[0]
 
-    Equal, bit for bit, to ``score_from_margin(margin(extract_features(s, t)))``
-    per cell, but computed for row blocks of at most ``BLOCK_CELLS``
-    cells with array operations.  Once per call, target tokens get ids,
-    and each source token gets its target ids reachable through the
-    lexicon and its best present translation probability per target
-    sentence.  Every feature keeps the per-cell arithmetic: probability
-    sums add token positions in sentence order, counts are integer sums
-    and ratios single divisions.  Ids are padded with -1, which indexes
-    a trailing entry that is never set.
-    """
-    m = len(targets)
-    vocab: dict[str, int] = {}
-    # Padded id arrays are stored as [position, sentence], so that the
-    # block sums below add contiguous rows.
-    target_positions = _padded(
-        [[vocab.setdefault(t, len(vocab)) for t in tp.tokens] for tp in targets], -1, np.intp
-    ).T.copy()
-    type_lists = [[vocab[t] for t in tp.token_set] for tp in targets]
-    target_types = _padded(type_lists, -1, np.intp).T.copy()
-    present = np.ascontiguousarray(_marks(type_lists, len(vocab)).T)  # [target id, sentence]
 
-    reach: dict[str, list[int]] = {}
-    probs: dict[str, list[float]] = {}
-    for sp in sources:
-        for s in sp.token_set:
-            if s not in reach:
-                found = [
-                    (vocab[t], p)
-                    for t, p in lexicon.translations(s).items()
-                    if p > 0.0 and t in vocab
-                ]
-                reach[s] = [k for k, _ in found]
-                probs[s] = [p for _, p in found]
-
-    # best[row, j]: highest p(t|s) over the translations t of a source
-    # token present in target sentence j, by max (exact in any order) over
-    # the token's translations; the last row stays 0 for tokens with none.
-    # Tokens are sorted by translation count so chunks pad little.
-    translated = sorted((s for s in reach if reach[s]), key=lambda s: len(reach[s]))
-    best_row = {s: r for r, s in enumerate(translated)}
-    best = np.zeros((len(translated) + 1, m))
-    translation_ids = _padded([reach[s] for s in translated], -1, np.intp)
-    translation_probs = _padded([probs[s] for s in translated], 0.0, np.float64)[:, :, None]
-    step = max(1, BLOCK_CELLS // m)
-    for a in range(0, len(translated), step):
-        b = min(a + step, len(translated))
-        width = len(reach[translated[b - 1]])
-        hit = present[translation_ids[a:b, :width]]
-        best[a:b] = np.where(hit, translation_probs[a:b, :width], 0.0).max(axis=1)
-
-    source_positions = _padded(
-        [[best_row.get(s, -1) for s in sp.tokens] for sp in sources], -1, np.intp
-    )
-    # Per source sentence: the target ids its tokens reach, and its own
-    # tokens that also occur on the target side.
-    reach_marks = _marks(
-        [[k for s in sp.token_set for k in reach[s]] for sp in sources], len(vocab)
-    )
-    own_marks = _marks(
-        [[vocab[s] for s in sp.token_set if s in vocab] for sp in sources], len(vocab)
-    )
-    s_tokens, s_chars, s_types = (v[:, None] for v in _lengths(sources))
+def _score_block(
+    model: "SimilarityModel", compiled: CompiledLexicon, pairs: Sequence[ProfilePair]
+) -> list[np.ndarray]:
+    # Sentences of all pairs are numbered through the block, sources and
+    # targets apart.  Tokens get block ids 0..width-1 shared by both
+    # sides, so that equal strings compare equal.
+    sources = [sp for side, _ in pairs for sp in side]
+    targets = [tp for _, side in pairs for tp in side]
+    n = np.array([len(side) for side, _ in pairs])
+    m = np.array([len(side) for _, side in pairs])
+    columns = int(m.max())
+    source_tokens = [t for sp in sources for t in sp.tokens]
+    tokens = source_tokens + [t for tp in targets for t in tp.tokens]
+    ids = compiled.ids
+    lexicon_id = [ids.get(t, -1) for t in tokens]
+    outside: dict[str, int] = {}  # tokens outside the lexicon get ids past it
+    for k in [k for k, i in enumerate(lexicon_id) if i < 0]:
+        lexicon_id[k] = outside.setdefault(tokens[k], len(ids) + len(outside))
+    block_ids, token = np.unique(np.array(lexicon_id, dtype=np.intp), return_inverse=True)
+    source_token, target_token = token[: len(source_tokens)], token[len(source_tokens) :]
+    width = len(block_ids)
+    s_tokens, s_chars, s_types = _lengths(sources)
     t_tokens, t_chars, t_types = _lengths(targets)
+    source_of = np.repeat(np.arange(len(sources)), s_tokens)  # per source position
+    target_of = np.repeat(np.arange(len(targets)), t_tokens)  # per target position
+    pair_of_source = np.repeat(np.arange(len(pairs)), n)  # per source sentence
+    pair_of_target = np.repeat(np.arange(len(pairs)), m)  # per target sentence
+    slot_of_target = np.arange(len(targets)) - np.repeat(_offsets(m), m)  # column in its pair
 
-    result = np.empty((len(sources), m))
-    rows_per_block = max(1, BLOCK_CELLS // m)
-    for start in range(0, len(sources), rows_per_block):
-        rows = slice(start, start + rows_per_block)
-        block_tokens = s_tokens[rows]
-        prob_sum = np.zeros((len(block_tokens), m))
-        covered = np.zeros((len(block_tokens), m), dtype=np.int64)
-        for column in source_positions[rows, : block_tokens.max()].T:
-            token_best = best[column]
+    # Rows: the distinct (pair, source token) of the block, and their
+    # translations with p > 0 that occur among the block's tokens.
+    row_keys, row_of_position = np.unique(
+        pair_of_source[source_of] * width + source_token, return_inverse=True
+    )
+    row_pair, row_token = np.divmod(row_keys, width)
+    in_lexicon = int(np.searchsorted(block_ids, len(ids)))  # block ids of lexicon tokens
+    block_id = np.full(len(ids), width, dtype=np.intp)  # lexicon id -> block id
+    block_id[block_ids[:in_lexicon]] = np.arange(in_lexicon)
+    row_id = np.minimum(block_ids[row_token], len(ids))
+    first = compiled.indptr[row_id]
+    count = compiled.indptr[row_id + 1] - first
+    entry = _ranges(first, count)
+    translation = block_id[compiled.targets[entry]]
+    present = translation < width
+    translation_row = np.repeat(np.arange(len(row_keys)), count)[present]
+    translation = translation[present]
+    translation_prob = compiled.probs[entry][present]
+
+    # best[r, j]: highest p(t|s) over the translations t of row r present
+    # in target sentence j of its pair; the last row stays 0.
+    target_types = _distinct(target_of * width + target_token)
+    type_sentence, type_token = np.divmod(target_types, width)
+    best = _best_present(
+        (len(row_keys) + 1, columns),
+        translation_row,
+        row_pair[translation_row] * width + translation,
+        translation_prob,
+        pair_of_target[type_sentence] * width + type_token,
+        slot_of_target[type_sentence],
+    )
+
+    # Per source sentence: the tokens its own tokens reach through the
+    # lexicon, and its own tokens.
+    row_count = np.bincount(translation_row, minlength=len(row_keys))
+    reach_sentence, reach_row = np.divmod(
+        _distinct(source_of * len(row_keys) + row_of_position), len(row_keys)
+    )
+    reach = _marks(
+        len(sources),
+        width,
+        np.repeat(reach_sentence, row_count[reach_row]),
+        translation[_ranges(_offsets(row_count)[reach_row], row_count[reach_row])],
+    )
+    own = _marks(len(sources), width, source_of, source_token)
+
+    # [position, source sentence] -> row of the token, padded with the
+    # zero row.
+    position_row = np.full((int(s_tokens.max()), len(sources)), len(row_keys), dtype=np.intp)
+    position_row[np.arange(len(source_of)) - np.repeat(_offsets(s_tokens), s_tokens), source_of] = (
+        row_of_position
+    )
+    # Where each target sentence's tokens, and distinct tokens, start.
+    token_start = np.append(_offsets(t_tokens), len(target_token))
+    type_start = np.append(_offsets(t_types), len(type_token))
+    first_target = _offsets(m)
+    # Padding cells read the target sentence just past their row block's
+    # pairs, or an appended one with lengths of 1; their features are
+    # finite and never used.
+    t_tokens, t_chars, t_types = (np.append(v, 1) for v in (t_tokens, t_chars, t_types))
+
+    # Features of every source sentence against the target sentences of
+    # its pair, padded to ``columns``, in row blocks of at most
+    # BLOCK_CELLS cells (or one longer row), with the per-cell arithmetic:
+    # probability sums add token positions in sentence order, counts are
+    # integer sums, ratios single divisions.
+    result = np.empty((len(sources), columns))
+    slots = np.arange(columns)
+    step = max(1, BLOCK_CELLS // columns)
+    for start in range(0, len(sources), step):
+        stop = min(start + step, len(sources))
+        rows = slice(start, stop)
+        pair = pair_of_source[rows, None]
+        # The row block's pairs own target sentences low..high-1.
+        low = first_target[pair_of_source[start]]
+        high = first_target[pair_of_source[stop - 1]] + m[pair_of_source[stop - 1]]
+        local = np.where(slots < m[pair], first_target[pair] + slots - low, high - low)
+        column = local + low
+        row_tokens = s_tokens[rows, None]
+        prob_sum = np.zeros(column.shape)
+        covered = np.zeros(column.shape, dtype=np.int64)
+        for token_rows in position_row[: row_tokens.max(), rows]:
+            token_best = best[token_rows]
             prob_sum += token_best
             covered += token_best > 0.0
-        reached = reach_marks[rows][:, target_positions].sum(axis=1)
-        shared = own_marks[rows][:, target_types].sum(axis=1)
-
+        reached = _sums_by_sentence(reach[rows], target_token, token_start[low : high + 1], local)
+        shared = _sums_by_sentence(own[rows], type_token, type_start[low : high + 1], local)
         features = [
-            np.minimum(block_tokens / t_tokens, _RATIO_CAP),
-            covered / block_tokens,
-            reached / t_tokens,
+            np.minimum(row_tokens / t_tokens[column], _RATIO_CAP),
+            covered / row_tokens,
+            reached / t_tokens[column],
             prob_sum / np.maximum(covered, 1),
-            np.minimum(s_chars[rows] / t_chars, _RATIO_CAP),
-            shared / np.maximum(s_types[rows], t_types),
+            np.minimum(s_chars[rows, None] / t_chars[column], _RATIO_CAP),
+            shared / np.maximum(s_types[rows, None], t_types[column]),
         ]
         result[rows] = model.scores_from_margins(model.margin(features))
-    return result
+
+    return [
+        np.ascontiguousarray(result[offset : offset + height, :length])
+        for offset, height, length in zip(_offsets(n).tolist(), n.tolist(), m.tolist())
+    ]
 
 
 @dataclass(frozen=True)
@@ -427,17 +589,31 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
+def training_features(
+    positives: Sequence[tuple[str, str]],
+    negatives: Sequence[tuple[str, str]],
+    lexicon: Lexicon,
+) -> np.ndarray:
+    """Feature rows of every training example, positives first."""
+    rows = [extract_features(s, t, lexicon) for s, t in chain(positives, negatives)]
+    return np.asarray(rows, dtype=np.float64).reshape(-1, FEATURE_COUNT)
+
+
 def train_classifier(
     positives: Sequence[tuple[str, str]],
     negatives: Sequence[tuple[str, str]],
     lexicon: Lexicon,
     epochs: int,
     seed: int,
+    features: np.ndarray | None = None,
 ) -> SimilarityModel:
     """Train the standardized linear classifier and its calibration.
 
     Deterministic given (data, epochs, seed): example order per epoch
     comes from a seeded generator, and every numeric step is fixed.
+    ``features`` may pass in ``training_features`` of the same examples,
+    so that a caller who also wants ``training_accuracy`` extracts them
+    once.
     """
     if not positives or not negatives:
         raise ValueError("need non-empty positive and negative training sets")
@@ -446,16 +622,8 @@ def train_classifier(
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
 
-    rows = []
-    labels = []
-    for source_sentence, target_sentence in positives:
-        rows.append(extract_features(source_sentence, target_sentence, lexicon))
-        labels.append(1.0)
-    for source_sentence, target_sentence in negatives:
-        rows.append(extract_features(source_sentence, target_sentence, lexicon))
-        labels.append(-1.0)
-    x = np.asarray(rows, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
+    x = training_features(positives, negatives, lexicon) if features is None else features
+    y = np.asarray([1.0] * len(positives) + [-1.0] * len(negatives), dtype=np.float64)
 
     means = x.mean(axis=0)
     scales = x.std(axis=0)
@@ -498,16 +666,18 @@ def training_accuracy(
     positives: Sequence[tuple[str, str]],
     negatives: Sequence[tuple[str, str]],
     lexicon: Lexicon,
+    features: np.ndarray | None = None,
 ) -> float:
-    """Fraction of examples on the correct side of the hyperplane."""
-    correct = 0
-    for source_sentence, target_sentence in positives:
-        if model.margin(extract_features(source_sentence, target_sentence, lexicon)) > 0:
-            correct += 1
-    for source_sentence, target_sentence in negatives:
-        if model.margin(extract_features(source_sentence, target_sentence, lexicon)) <= 0:
-            correct += 1
-    return correct / (len(positives) + len(negatives))
+    """Fraction of examples on the correct side of the hyperplane.
+
+    ``features``, if given, are the examples' ``training_features``.
+    """
+    x = training_features(positives, negatives, lexicon) if features is None else features
+    margins = model.margin(x.T)
+    correct = np.count_nonzero(margins[: len(positives)] > 0) + np.count_nonzero(
+        margins[len(positives) :] <= 0
+    )
+    return int(correct) / (len(positives) + len(negatives))
 
 
 def similarity(

@@ -13,7 +13,14 @@ import numpy as np
 
 from . import __version__
 from .align import MiningConfig, astar_align, mine_corpus, nw_align
-from .classifier import load_model, make_negative_pairs, save_model, train_classifier, training_accuracy
+from .classifier import (
+    load_model,
+    make_negative_pairs,
+    save_model,
+    train_classifier,
+    training_accuracy,
+    training_features,
+)
 from .corpus import (
     corpus_stats,
     ingest_documents,
@@ -117,9 +124,10 @@ def _cmd_train(args: argparse.Namespace) -> int:
         raise ValueError(f"{args.parallel_file}: no training pairs")
     lexicon = read_lexicon(args.lexicon_file)
     negatives = make_negative_pairs(positives, args.seed)
-    model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed)
+    features = training_features(positives, negatives, lexicon)
+    model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed, features)
     save_model(model, args.out_model)
-    accuracy = training_accuracy(model, positives, negatives, lexicon)
+    accuracy = training_accuracy(model, positives, negatives, lexicon, features)
     write_manifest(
         args.out_model + ".manifest.json",
         _manifest_for(args, [args.parallel_file, args.lexicon_file], started),

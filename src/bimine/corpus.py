@@ -33,8 +33,14 @@ class Document:
             raise ValueError("document id must be non-empty")
         if not self.sentences:
             raise ValueError(f"document {self.id} has no sentences")
-        if any(not s.strip() for s in self.sentences):
-            raise ValueError(f"document {self.id} contains an empty sentence")
+        for index, sentence in enumerate(self.sentences):
+            if not sentence.strip():
+                raise ValueError(f"document {self.id} contains an empty sentence")
+            # sentences.tsv stores a sentence unescaped, one per line.
+            if any(c in sentence for c in "\t\n\r"):
+                raise ValueError(
+                    f"document {self.id}: sentence {index} contains a tab or line break"
+                )
 
 
 @dataclass(frozen=True)
@@ -88,7 +94,7 @@ def ingest_documents(path: str | os.PathLike, lang: str) -> list[Document]:
     input, duplicate ids, or records that clean down to no sentences.
     """
     documents: list[Document] = []
-    seen: set[str] = set()
+    first_line: dict[str, int] = {}  # document id -> line it first appears on
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
@@ -102,9 +108,12 @@ def ingest_documents(path: str | os.PathLike, lang: str) -> list[Document]:
             doc_id, title, raw = fields
             if not doc_id:
                 raise ValueError(f"{path}: line {lineno}: empty document id")
-            if doc_id in seen:
-                raise ValueError(f"{path}: duplicate document id {doc_id!r}")
-            seen.add(doc_id)
+            if doc_id in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate document id {doc_id!r} "
+                    f"(first on line {first_line[doc_id]})"
+                )
+            first_line[doc_id] = lineno
             text = clean_markup(unescape_field(raw))
             sentences = segment_sentences(text)
             if not sentences:

@@ -1,8 +1,10 @@
 """The fill of the alignment score table.
 
-The table of one similarity matrix is filled for several gap penalties
-at once, as one C-contiguous ``(n+1, m+1, T)`` array with the trial axis
-last.  Every cell gets
+Many tables are filled at once, as one C-contiguous ``(n+1, m+1, L)``
+array whose last axis holds either T gap penalties of one similarity
+matrix (``fill_batch``, for tuning) or K matrices with one gap penalty
+(``fill_many``, for mining a block of document pairs; the matrices are
+zero-padded on the bottom and right to one shape).  Every cell gets
 
     dp[i, j] = max(dp[i-1, j-1] + c, max(dp[i-1, j] - gap, dp[i, j-1] - gap))
     c        = mismatch + sim[i-1, j-1] * (bonus - mismatch)
@@ -15,12 +17,13 @@ with ``lo <= i <= hi`` are the basic slice ``[lo*m + d : hi*m + d + 1 : m]``
 and their up, left and diagonal neighbours are that slice shifted by
 ``-(m+1)``, ``-1`` and ``-(m+2)``.  A diagonal step is therefore five
 ``out=`` ufunc calls on strided views -- no index arrays, no gathers,
-no copies -- over ``k x T`` cells at once.  Each table is bit-identical
-to filling its gap alone, which the test suite checks against a
-plain-loop oracle.
+no copies -- over ``k x L`` cells at once.  Each table is bit-identical
+to filling it alone, which the test suite checks against a plain-loop
+oracle: no cell reads a cell below or to the right of it, so a padded
+matrix's own ``(n_k+1, m_k+1)`` region never sees the padding.
 
-``fill_batch`` is the one fill entry point; ``fill_sequential`` is its
-one-gap case.
+``fill_batch`` and ``fill_many`` share one sweep (``_sweep``);
+``fill_sequential`` is the one-gap case of ``fill_batch``.
 """
 
 from __future__ import annotations
@@ -42,20 +45,14 @@ def backend_name() -> str:
 BATCH_CELLS = 1 << 17
 
 
-def _sweep(
-    dp: np.ndarray, sim: np.ndarray, mismatch: float, bonus: float, gaps: np.ndarray
-) -> None:
-    # Fills dp[1:, 1:, t] for every gaps[t] in place; dp is C-contiguous
-    # with its first row and column already initialized.
-    n, m = sim.shape
+def _sweep(dp: np.ndarray, cost: np.ndarray, gaps: np.ndarray) -> None:
+    # Fills dp[1:, 1:, :] in place.  dp is C-contiguous (n+1, m+1, L) with
+    # its first row and column already initialized; cost is the mapped
+    # cost, C-contiguous (n+1, m+1, 1 or L) and read at [1:, 1:]; gaps
+    # holds 1 or L penalties.  Shapes broadcast along the last axis.
+    n, m = dp.shape[0] - 1, dp.shape[1] - 1
     flat = dp.reshape(-1, dp.shape[2])  # a view: writes land in dp
-    # The mapped cost, padded to the table's shape so that the diagonal
-    # slices address it too; built in place (x + mismatch is the same
-    # IEEE sum as mismatch + x) to add no full-size temporaries.
-    cost = np.zeros((n + 1, m + 1))
-    np.multiply(sim, bonus - mismatch, out=cost[1:, 1:])
-    np.add(cost[1:, 1:], mismatch, out=cost[1:, 1:])
-    cost = cost.reshape(-1, 1)
+    cost = cost.reshape(-1, cost.shape[2])
     scratch = np.empty((min(n, m), dp.shape[2]))
     up, diag = m + 1, m + 2
     for d in range(2, n + m + 1):
@@ -70,6 +67,16 @@ def _sweep(
         np.maximum(tmp, cell, out=cell)
 
 
+def _filled(cost: np.ndarray, gaps: np.ndarray, lanes: int) -> np.ndarray:
+    """The ``(n+1, m+1, lanes)`` tables of a mapped-cost table."""
+    n, m = cost.shape[0] - 1, cost.shape[1] - 1
+    dp = np.empty((n + 1, m + 1, lanes), dtype=np.float64)
+    dp[0, :, :] = -gaps * np.arange(m + 1, dtype=np.float64)[:, None]
+    dp[1:, 0, :] = -gaps * np.arange(1, n + 1, dtype=np.float64)[:, None]
+    _sweep(dp, cost, gaps)
+    return dp
+
+
 def fill_batch(
     sim: np.ndarray, mismatch: float, bonus: float, gaps: Sequence[float]
 ) -> np.ndarray:
@@ -80,14 +87,35 @@ def fill_batch(
     gap alone.  Callers bound T (see ``BATCH_CELLS``); this function
     does not split the batch.
     """
-    sim = np.ascontiguousarray(sim, dtype=np.float64)
-    gaps = np.asarray(gaps, dtype=np.float64)
+    sim = np.asarray(sim, dtype=np.float64)
     n, m = sim.shape
-    dp = np.empty((n + 1, m + 1, len(gaps)), dtype=np.float64)
-    dp[0, :, :] = -gaps * np.arange(m + 1, dtype=np.float64)[:, None]
-    dp[1:, 0, :] = -gaps * np.arange(1, n + 1, dtype=np.float64)[:, None]
-    _sweep(dp, sim, mismatch, bonus, gaps)
-    return dp
+    # The mapped cost, built in place (x + mismatch is the same IEEE sum
+    # as mismatch + x) to add no full-size temporaries.
+    cost = np.zeros((n + 1, m + 1, 1))
+    np.multiply(sim, bonus - mismatch, out=cost[1:, 1:, 0])
+    np.add(cost[1:, 1:, 0], mismatch, out=cost[1:, 1:, 0])
+    return _filled(cost, np.asarray(gaps, dtype=np.float64), len(gaps))
+
+
+def fill_many(
+    sims: Sequence[np.ndarray], mismatch: float, bonus: float, gap: float
+) -> np.ndarray:
+    """Score tables of several matrices for one gap penalty, in one sweep.
+
+    The matrices are zero-padded on the bottom and right to the largest
+    shape ``(n, m)``.  Returns a C-contiguous ``(n+1, m+1, K)`` array
+    whose ``[: n_k + 1, : m_k + 1, k]`` region is the table of
+    ``sims[k]``, bit-identical to filling it alone: no cell reads a cell
+    below or to the right of it, so padding never reaches the region.
+    """
+    n = max(sim.shape[0] for sim in sims)
+    m = max(sim.shape[1] for sim in sims)
+    cost = np.zeros((n + 1, m + 1, len(sims)))
+    for k, sim in enumerate(sims):
+        cost[1 : sim.shape[0] + 1, 1 : sim.shape[1] + 1, k] = sim
+    np.multiply(cost, bonus - mismatch, out=cost)
+    np.add(cost, mismatch, out=cost)
+    return _filled(cost, np.array([gap], dtype=np.float64), len(sims))
 
 
 def fill_sequential(sim: np.ndarray, mismatch: float, bonus: float, gap: float) -> np.ndarray:

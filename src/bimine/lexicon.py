@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import os
 from collections import defaultdict
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -32,11 +33,48 @@ from .text import tokenize
 PRUNE_THRESHOLD = 1e-4
 
 
+class CompiledLexicon(NamedTuple):
+    """A lexicon as arrays, for scoring many sentence pairs at once.
+
+    ``ids`` numbers every token of the lexicon, source and target alike,
+    so equal strings on the two sides get equal ids.  Row ``x`` of the
+    CSR arrays, ``targets[indptr[x]:indptr[x + 1]]`` with ``probs`` at
+    the same positions, holds the translations of token ``x`` with
+    ``p > 0``.  A token that is only ever a target has an empty row, and
+    so has row ``len(ids)``, which stands for every token outside the
+    lexicon.
+    """
+
+    ids: dict[str, int]
+    indptr: np.ndarray
+    targets: np.ndarray
+    probs: np.ndarray
+
+
 class Lexicon:
     """Immutable token translation table with per-source probabilities."""
 
     def __init__(self, table: Mapping[str, Mapping[str, float]]):
         self._table = {s: dict(row) for s, row in table.items()}
+        self._compiled: CompiledLexicon | None = None
+
+    def compiled(self) -> CompiledLexicon:
+        """The lexicon as arrays, built on first use and kept: the table
+        never changes, and mining workers forked after the first call
+        share it."""
+        if self._compiled is None:
+            table = self._table
+            # Source tokens take the first ids, in row order.
+            tokens = chain(table, chain.from_iterable(table.values()))
+            ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
+            rows = np.repeat(np.arange(len(table)), [len(row) for row in table.values()])
+            targets = np.array([ids[t] for row in table.values() for t in row], dtype=np.intp)
+            probs = np.array([p for row in table.values() for p in row.values()], dtype=np.float64)
+            keep = probs > 0.0
+            indptr = np.zeros(len(ids) + 2, dtype=np.intp)
+            np.cumsum(np.bincount(rows[keep], minlength=len(ids) + 1), out=indptr[1:])
+            self._compiled = CompiledLexicon(ids, indptr, targets[keep], probs[keep])
+        return self._compiled
 
     def prob(self, source_token: str, target_token: str) -> float:
         row = self._table.get(source_token)

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimine import align, kernels
@@ -25,7 +25,13 @@ from bimine.align import (
     nw_align_batch,
     nw_align_wavefront,
 )
-from bimine.classifier import BLOCK_CELLS, SimilarityModel
+from bimine.classifier import (
+    BLOCK_CELLS,
+    SimilarityModel,
+    pair_blocks,
+    profile_sentence,
+    score_pairs,
+)
 from bimine.corpus import Document, DocumentPair
 from bimine.lexicon import Lexicon
 from bimine.demos import (
@@ -164,6 +170,44 @@ class TestFillBatch:
         tables = kernels.fill_batch(sim, -1.0, 1.0, gaps)
         for t in (0, len(gaps) // 2, len(gaps) - 1):
             assert np.array_equal(tables[:, :, t], reference_dp_table(sim, -1.0, 1.0, gaps[t]))
+
+
+def assert_table_bytes_equal(table, expected):
+    """Bytes of every cell but (0, 0), which the fill writes as -gap * 0
+    (-0.0) and the oracle as 0.0; that one is compared by value."""
+    table, expected = np.ascontiguousarray(table), np.ascontiguousarray(expected)
+    assert table.shape == expected.shape
+    assert table[0, 0] == expected[0, 0]
+    assert table.ravel()[1:].tobytes() == expected.ravel()[1:].tobytes()
+
+
+class TestFillMany:
+    SHAPES = [(1, 1), (3, 7), (7, 3), (12, 5), (2, 15), (15, 14), (1, 9), (9, 1)]
+
+    @pytest.mark.parametrize("gap", [0.0, 0.6, 2.0])
+    def test_each_region_matches_oracle(self, gap):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            order = rng.permutation(len(self.SHAPES))
+            shapes = [self.SHAPES[k] for k in order]
+            sims = [
+                rng.random(shape) if rng.random() < 0.5 else rng.integers(0, 3, shape) / 2.0
+                for shape in shapes
+            ]
+            mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
+            tables = kernels.fill_many(sims, mismatch, bonus, gap)
+            assert tables.shape == (16, 16, len(sims)) and tables.flags.c_contiguous
+            for k, sim in enumerate(sims):
+                n, m = sim.shape
+                region = tables[: n + 1, : m + 1, k]
+                assert_table_bytes_equal(region, reference_dp_table(sim, mismatch, bonus, gap))
+                alone = kernels.fill_sequential(sim, mismatch, bonus, gap)
+                assert np.ascontiguousarray(region).tobytes() == alone.tobytes()
+
+    def test_one_matrix_is_the_sequential_fill(self):
+        sim = np.random.default_rng(59).random((6, 11))
+        table = np.ascontiguousarray(kernels.fill_many([sim], -1.0, 1.0, 0.6)[:, :, 0])
+        assert table.tobytes() == kernels.fill_sequential(sim, -1.0, 1.0, 0.6).tobytes()
 
 
 class TestNwAlignBatch:
@@ -535,6 +579,98 @@ class TestScoreMatrixOracle:
         assert matrix.min() == 0.0 and matrix.max() == 1.0
 
 
+SMALL_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 8)),
+    st.tuples(st.integers(1, 8), st.just(1)),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)),
+)
+# Each above BLOCK_CELLS cells, so each forms a block of its own.
+LARGE_SHAPES = st.sampled_from([(1, BLOCK_CELLS + 1), (BLOCK_CELLS + 3, 1), (47, 44)])
+
+
+@st.composite
+def sentence_pairs(draw):
+    """1-40 pairs of sentence lists; sentences repeat from a small drawn
+    pool per pair, so that large pairs stay cheap to generate."""
+    count = draw(st.integers(1, 40))
+    large = draw(st.sets(st.integers(0, count - 1), max_size=2)) if draw(st.booleans()) else set()
+    pairs = []
+    for k in range(count):
+        n, m = draw(LARGE_SHAPES if k in large else SMALL_SHAPES)
+        sources = draw(st.lists(sentence_strategy(SOURCE_WORDS), min_size=1, max_size=4))
+        targets = draw(st.lists(sentence_strategy(TARGET_WORDS), min_size=1, max_size=4))
+        pairs.append(
+            (
+                [sources[i % len(sources)] for i in range(n)],
+                [targets[j % len(targets)] for j in range(m)],
+            )
+        )
+    return pairs
+
+
+class TestScorePairs:
+    """Scoring pairs in blocks equals the per-cell oracle bit for bit."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(model=MODELS, lexicon=LEXICONS, pairs=sentence_pairs())
+    @example(
+        model=SimilarityModel(
+            weights=(0.5, 2.0, 1.5, 1.0, -0.2, 0.8),
+            bias=-1.0,
+            sigmoid_a=-1.3,
+            sigmoid_b=0.1,
+            feature_means=(1.0, 0.5, 0.5, 0.4, 1.0, 0.1),
+            feature_scales=(0.5, 0.3, 0.3, 0.2, 0.5, 0.2),
+        ),
+        lexicon=Lexicon({"ka": {"ab": 0.5, "same": 0.0, "nowhere": 0.3}, "same": {"same": 1.0}}),
+        pairs=[
+            (["ka"], ["ab"]),
+            (["ka lo same", "mi", "same ka ka"] * 16, ["ab same", "cd ab"] * 22),
+            (["lo"], ["cd", "same ef"]),
+        ],
+    )
+    def test_generated_blocks(self, model, lexicon, pairs):
+        profiled = [
+            ([profile_sentence(s) for s in sources], [profile_sentence(t) for t in targets])
+            for sources, targets in pairs
+        ]
+        matrices = score_pairs(model, lexicon, profiled)
+        assert len(matrices) == len(pairs)
+        for (sources, targets), matrix in zip(pairs, matrices):
+            expected = reference_score_matrix(model, lexicon, sources, targets)
+            assert matrix.shape == expected.shape and matrix.flags.c_contiguous
+            assert np.array_equal(matrix, expected)
+
+    def test_block_of_many_pairs_in_several_row_blocks(self, toy_model, toy_lexicon):
+        # 100 tall pairs and one wide one: 820 cells, one block, but padded
+        # to 20 columns its 801 rows need eight row blocks.
+        rng = np.random.default_rng(131)
+        pair, _ = make_mining_pair(rng, "rows", true_pairs=8, target_noise=12)
+        sources, targets = list(pair.source.sentences), list(pair.target.sentences)
+        pairs = [(sources[k % 8 :] + sources[: k % 8], [targets[k % 20]]) for k in range(100)]
+        pairs.insert(60, (sources[:1], targets))
+        assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
+        profiled = [([profile_sentence(x) for x in s], [profile_sentence(x) for x in t]) for s, t in pairs]
+        for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, profiled)):
+            assert np.array_equal(matrix, reference_score_matrix(toy_model, toy_lexicon, s, t))
+
+    def test_blocks_are_runs_of_whole_pairs(self):
+        shapes = [(3, 4)] * 100 + [(50, 50), (1, 1), (1, 1), (BLOCK_CELLS, 1)]
+        blocks = list(pair_blocks(shapes))
+        assert [pair for block in blocks for pair in range(block.start, block.stop)] == list(
+            range(len(shapes))
+        )
+        cells = [sum(n * m for n, m in shapes[block]) for block in blocks]
+        for block, total in zip(blocks, cells):
+            assert total <= BLOCK_CELLS or block.stop - block.start == 1
+            if block.stop < len(shapes):  # greedy: the next pair would not fit
+                n, m = shapes[block.stop]
+                assert total + n * m > BLOCK_CELLS
+        assert blocks[-3:] == [slice(100, 101), slice(101, 103), slice(103, 104)]
+        assert list(pair_blocks([])) == []
+
+
 class TestMining:
     def test_true_pairs_mined_no_noise(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(59)
@@ -600,15 +736,15 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"alive-{k}")[0] for k in range(7)]
         pairs.append(make_mining_pair(rng, "boom")[0])
         parent = os.getpid()
-        real = align.mine_document_pair
+        real = align._profile_pair
 
-        def dying(model, lexicon, pair, config, engine):
+        def dying(pair):
             if pair.topic_id == "boom" and os.getpid() != parent:
                 time.sleep(0.5)  # let the other worker's results arrive first
                 os._exit(1)
-            return real(model, lexicon, pair, config, engine)
+            return real(pair)
 
-        monkeypatch.setattr(align, "mine_document_pair", dying)
+        monkeypatch.setattr(align, "_profile_pair", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         failed = dict(outcome.failures)
         assert failed["boom"] == "worker process died"
@@ -624,14 +760,14 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"pair-{k}")[0] for k in range(40)]
         chunk = len(pairs) // (2 * 4)  # mine_corpus's chunk size at two workers
         parent = os.getpid()
-        real = align.mine_document_pair
+        real = align._profile_pair
 
-        def dying(model, lexicon, pair, config, engine):
+        def dying(pair):
             if pair.topic_id == "pair-2" and os.getpid() != parent:
                 os._exit(1)
-            return real(model, lexicon, pair, config, engine)
+            return real(pair)
 
-        monkeypatch.setattr(align, "mine_document_pair", dying)
+        monkeypatch.setattr(align, "_profile_pair", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         assert outcome.failures == tuple(
             (pair.topic_id, "worker process died") for pair in pairs[:chunk]
@@ -651,6 +787,56 @@ class TestMining:
         wide = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=16))
         narrow = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
         assert wide == narrow
+
+    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_block_rows_equal_per_pair_mining(self, toy_model, toy_lexicon, engine, workers):
+        rng = np.random.default_rng(113)
+        pairs = [
+            make_mining_pair(rng, f"p{k}", int(rng.integers(1, 7)), int(rng.integers(0, 3)))[0]
+            for k in range(30)
+        ]
+        # One pair above BLOCK_CELLS, scored in row blocks on its own.
+        pairs[20] = make_mining_pair(rng, "large", true_pairs=44, target_noise=6)[0]
+        bad = DocumentPair(
+            topic_id="bad",
+            source=Document(id="b1", lang="eo", title="bad", sentences=("domo", "...")),
+            target=Document(id="b2", lang="en", title="bad", sentences=("house",)),
+        )
+        pairs.insert(7, bad)
+        shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
+        (block,) = [b for b in pair_blocks(shapes) if b.start <= 7 < b.stop]
+        assert block.start < 7 < block.stop - 1  # the failing pair sits inside a block
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
+
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config, engine=engine)
+
+        expected = []
+        for pair in pairs:
+            if pair is not bad:
+                expected.extend(mine_document_pair(toy_model, toy_lexicon, pair, config, engine))
+        with pytest.raises(ValueError) as excinfo:
+            mine_document_pair(toy_model, toy_lexicon, bad, config, engine)
+        assert outcome.rows == tuple(expected)
+        assert outcome.failures == (("bad", str(excinfo.value)),)
+        assert "pair bad: source sentence 1: untokenizable" in str(excinfo.value)
+
+    def test_one_sweep_per_block(self, toy_model, toy_lexicon, monkeypatch):
+        rng = np.random.default_rng(127)
+        pairs = [make_mining_pair(rng, f"s{k}", 3, 1)[0] for k in range(200)]
+        shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
+        blocks = list(pair_blocks(shapes))
+        assert 1 < len(blocks) < len(pairs) // 10
+        lanes = []
+        real = kernels._sweep
+
+        def counting(dp, cost, gaps):
+            lanes.append(dp.shape[2])
+            real(dp, cost, gaps)
+
+        monkeypatch.setattr(kernels, "_sweep", counting)
+        mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
+        assert lanes == [block.stop - block.start for block in blocks]
 
     def test_unknown_engine_rejected(self, toy_model, toy_lexicon):
         with pytest.raises(ValueError, match="unknown engine"):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimine.classifier import (
+    FEATURE_COUNT,
     SimilarityModel,
     extract_features,
     load_model,
@@ -17,6 +18,7 @@ from bimine.classifier import (
     similarity,
     train_classifier,
     training_accuracy,
+    training_features,
 )
 from bimine.lexicon import Lexicon
 
@@ -119,6 +121,28 @@ class TestTraining:
     def test_empty_side_is_an_error(self, toy_lexicon):
         with pytest.raises(ValueError):
             train_classifier([], [("a", "b")], toy_lexicon, epochs=1, seed=0)
+
+    def test_passed_features_give_the_same_model_and_accuracy(self, toy_lexicon):
+        positives = make_parallel_sentences(np.random.default_rng(62), 30)
+        positives.append(("domo zork", "plonk"))  # one example on the wrong side
+        negatives = make_negative_pairs(positives, 63)
+        features = training_features(positives, negatives, toy_lexicon)
+        assert features.shape == (len(positives) + len(negatives), FEATURE_COUNT)
+        assert features.tolist() == [
+            extract_features(s, t, toy_lexicon) for s, t in positives + negatives
+        ]
+        model = train_classifier(positives, negatives, toy_lexicon, epochs=4, seed=5)
+        assert train_classifier(positives, negatives, toy_lexicon, 4, 5, features) == model
+        # The per-example count that the accuracy pass replaces.
+        correct = sum(
+            (model.margin(extract_features(s, t, toy_lexicon)) > 0) == label
+            for examples, label in ((positives, True), (negatives, False))
+            for s, t in examples
+        )
+        expected = correct / (len(positives) + len(negatives))
+        assert expected < 1.0
+        assert training_accuracy(model, positives, negatives, toy_lexicon, features) == expected
+        assert training_accuracy(model, positives, negatives, toy_lexicon) == expected
 
 
 class TestScoring:

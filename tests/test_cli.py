@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bimine.cli import main
-from bimine.corpus import load_corpus
+from bimine.corpus import load_corpus, read_parallel
 
 from conftest import build_corpus_files
 
@@ -172,6 +172,22 @@ class TestTrain:
         assert err.startswith("error: ")
         assert f"{lexicon}: line 2: duplicate entry 'a' -> 'x' (first on line 1)" in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_features_extracted_once_per_example(self, tmp_path, pipeline, monkeypatch):
+        import bimine.classifier
+
+        calls = []
+        real = bimine.classifier.extract_features
+
+        def counting(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        monkeypatch.setattr(bimine.classifier, "extract_features", counting)
+        parallel, lexicon = str(pipeline / "parallel.tsv"), str(pipeline / "lexicon.tsv")
+        assert main(["train", parallel, lexicon, str(tmp_path / "m.json")]) == 0
+        positives = read_parallel(pipeline / "parallel.tsv")
+        assert len(calls) == 2 * len(positives)  # each positive and its negative, once
 
     def test_manifest_wall_time_covers_accuracy_pass(self, tmp_path, pipeline, monkeypatch):
         import bimine.cli

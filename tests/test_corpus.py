@@ -7,6 +7,7 @@ import pytest
 
 from bimine.corpus import (
     Document,
+    DocumentPair,
     corpus_stats,
     escape_field,
     ingest_documents,
@@ -61,6 +62,13 @@ class TestIngest:
         with pytest.raises(ValueError, match="duplicate document id 'd1'"):
             ingest_documents(path, "en")
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        path = tmp_path / "docs.tsv"
+        write_docfile(path, [("a", "A", "One."), ("b", "B", "Two."), ("a", "C", "Three.")])
+        with pytest.raises(ValueError) as excinfo:
+            ingest_documents(path, "en")
+        assert str(excinfo.value) == f"{path}: line 3: duplicate document id 'a' (first on line 1)"
+
     def test_escaped_characters_round_trip(self):
         original = "line one\nline two\twith tab\\backslash"
         assert unescape_field(escape_field(original)) == original
@@ -70,6 +78,21 @@ class TestIngest:
         write_docfile(path, [(f"d{i}", f"T{i}", f"Sentence {i}.") for i in range(5)])
         docs = ingest_documents(path, "en")
         assert [d.id for d in docs] == [f"d{i}" for i in range(5)]
+
+
+class TestDocument:
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+    def test_sentence_with_tab_or_line_break_rejected(self, separator):
+        with pytest.raises(ValueError) as excinfo:
+            make_doc("d1", "T", sentences=("Fine.", f"Hello{separator}world."))
+        assert str(excinfo.value) == "document d1: sentence 1 contains a tab or line break"
+
+    def test_accepted_sentences_survive_a_saved_corpus(self, tmp_path):
+        # Every sentence a Document accepts comes back from sentences.tsv.
+        sentences = ("Tab\\t and backslash \\ stay.", "Unicode \u2028 line separator.", "x\x0by")
+        pair = DocumentPair("t", make_doc("s", "T", "xs", sentences), make_doc("g", "T", "xt"))
+        save_corpus([pair], tmp_path)
+        assert load_corpus(tmp_path) == [pair]
 
 
 class TestPairArticles:

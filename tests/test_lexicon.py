@@ -169,6 +169,35 @@ def _line_events(pairs, iterations):
     return events
 
 
+class TestCompiledLexicon:
+    @staticmethod
+    def row(compiled, token):
+        names = {i: name for name, i in compiled.ids.items()}
+        k = compiled.ids[token] if token in compiled.ids else len(compiled.ids)
+        span = slice(compiled.indptr[k], compiled.indptr[k + 1])
+        return {names[int(t)]: p for t, p in zip(compiled.targets[span], compiled.probs[span])}
+
+    def test_rows_hold_the_positive_translations(self):
+        lexicon = Lexicon({"a": {"x": 0.5, "y": 0.0, "a": 0.5}, "b": {"x": 1.0}, "c": {"y": 0.0}})
+        compiled = lexicon.compiled()
+        assert self.row(compiled, "a") == {"x": 0.5, "a": 0.5}
+        assert self.row(compiled, "b") == {"x": 1.0}
+        assert self.row(compiled, "c") == {}
+        assert self.row(compiled, "x") == {}  # only ever a target
+        assert self.row(compiled, "outside") == {}
+        assert sorted(compiled.ids) == ["a", "b", "c", "x", "y"]  # one id per string, both sides
+
+    def test_built_once(self):
+        lexicon = Lexicon({"a": {"x": 1.0}})
+        assert lexicon.compiled() is lexicon.compiled()
+
+    def test_empty_lexicon(self):
+        compiled = Lexicon({}).compiled()
+        assert compiled.ids == {}
+        assert compiled.indptr.tolist() == [0, 0]
+        assert len(compiled.targets) == len(compiled.probs) == 0
+
+
 class TestMergeTitles:
     def test_title_into_empty_lexicon(self):
         merged, skipped = merge_title_lexicon(Lexicon({}), [("Dog", "Pies")])
