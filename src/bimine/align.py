@@ -8,9 +8,12 @@ each cell on its own bit for bit.  Cell values are mapped affinely onto
 score minus gap penalties is found by one of two engines:
 
 * ``nw_align``    -- dynamic programming: one table fill (a numpy
-  anti-diagonal sweep, see ``kernels``) and a tie-ordered traceback.
-  ``nw_align_batch`` aligns one matrix for many gap penalties, filling
-  their tables together in bounded batches (tuning uses it);
+  anti-diagonal sweep, see ``kernels``) and a tie-ordered traceback
+  that walks the table and keeps only the matched cells (``_matches``).
+  The steps of the returned ``Alignment`` are rebuilt from the matches
+  (``_steps``).  ``nw_align_batch`` gives the matched cells of one
+  matrix for many gap penalties, filling their tables together in
+  bounded batches and walking each in place (tuning uses it);
 * ``astar_align`` -- best-first search over the alignment grid.
   Constrained to right/down/diagonal moves it matches the dynamic
   program; unconstrained it may also step left at no cost, re-entering
@@ -24,8 +27,9 @@ are identical for any worker count.  A worker that dies costs only the
 pairs of the chunk that killed it.  Within a worker (or the serial run)
 document pairs are mined in blocks of whole pairs: one scoring pass per
 block (``classifier.score_pairs``), and with ``nw`` one table sweep per
-block (``kernels.fill_many``), then a traceback and a filter per pair.
-Every pair's rows equal those of mining it alone (``mine_document_pair``).
+block (``kernels.fill_many``), then the match walk and the threshold per
+pair; no ``Alignment`` is built.  Every pair's rows equal those of
+mining it alone (``mine_document_pair``).
 """
 
 from __future__ import annotations
@@ -105,7 +109,7 @@ class MiningConfig:
 
 
 def _validate_scores(scores: np.ndarray) -> np.ndarray:
-    sim = np.asarray(scores, dtype=np.float64)
+    sim = np.ascontiguousarray(scores, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] == 0 or sim.shape[1] == 0:
         raise ValueError("score matrix must be a non-empty 2-D array")
     if not np.all(np.isfinite(sim)) or sim.min() < 0.0 or sim.max() > 1.0:
@@ -137,40 +141,93 @@ def build_score_matrix(
     )
 
 
-def _traceback(
-    dp_rev: memoryview, sim: memoryview, mismatch: float, bonus: float, gap: float
-) -> list[Step]:
-    # dp_rev is the table of the reversed problem, so dp_rev[n-i, m-j] is
-    # the best score of the remaining suffixes.  Walking forward from
-    # (0, 0) lets ties resolve in reading order: diagonal first, then
-    # source gap, then target gap.  Every cell of dp_rev was assigned as
-    # the max of the candidates recomputed here, so one equality always
-    # holds exactly.  Both tables are read through memoryviews, which
-    # return the same IEEE doubles as Python floats at a third of the
-    # cost of a numpy scalar and, unlike ``tolist``, convert only the
-    # O(n + m) cells the walk visits.
+def _matches(
+    tables: np.ndarray, lane: int, sim: np.ndarray, mismatch: float, bonus: float, gap: float
+) -> list[tuple[float, int, int]]:
+    """The traceback's matched cells ``(score, i, j)`` of ``sim``, in order.
+
+    ``tables`` is a C-contiguous ``(N+1, M+1, L)`` array as ``kernels``
+    fills it, and ``tables[: n + 1, : m + 1, lane]`` is the table of the
+    reversed problem, so its cell ``(n-i, m-j)`` is the best score of the
+    remaining suffixes.  Walking forward from (0, 0) lets ties resolve in
+    reading order: diagonal first, then source gap, then target gap.
+    Every cell of the table was assigned as the max of the candidates
+    recomputed here, so one equality always holds exactly.  A gap move
+    only advances ``i`` or ``j``; nothing is recorded for it.
+
+    The lane is read in place, through a flat memoryview of ``tables``
+    and of the C-contiguous ``sim``: each read is one integer index and
+    returns the same IEEE double as a Python float, at a fraction of the
+    cost of a numpy scalar, and only the O(n + m) cells the walk visits
+    are converted.  The score of a match is the cell read for its
+    diagonal test.
+    """
     n, m = sim.shape
-    steps: list[Step] = []
-    i = j = 0
+    col = tables.shape[2]
+    row = tables.shape[1] * col
+    diag = row + col
+    dp = memoryview(tables.reshape(-1))
+    cells = memoryview(sim.reshape(-1))
+    scale = bonus - mismatch
+    matches = []
+    k = lane + n * row + m * col  # the table cell of (i, j)
+    p = i = j = 0  # p: the cell of (i, j) in sim
     while i < n and j < m:
-        value = dp_rev[n - i, m - j]
-        c = mismatch + sim[i, j] * (bonus - mismatch)
-        if value == c + dp_rev[n - i - 1, m - j - 1]:
-            steps.append(Match(i, j))
+        value = dp[k]
+        score = cells[p]
+        if value == mismatch + score * scale + dp[k - diag]:
+            matches.append((score, i, j))
             i += 1
             j += 1
-        elif value == dp_rev[n - i - 1, m - j] - gap:
+            k -= diag
+            p += m + 1
+        elif value == dp[k - row] - gap:
+            i += 1
+            k -= row
+            p += m
+        else:
+            j += 1
+            k -= col
+            p += 1
+    return matches
+
+
+def _steps(matches: Sequence[tuple[float, int, int]], dp_rev: memoryview, gap: float) -> list[Step]:
+    """Every step of the walk of ``_matches``, rebuilt from its matches and
+    the table ``dp_rev`` it walked.
+
+    Up to each match the walk takes every source gap before any target
+    gap.  Write V(i, j) for the table's score of the suffixes from
+    (i, j).  Were a target gap at (i, j) followed by a source gap at
+    (i, j+1) with i + 1 < n, then V(i, j) = (V(i+1, j+1) - gap) - gap,
+    each difference rounded, while the inner cell V(i+1, j) is at least
+    V(i+1, j+1) - gap.  Rounding x - gap is monotone in x, so
+    V(i+1, j) - gap >= V(i, j) and the source-gap test would already
+    have held at (i, j).  The other ways a target gap can precede a
+    source gap -- a source gap out of row n - 1, or the source gaps left
+    once a target gap reaches the last column -- leave no cell for a
+    further match.  They occur only after the last match, where the
+    table's outer row and column hold ``-(gap * k)`` rather than repeated
+    subtractions and ties may round either way, so that stretch is
+    replayed against the table.
+    """
+    n, m = dp_rev.shape[0] - 1, dp_rev.shape[1] - 1
+    steps: list[Step] = []
+    i = j = 0
+    for _, mi, mj in matches:
+        steps.extend(GapSource(k) for k in range(i, mi))
+        steps.extend(GapTarget(k) for k in range(j, mj))
+        steps.append(Match(mi, mj))
+        i, j = mi + 1, mj + 1
+    while i < n and j < m:
+        if dp_rev[n - i, m - j] == dp_rev[n - i - 1, m - j] - gap:
             steps.append(GapSource(i))
             i += 1
         else:
             steps.append(GapTarget(j))
             j += 1
-    while i < n:
-        steps.append(GapSource(i))
-        i += 1
-    while j < m:
-        steps.append(GapTarget(j))
-        j += 1
+    steps.extend(GapSource(k) for k in range(i, n))
+    steps.extend(GapTarget(k) for k in range(j, m))
     return steps
 
 
@@ -178,59 +235,53 @@ def _reversed_scores(sim: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(sim[::-1, ::-1])
 
 
-def _alignment(
-    dp_rev: np.ndarray, sim: memoryview, mismatch: float, bonus: float, gap: float
-) -> Alignment:
-    steps = _traceback(memoryview(dp_rev), sim, mismatch, bonus, gap)
-    return Alignment(steps=tuple(steps), score=float(dp_rev[-1, -1]))
-
-
 def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
-    The one-gap case of ``nw_align_batch``: the same table and the same
-    traceback, filled through ``kernels.fill_sequential``.
+    One table fill (``kernels.fill_sequential``) and the walk of
+    ``_matches``; the steps of the ``Alignment`` are rebuilt from the
+    matches (``_steps``).
     """
     sim = _validate_scores(scores)
-    dp_rev = kernels.fill_sequential(
-        _reversed_scores(sim),
-        config.mismatch_cost,
-        config.match_bonus,
-        config.gap_penalty,
-    )
-    return _alignment(
-        dp_rev, memoryview(sim), config.mismatch_cost, config.match_bonus, config.gap_penalty
+    mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
+    dp_rev = kernels.fill_sequential(_reversed_scores(sim), mismatch, bonus, gap)
+    matches = _matches(dp_rev[:, :, None], 0, sim, mismatch, bonus, gap)
+    return Alignment(
+        steps=tuple(_steps(matches, memoryview(dp_rev), gap)), score=float(dp_rev[-1, -1])
     )
 
 
 def nw_align_batch(
     scores: np.ndarray, config: MiningConfig, gaps: Sequence[float]
-) -> Iterator[Alignment]:
-    """``nw_align`` of one matrix for each gap penalty, yielded in order.
+) -> Iterator[list[tuple[float, int, int]]]:
+    """The matched cells ``(score, i, j)`` of ``nw_align`` of one matrix for
+    each gap penalty, yielded in order.
 
+    Each item equals ``filter_by_threshold(scores, nw_align(...), 0.0)``
+    with that gap penalty, without building an ``Alignment``.
     ``config.gap_penalty`` is ignored; every other field applies to all
     gaps.  The matrix is validated and reversed once.  Tables are filled
-    in batches of at most ``kernels.BATCH_CELLS`` cells and traced back
-    as each batch completes, so memory stays bounded for any number of
-    gaps.  Each alignment equals ``nw_align`` with that gap penalty.
+    in batches of at most ``kernels.BATCH_CELLS`` cells, and each lane
+    of a batch is walked in place as the batch completes, so memory
+    stays bounded for any number of gaps.
     """
     sim = _validate_scores(scores)
     gaps = [float(gap) for gap in gaps]
     if not all(math.isfinite(gap) and gap >= 0.0 for gap in gaps):
         raise ValueError("gap penalties must be finite and >= 0")
-    reversed_sim, cells = _reversed_scores(sim), memoryview(sim)
+    reversed_sim = _reversed_scores(sim)
     mismatch, bonus = config.mismatch_cost, config.match_bonus
     n, m = sim.shape
     per_batch = max(1, kernels.BATCH_CELLS // ((n + 1) * (m + 1)))
 
-    def alignments() -> Iterator[Alignment]:
+    def matches() -> Iterator[list[tuple[float, int, int]]]:
         for first in range(0, len(gaps), per_batch):
             chunk = gaps[first : first + per_batch]
-            dp_rev = kernels.fill_batch(reversed_sim, mismatch, bonus, chunk)
-            for t, gap in enumerate(chunk):
-                yield _alignment(dp_rev[:, :, t], cells, mismatch, bonus, gap)
+            tables = kernels.fill_batch(reversed_sim, mismatch, bonus, chunk)
+            for lane, gap in enumerate(chunk):
+                yield _matches(tables, lane, sim, mismatch, bonus, gap)
 
-    return alignments()
+    return matches()
 
 
 def nw_align_wavefront(scores: np.ndarray, config: MiningConfig, workers: int) -> Alignment:
@@ -366,7 +417,7 @@ def filter_by_threshold(
     Scores are compared and emitted as float64 Python floats, whatever
     the dtype and layout of ``scores``.
     """
-    # One memoryview read per matched cell, as in ``_traceback``.
+    # One memoryview read per matched cell, as in ``_matches``.
     cells = memoryview(np.ascontiguousarray(scores, dtype=np.float64))
     emitted = []
     for step in alignment.steps:
@@ -436,22 +487,26 @@ def _profile_pair(pair: DocumentPair) -> tuple[list[SentenceProfile], list[Sente
     return _profiles(pair.source.sentences, "source"), _profiles(pair.target.sentences, "target")
 
 
-def _align_block(
+def _mined_cells(
     matrices: Sequence[np.ndarray], config: MiningConfig, engine: str
-) -> list[Alignment]:
-    """Alignments of a block's score matrices: with ``nw`` all tables
-    come from one sweep (``kernels.fill_many``), with ``astar_constrained``
-    each matrix is searched on its own."""
+) -> list[list[tuple[float, int, int]]]:
+    """Matched cells ``(score, i, j)`` at or above the threshold of each of
+    a block's score matrices.  With ``nw`` all tables come from one sweep
+    (``kernels.fill_many``) and each is walked in place (``_matches``);
+    with ``astar_constrained`` each matrix is searched on its own and
+    filtered (``filter_by_threshold``)."""
+    threshold = config.threshold
     if engine != "nw":
-        return [run_engine(matrix, config, engine) for matrix in matrices]
+        return [
+            filter_by_threshold(matrix, run_engine(matrix, config, engine), threshold)
+            for matrix in matrices
+        ]
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
     tables = kernels.fill_many([matrix[::-1, ::-1] for matrix in matrices], mismatch, bonus, gap)
-    alignments = []
-    for k, matrix in enumerate(matrices):
-        n, m = matrix.shape
-        table = tables[: n + 1, : m + 1, k]
-        alignments.append(_alignment(table, memoryview(matrix), mismatch, bonus, gap))
-    return alignments
+    return [
+        [cell for cell in _matches(tables, k, matrix, mismatch, bonus, gap) if cell[0] >= threshold]
+        for k, matrix in enumerate(matrices)
+    ]
 
 
 def _mine_pairs(
@@ -468,8 +523,9 @@ def _mine_pairs(
     pair of a block is profiled on its own; a pair that fails there is
     reported as ``pair <id>: ...`` and leaves the block.  The rest of the
     block is scored together (``classifier.score_pairs``) and aligned
-    together (``_align_block``), and each pair is traced back and
-    filtered.  Every pair's rows equal ``mine_document_pair``'s.
+    together, down to each pair's matched cells at or above the
+    threshold (``_mined_cells``).  Every pair's rows equal
+    ``mine_document_pair``'s.
     """
     outcomes: list = [None] * len(pairs)
     shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
@@ -487,16 +543,9 @@ def _mine_pairs(
             continue
         try:
             matrices = score_pairs(model, lexicon, profiled)
-            alignments = _align_block(matrices, config, engine)
-            for k, matrix, alignment in zip(kept, matrices, alignments):
+            for k, cells in zip(kept, _mined_cells(matrices, config, engine)):
                 source, target = pairs[k].source.sentences, pairs[k].target.sentences
-                outcomes[k] = (
-                    [
-                        (score, source[i], target[j])
-                        for score, i, j in filter_by_threshold(matrix, alignment, config.threshold)
-                    ],
-                    None,
-                )
+                outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
         except Exception as exc:  # the run continues past failing pairs
             for k in kept:
                 outcomes[k] = (None, str(exc))

@@ -64,14 +64,13 @@ class SentenceProfile:
 
     text: str
     tokens: tuple[str, ...]
-    token_set: frozenset[str]
 
 
 def profile_sentence(sentence: str) -> SentenceProfile:
     tokens = tokenize(sentence)
     if not tokens:
         raise ValueError(f"untokenizable sentence: {sentence!r}")
-    return SentenceProfile(text=sentence, tokens=tuple(tokens), token_set=frozenset(tokens))
+    return SentenceProfile(text=sentence, tokens=tuple(tokens))
 
 
 def _clip_ratio(numerator: float, denominator: float) -> float:
@@ -90,6 +89,7 @@ def extract_features(
     """
     source = profile_sentence(source_sentence)
     target = profile_sentence(target_sentence)
+    source_set, target_set = set(source.tokens), set(target.tokens)
     token_ratio = _clip_ratio(len(source.tokens), len(target.tokens))
     char_ratio = _clip_ratio(len(source.text), len(target.text))
 
@@ -98,7 +98,7 @@ def extract_features(
     for s in source.tokens:
         best = 0.0
         for t, p in lexicon.translations(s).items():
-            if t in target.token_set and p > best:
+            if t in target_set and p > best:
                 best = p
         if best > 0.0:
             covered += 1
@@ -107,7 +107,7 @@ def extract_features(
     mean_best_prob = best_prob_sum / covered if covered else 0.0
 
     reach: set[str] = set()
-    for s in source.token_set:
+    for s in source_set:
         reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
     covered_target = 0
     for t in target.tokens:
@@ -115,17 +115,17 @@ def extract_features(
             covered_target += 1
     target_coverage = covered_target / len(target.tokens)
 
-    shared = len(source.token_set & target.token_set)
-    overlap = shared / max(len(source.token_set), len(target.token_set))
+    shared = len(source_set & target_set)
+    overlap = shared / max(len(source_set), len(target_set))
 
     return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
 
 
-def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray]:
+    """Token and character counts of each profile."""
     return (
         np.array([len(p.tokens) for p in profiles]),
         np.array([len(p.text) for p in profiles]),
-        np.array([len(p.token_set) for p in profiles]),
     )
 
 
@@ -288,8 +288,8 @@ def _score_block(
     block_ids, token = np.unique(np.array(lexicon_id, dtype=np.intp), return_inverse=True)
     source_token, target_token = token[: len(source_tokens)], token[len(source_tokens) :]
     width = len(block_ids)
-    s_tokens, s_chars, s_types = _lengths(sources)
-    t_tokens, t_chars, t_types = _lengths(targets)
+    s_tokens, s_chars = _lengths(sources)
+    t_tokens, t_chars = _lengths(targets)
     source_of = np.repeat(np.arange(len(sources)), s_tokens)  # per source position
     target_of = np.repeat(np.arange(len(targets)), t_tokens)  # per target position
     pair_of_source = np.repeat(np.arange(len(pairs)), n)  # per source sentence
@@ -319,6 +319,7 @@ def _score_block(
     # in target sentence j of its pair; the last row stays 0.
     target_types = _distinct(target_of * width + target_token)
     type_sentence, type_token = np.divmod(target_types, width)
+    t_types = np.bincount(type_sentence, minlength=len(targets))  # distinct tokens
     best = _best_present(
         (len(row_keys) + 1, columns),
         translation_row,
@@ -334,6 +335,8 @@ def _score_block(
     reach_sentence, reach_row = np.divmod(
         _distinct(source_of * len(row_keys) + row_of_position), len(row_keys)
     )
+    # A sentence's rows are its distinct tokens.
+    s_types = np.bincount(reach_sentence, minlength=len(sources))
     reach = _marks(
         len(sources),
         width,

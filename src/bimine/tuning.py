@@ -7,7 +7,8 @@ from a seeded generator -- always evaluating the configured defaults
 first, so the result can never fall below them -- and keeps the
 candidate with the best mean agreement.  Only the gap penalty and the
 threshold change between trials, so each sample is scored once and
-realigned for all trials together (batched table fills with ``nw``).
+realigned for all trials together: with ``nw``, batched table fills
+whose tables are each walked for their matched cells only.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .align import (
-    Alignment,
     MiningConfig,
     build_score_matrix,
     filter_by_threshold,
@@ -79,13 +79,27 @@ def alignment_agreement(
     return 100.0 * len(shared) / len(reference)
 
 
-def _alignments(
-    scores: np.ndarray, config: MiningConfig, gaps: Sequence[float], engine: str
-) -> Iterator[Alignment]:
-    """One alignment of ``scores`` per gap penalty, in order."""
+def _kept_cells(
+    scores: np.ndarray,
+    config: MiningConfig,
+    trials: Sequence[tuple[float, float]],
+    engine: str,
+) -> Iterator[list[tuple[int, int]]]:
+    """For each (threshold, gap penalty) trial in order, the cells ``(i, j)``
+    of the alignment of ``scores`` whose score reaches the threshold.
+
+    With ``nw`` these come from the batched match walk
+    (``align.nw_align_batch``), so no ``Alignment`` is built; other
+    engines align and filter one trial at a time.
+    """
     if engine == "nw":
-        return nw_align_batch(scores, config, gaps)
-    return (run_engine(scores, replace(config, gap_penalty=gap), engine) for gap in gaps)
+        batch = nw_align_batch(scores, config, [gap for _, gap in trials])
+        for (threshold, _), matches in zip(trials, batch):
+            yield [(i, j) for score, i, j in matches if score >= threshold]
+        return
+    for threshold, gap in trials:
+        alignment = run_engine(scores, replace(config, gap_penalty=gap), engine)
+        yield [(i, j) for _, i, j in filter_by_threshold(scores, alignment, threshold)]
 
 
 def tune(
@@ -107,8 +121,9 @@ def tune(
 
     All trials are drawn up front.  Each sample is then scored once and
     realigned for every trial's gap penalty; with the ``nw`` engine the
-    realignments of one sample share batched table fills
-    (``align.nw_align_batch``).
+    realignments of one sample share batched table fills, and each
+    trial's table is walked in place for its matched cells only
+    (``align.nw_align_batch``), so no ``Alignment`` is built per trial.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -121,7 +136,6 @@ def tune(
     for _ in range(budget - 1):
         threshold = float(rng.uniform(0.0, 1.0))
         trials.append((threshold, float(rng.uniform(*GAP_PENALTY_RANGE))))
-    gaps = [gap_penalty for _, gap_penalty in trials]
 
     # The similarity matrix of a sample does not depend on the searched
     # parameters, so score each sample once and realign per trial.
@@ -129,11 +143,8 @@ def tune(
     for s, sample in enumerate(samples):
         pair = sample.pair
         matrix = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-        for trial, alignment in enumerate(_alignments(matrix, config, gaps, engine)):
-            matched = filter_by_threshold(matrix, alignment, trials[trial][0])
-            per_trial[trial][s] = alignment_agreement(
-                [(i, j) for _, i, j in matched], sample.reference
-            )
+        for trial, cells in enumerate(_kept_cells(matrix, config, trials, engine)):
+            per_trial[trial][s] = alignment_agreement(cells, sample.reference)
 
     best: tuple[float, int, float, float, tuple[float, ...]] | None = None
     default_agreement = 0.0
@@ -158,8 +169,14 @@ def tune(
 
 
 def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
-    """Read ``topic_id<TAB>source_index<TAB>target_index`` rows."""
+    """Read ``topic_id<TAB>source_index<TAB>target_index`` rows.
+
+    Indices are 0-based.  A malformed row, a non-integer or negative
+    index and a repeated (topic, source, target) row are rejected as
+    ``path: line N: ...``.
+    """
     reference: dict[str, list[tuple[int, int]]] = {}
+    first_line: dict[tuple[str, int, int], int] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, 1):
             line = line.rstrip("\n")
@@ -177,5 +194,16 @@ def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
                     f"{path}: line {lineno}: indices must be integers, got "
                     f"{fields[1]!r} and {fields[2]!r}"
                 ) from None
+            if min(pair) < 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
+                )
+            key = (fields[0], *pair)
+            if key in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate reference pair {fields[0]!r} "
+                    f"{pair[0]} {pair[1]} (first on line {first_line[key]})"
+                )
+            first_line[key] = lineno
             reference.setdefault(fields[0], []).append(pair)
     return reference

@@ -1,7 +1,8 @@
 """Independent reference implementations used to freeze expected values.
 
 Everything here is deliberately naive: exhaustive enumeration instead
-of dynamic programming, dict-based EM written from the update equations,
+of dynamic programming, a traceback that records every step as it
+walks, dict-based EM written from the update equations,
 scoring one cell at a time through the per-pair feature extractor
 instead of array blocks, and markup cleaning and sentence segmentation
 by whole-text regex passes that may rescan the text.  These stay
@@ -16,7 +17,16 @@ from dataclasses import replace
 
 import numpy as np
 
-from bimine.align import MiningConfig, build_score_matrix, filter_by_threshold, run_engine
+from bimine.align import (
+    GapSource,
+    GapTarget,
+    Match,
+    MiningConfig,
+    Step,
+    build_score_matrix,
+    filter_by_threshold,
+    run_engine,
+)
 from bimine.classifier import extract_features
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
 
@@ -68,6 +78,48 @@ def reference_dp_table(
                 dp[i - 1][j - 1] + cell, dp[i - 1][j] - gap_penalty, dp[i][j - 1] - gap_penalty
             )
     return np.array(dp)
+
+
+def reference_traceback(
+    dp_rev: memoryview, sim: memoryview, mismatch: float, bonus: float, gap: float
+) -> list[Step]:
+    """Every step of the traceback, recorded as it is walked (the package's
+    former ``align._traceback``).
+
+    ``dp_rev`` is the table of the reversed problem, ``sim`` the scores.
+    """
+    # dp_rev is the table of the reversed problem, so dp_rev[n-i, m-j] is
+    # the best score of the remaining suffixes.  Walking forward from
+    # (0, 0) lets ties resolve in reading order: diagonal first, then
+    # source gap, then target gap.  Every cell of dp_rev was assigned as
+    # the max of the candidates recomputed here, so one equality always
+    # holds exactly.  Both tables are read through memoryviews, which
+    # return the same IEEE doubles as Python floats at a third of the
+    # cost of a numpy scalar and, unlike ``tolist``, convert only the
+    # O(n + m) cells the walk visits.
+    n, m = sim.shape
+    steps: list[Step] = []
+    i = j = 0
+    while i < n and j < m:
+        value = dp_rev[n - i, m - j]
+        c = mismatch + sim[i, j] * (bonus - mismatch)
+        if value == c + dp_rev[n - i - 1, m - j - 1]:
+            steps.append(Match(i, j))
+            i += 1
+            j += 1
+        elif value == dp_rev[n - i - 1, m - j] - gap:
+            steps.append(GapSource(i))
+            i += 1
+        else:
+            steps.append(GapTarget(j))
+            j += 1
+    while i < n:
+        steps.append(GapSource(i))
+        i += 1
+    while j < m:
+        steps.append(GapTarget(j))
+        j += 1
+    return steps
 
 
 def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -> np.ndarray:

@@ -45,7 +45,12 @@ from bimine.demos import (
 )
 
 from conftest import make_mining_pair
-from oracles import brute_force_best_score, reference_dp_table, reference_score_matrix
+from oracles import (
+    brute_force_best_score,
+    reference_dp_table,
+    reference_score_matrix,
+    reference_traceback,
+)
 
 EXACT_CONFIG = MiningConfig(threshold=0.0, gap_penalty=2.0, match_bonus=1.0, mismatch_cost=-1.0)
 
@@ -210,6 +215,11 @@ class TestFillMany:
         assert table.tobytes() == kernels.fill_sequential(sim, -1.0, 1.0, 0.6).tobytes()
 
 
+def nw_matches(sim, config):
+    """Every matched cell (score, i, j) of ``nw_align``."""
+    return filter_by_threshold(sim, nw_align(sim, config), 0.0)
+
+
 class TestNwAlignBatch:
     def test_equals_nw_align_for_each_gap(self):
         rng = np.random.default_rng(53)
@@ -221,7 +231,7 @@ class TestNwAlignBatch:
             )
             gaps = [0.0, *rng.uniform(0.0, 5.0, 6).tolist(), 1.0]
             batch = list(nw_align_batch(sim, config, gaps))
-            assert batch == [nw_align(sim, replace(config, gap_penalty=g)) for g in gaps]
+            assert batch == [nw_matches(sim, replace(config, gap_penalty=g)) for g in gaps]
 
     def test_gaps_spanning_several_batches(self):
         rng = np.random.default_rng(59)
@@ -231,7 +241,7 @@ class TestNwAlignBatch:
         batch = list(nw_align_batch(sim, MiningConfig(), gaps))
         assert len(batch) == len(gaps)
         for k in (0, per_batch - 1, per_batch, 2 * per_batch, len(gaps) - 1):
-            assert batch[k] == nw_align(sim, MiningConfig(gap_penalty=gaps[k]))
+            assert batch[k] == nw_matches(sim, MiningConfig(gap_penalty=gaps[k]))
 
     def test_no_gaps_no_alignments(self):
         assert list(nw_align_batch(np.eye(3), MiningConfig(), [])) == []
@@ -244,6 +254,66 @@ class TestNwAlignBatch:
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             nw_align_batch(np.array([[0.5, 1.5]]), MiningConfig(), [1.0])
+
+
+TIE_GRIDS = ((0.0, 0.5, 1.0), (0.0, 1.0), tuple(k / 10 for k in range(11)))
+TIE_SHAPES = st.one_of(
+    st.just((1, 1)),
+    st.tuples(st.just(1), st.integers(1, 9)),
+    st.tuples(st.integers(1, 9), st.just(1)),
+    st.tuples(st.integers(1, 7), st.integers(1, 7)),
+)
+GAPS = st.one_of(st.sampled_from([0.0, 0.1, 0.3, 0.5, 1 / 3, 1.0, 2.0]), st.floats(0.0, 5.0))
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """A small matrix on a coarse value grid, so that many paths tie,
+    with its mapping and two gap penalties."""
+    n, m = draw(TIE_SHAPES)
+    grid = draw(st.sampled_from(TIE_GRIDS))
+    values = draw(st.lists(st.sampled_from(grid), min_size=n * m, max_size=n * m))
+    mismatch = draw(st.one_of(st.sampled_from([-1.0, 0.0, -100.0]), st.floats(-10.0, 0.0)))
+    bonus = draw(st.one_of(st.sampled_from([1.0, 0.0, 0.5, 2.0]), st.floats(-1.0, 2.0)))
+    return np.array(values).reshape(n, m), mismatch, bonus, draw(GAPS), draw(GAPS)
+
+
+def oracle_steps(sim, mismatch, bonus, gap):
+    dp_rev = kernels.fill_sequential(np.ascontiguousarray(sim[::-1, ::-1]), mismatch, bonus, gap)
+    return reference_traceback(memoryview(dp_rev), memoryview(sim), mismatch, bonus, gap)
+
+
+def matched_cells(sim, steps):
+    """The (score, i, j) of each match step."""
+    return [(float(sim[s.i, s.j]), s.i, s.j) for s in steps if isinstance(s, Match)]
+
+
+class TestTraceback:
+    """The match-only walk and the steps rebuilt from it equal the
+    traceback that records every step (``oracles.reference_traceback``)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(tie_heavy_instances())
+    # Without matches the walk's gaps are not all source-first: here a
+    # source gap out of the last row follows a target gap ...
+    @example((np.zeros((1, 6)), -100.0, 0.0, 0.1, 0.0))
+    # ... and here the source gaps left once a target gap reaches the
+    # last column.
+    @example((np.zeros((6, 1)), -100.0, 0.0, 0.3, 0.0))
+    @example((np.zeros((6, 7)), -100.0, 0.0, 0.3, 2.0))
+    def test_steps_and_matches_equal_the_oracle(self, instance):
+        sim, mismatch, bonus, gap, other = instance
+        config = MiningConfig(match_bonus=bonus, mismatch_cost=mismatch, gap_penalty=gap)
+        expected = oracle_steps(sim, mismatch, bonus, gap)
+        assert nw_align(sim, config).steps == tuple(expected)
+        assert list(nw_align_batch(sim, config, [gap])) == [matched_cells(sim, expected)]
+        # Each lane of a batch table is walked in place.
+        reversed_sim = np.ascontiguousarray(sim[::-1, ::-1])
+        tables = kernels.fill_batch(reversed_sim, mismatch, bonus, [other, gap])
+        assert align._matches(tables, 1, sim, mismatch, bonus, gap) == matched_cells(sim, expected)
+        assert align._matches(tables, 0, sim, mismatch, bonus, other) == matched_cells(
+            sim, oracle_steps(sim, mismatch, bonus, other)
+        )
 
 
 class TestWavefront:

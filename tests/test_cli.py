@@ -415,6 +415,36 @@ class TestTune:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {reference}: line 1: indices")
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (
+                "Topic 0\t0\t0\nTopic 0\t0\t0\n",
+                "line 2: duplicate reference pair 'Topic 0' 0 0 (first on line 1)",
+            ),
+            ("Topic 0\t-1\t0\n", "line 1: negative index -1"),
+        ],
+        ids=["duplicate", "negative"],
+    )
+    def test_bad_reference_row_names_its_line(self, pipeline, capsys, rows, message):
+        reference = pipeline / "bad_row_reference.tsv"
+        reference.write_text(rows, encoding="utf-8")
+        code = main(
+            [
+                "tune",
+                str(pipeline / "corpus"),
+                str(pipeline / "model.json"),
+                str(pipeline / "lexicon.tsv"),
+                str(reference),
+                "--budget",
+                "2",
+                "--out",
+                str(pipeline / "tuning_bad_row.json"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {reference}: {message}")
+
 
 class TestBench:
     def test_one_row_per_size_engine(self, tmp_path, capsys):

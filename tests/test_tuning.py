@@ -1,14 +1,15 @@
 """Agreement measurement and random-search parameter tuning."""
 
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimine import tuning
-from bimine.align import MiningConfig, align_pair_indices
+from bimine import align, kernels, tuning
+from bimine.align import MiningConfig, align_pair_indices, nw_align
 from bimine.tuning import TuningSample, alignment_agreement, read_reference, tune
 
 from conftest import make_mining_pair
@@ -112,6 +113,24 @@ def planted(toy_model, toy_lexicon):
     return samples
 
 
+def use_random_matrices(monkeypatch):
+    """Score tuning samples, in ``tune`` and in its oracle, with one
+    uniform random matrix per sample.  The toy model scores so cleanly
+    that every trial agrees alike; on random matrices the alignments,
+    and so the winning trial, change with the gap penalty."""
+    rng = np.random.default_rng(61)
+    matrices = {}
+
+    def random_matrix(model, lexicon, source, target):
+        key = (tuple(source), tuple(target))
+        if key not in matrices:
+            matrices[key] = rng.random((len(source), len(target)))
+        return matrices[key]
+
+    monkeypatch.setattr(tuning, "build_score_matrix", random_matrix)
+    monkeypatch.setattr(oracles, "build_score_matrix", random_matrix)
+
+
 class TestTune:
     def test_budget_one_returns_defaults(self, toy_model, toy_lexicon, planted):
         config = MiningConfig(threshold=0.5, gap_penalty=2.0)
@@ -174,20 +193,7 @@ class TestTune:
         self, toy_model, toy_lexicon, planted, monkeypatch, scores, engine, budget
     ):
         if scores == "random":
-            # The toy model scores so cleanly that every trial agrees
-            # alike; on uniform random matrices the alignments, and so
-            # the winning trial, change with the gap penalty.
-            rng = np.random.default_rng(61)
-            matrices = {}
-
-            def random_matrix(model, lexicon, source, target):
-                key = (tuple(source), tuple(target))
-                if key not in matrices:
-                    matrices[key] = rng.random((len(source), len(target)))
-                return matrices[key]
-
-            monkeypatch.setattr(tuning, "build_score_matrix", random_matrix)
-            monkeypatch.setattr(oracles, "build_score_matrix", random_matrix)
+            use_random_matrices(monkeypatch)
         config = MiningConfig(threshold=0.55, gap_penalty=1.5)
         expected = oracles.reference_tune(
             toy_model, toy_lexicon, planted, budget, seed=21, engine=engine, base_config=config
@@ -196,6 +202,59 @@ class TestTune:
             toy_model, toy_lexicon, planted, budget, seed=21, engine=engine, base_config=config
         )
         assert result == expected
+
+    @pytest.mark.parametrize("scores", ["model", "random"])
+    def test_trials_in_several_batches_equal_the_oracle(
+        self, toy_model, toy_lexicon, planted, monkeypatch, scores
+    ):
+        if scores == "random":
+            use_random_matrices(monkeypatch)
+        config = MiningConfig(threshold=0.55, gap_penalty=1.5)
+        budget = 37
+        expected = oracles.reference_tune(
+            toy_model, toy_lexicon, planted, budget, seed=21, base_config=config
+        )
+        # Three tables of the largest sample per batch.
+        largest = max(
+            (len(s.pair.source.sentences) + 1) * (len(s.pair.target.sentences) + 1)
+            for s in planted
+        )
+        monkeypatch.setattr(kernels, "BATCH_CELLS", 3 * largest)
+        lanes = []
+        fill_batch = kernels.fill_batch
+
+        def recorded_fill(sim, mismatch, bonus, gaps):
+            lanes.append(len(gaps))
+            return fill_batch(sim, mismatch, bonus, gaps)
+
+        monkeypatch.setattr(kernels, "fill_batch", recorded_fill)
+        result = tune(toy_model, toy_lexicon, planted, budget, seed=21, base_config=config)
+        assert result == expected
+        assert sum(lanes) == budget * len(planted)
+        assert len(lanes) >= 3 * len(planted) and max(lanes) > 1
+
+    def test_nw_builds_no_alignment(self, toy_model, toy_lexicon, planted, monkeypatch):
+        built = Counter()
+        for cls in (align.Match, align.GapSource, align.GapTarget, align.Alignment):
+
+            def counted_init(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        agreements = []
+        agreement = tuning.alignment_agreement
+        monkeypatch.setattr(
+            tuning,
+            "alignment_agreement",
+            lambda candidate, reference: agreements.append(1) or agreement(candidate, reference),
+        )
+        nw_align(np.eye(2), MiningConfig())  # what the counter sees
+        assert built == {"Match": 2, "Alignment": 1}
+        built.clear()
+        tune(toy_model, toy_lexicon, planted, budget=9, seed=3)
+        assert not built
+        assert len(agreements) == 9 * len(planted)
 
 
 class TestReferenceFile:
@@ -216,4 +275,18 @@ class TestReferenceFile:
         path = tmp_path / "reference.tsv"
         path.write_text(f"topicA\t0\t0\n{row}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: indices"):
+            read_reference(path)
+
+    @pytest.mark.parametrize("row", ["topicA\t-1\t0", "topicA\t2\t-3"])
+    def test_negative_index_names_line(self, tmp_path, row):
+        path = tmp_path / "reference.tsv"
+        path.write_text(f"topicA\t0\t0\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: negative index"):
+            read_reference(path)
+
+    def test_duplicate_row_names_both_lines(self, tmp_path):
+        path = tmp_path / "reference.tsv"
+        path.write_text("p1\t0\t0\np2\t0\t0\n\np1\t0\t0\n", encoding="utf-8")
+        message = "line 4: duplicate reference pair 'p1' 0 0 (first on line 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {message}')}$"):
             read_reference(path)
