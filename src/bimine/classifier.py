@@ -7,15 +7,17 @@ L2 regularization, and the signed distance to its hyperplane is mapped
 into [0, 1] by a Platt-style sigmoid fit, so scores behave like the
 probability that the two sentences translate each other.
 
-``extract_features`` describes one pair and serves training.
-``score_pairs`` scores every sentence pair of many document pairs: it
-groups consecutive whole document pairs into blocks of at most
-``BLOCK_CELLS`` cells (a larger pair is a block of its own) and computes
-each feature for a whole block with array operations, against the
-lexicon compiled once into arrays (``Lexicon.compiled``).  Short pairs
-thus share a few array passes instead of paying for passes of their
-own.  ``score_matrix`` is its one-pair case.  Scores are bit-identical
-to scoring each sentence pair through ``extract_features``.
+Features are computed for many sentence pairs at once by one feature
+stage (``_features``): consecutive whole document pairs are grouped into
+blocks of at most ``BLOCK_CELLS`` cells (a larger pair is a block of its
+own), and each feature of a block is a few array passes against the
+lexicon compiled once into arrays (``Lexicon.compiled``), with work that
+follows each pair's own sentences and tokens.  ``score_pairs`` adds the
+margin and the sigmoid; ``training_features`` runs the stage over the
+training examples as 1x1 pairs.  ``score_matrix``, ``extract_features``
+and ``similarity`` are its one-pair and one-cell cases.  Features and
+scores are bit-identical to the per-pair definition that
+``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import math
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -73,54 +75,6 @@ def profile_sentence(sentence: str) -> SentenceProfile:
     return SentenceProfile(text=sentence, tokens=tuple(tokens))
 
 
-def _clip_ratio(numerator: float, denominator: float) -> float:
-    return min(numerator / denominator, _RATIO_CAP)
-
-
-def extract_features(
-    source_sentence: str, target_sentence: str, lexicon: Lexicon
-) -> list[float]:
-    """Six-feature description of a sentence pair.
-
-    Order: token-length ratio (capped at 4), source lexicon coverage,
-    target lexicon coverage, mean best translation probability over
-    covered source tokens, character-length ratio (capped at 4), and
-    fraction of shared identical tokens.
-    """
-    source = profile_sentence(source_sentence)
-    target = profile_sentence(target_sentence)
-    source_set, target_set = set(source.tokens), set(target.tokens)
-    token_ratio = _clip_ratio(len(source.tokens), len(target.tokens))
-    char_ratio = _clip_ratio(len(source.text), len(target.text))
-
-    covered = 0
-    best_prob_sum = 0.0
-    for s in source.tokens:
-        best = 0.0
-        for t, p in lexicon.translations(s).items():
-            if t in target_set and p > best:
-                best = p
-        if best > 0.0:
-            covered += 1
-            best_prob_sum += best
-    source_coverage = covered / len(source.tokens)
-    mean_best_prob = best_prob_sum / covered if covered else 0.0
-
-    reach: set[str] = set()
-    for s in source_set:
-        reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
-    covered_target = 0
-    for t in target.tokens:
-        if t in reach:
-            covered_target += 1
-    target_coverage = covered_target / len(target.tokens)
-
-    shared = len(source_set & target_set)
-    overlap = shared / max(len(source_set), len(target_set))
-
-    return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
-
-
 def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray]:
     """Token and character counts of each profile."""
     return (
@@ -153,67 +107,25 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     return keys[_first_of_each(keys)]
 
 
-def _marks(sentences: int, width: int, sentence: np.ndarray, token: np.ndarray) -> np.ndarray:
-    """Boolean ``[sentence, token]`` table, True at the given pairs."""
-    marks = np.zeros(sentences * width, dtype=bool)
-    marks[sentence * width + token] = True
-    return marks.reshape(sentences, width)
+def _lookup(
+    keys: np.ndarray, starts: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """First item and number of items of each query's key, by one binary
+    search per query: ``keys`` are sorted distinct values, and key ``k``
+    stands for the items ``starts[k]:starts[k + 1]``.  A query without an
+    equal key has no items."""
+    place = np.minimum(np.searchsorted(keys, queries), len(keys) - 1)
+    hits = np.where(keys[place] == queries, starts[place + 1] - starts[place], 0)
+    return starts[place], hits
 
 
-def _sums_by_sentence(
-    marks: np.ndarray, tokens: np.ndarray, starts: np.ndarray, local: np.ndarray
-) -> np.ndarray:
-    """``out[r, j]``: how many tokens of sentence ``local[r, j]`` are True
-    in ``marks[r]``.
-
-    Sentence ``k`` has the tokens ``tokens[starts[k]:starts[k + 1]]``;
-    ``local`` equal to ``len(starts) - 1`` stands for padding and reads
-    0.  Each row is summed over every sentence with one gather and one
-    ``np.add.reduceat``; the sums are integers, so exact.
-    """
-    counts = np.zeros((len(marks), len(starts)), dtype=np.int64)
-    np.add.reduceat(
-        marks[:, tokens[starts[0] : starts[-1]]],
-        starts[:-1] - starts[0],
-        axis=1,
-        dtype=np.int64,
-        out=counts[:, :-1],
-    )
-    return np.take_along_axis(counts, local, axis=1)
-
-
-def _best_present(
-    shape: tuple[int, int],
-    row: np.ndarray,
-    key: np.ndarray,
-    prob: np.ndarray,
-    occurrence_key: np.ndarray,
-    occurrence_slot: np.ndarray,
-) -> np.ndarray:
-    """``best[r, j]``: the highest ``prob`` of the entries of row ``r``
-    whose ``key`` equals that of an occurrence in slot ``j``, else 0.
-
-    A sorted join: the occurrences are sorted by key once, each entry
-    finds its run of equal keys by one binary search, and the matches
-    are expanded and folded in with ``np.maximum.at`` (max is exact in
-    any order) in runs of at most ``BLOCK_CELLS`` matches, so memory
-    stays bounded however many occurrences share a key.
-    """
-    by_key = np.argsort(occurrence_key, kind="stable")
-    key_start = np.flatnonzero(_first_of_each(occurrence_key[by_key]))
-    keys = occurrence_key[by_key[key_start]]
-    key_count = np.diff(key_start, append=len(by_key))
-    place = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
-    low = key_start[place]
-    hits = np.where(keys[place] == key, key_count[place], 0)
-    best = np.zeros(shape)
-    for run in _runs(hits, BLOCK_CELLS):
-        occurrence = by_key[_ranges(low[run], hits[run])]
-        match = np.repeat(np.arange(run.start, run.stop), hits[run])
-        np.maximum.at(
-            best.reshape(-1), row[match] * shape[1] + occurrence_slot[occurrence], prob[match]
-        )
-    return best
+def _join(
+    keys: np.ndarray, starts: np.ndarray, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every (query, item) index pair of ``_lookup``, expanded: the work
+    follows the hits."""
+    first, hits = _lookup(keys, starts, queries)
+    return np.repeat(np.arange(len(queries)), hits), _ranges(first, hits)
 
 
 def _runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
@@ -237,22 +149,198 @@ def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
     return _runs([n * m for n, m in shapes], BLOCK_CELLS)
 
 
+def _features(
+    compiled: CompiledLexicon, pairs: Sequence[ProfilePair]
+) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """The six features of every cell of a block of pairs, in row blocks.
+
+    Cells are numbered flat: pair after pair, each pair's sources x
+    targets row by row, so no pair is padded to another's width.  Yields
+    ``(cells, features)`` for runs of whole source sentences of at most
+    ``BLOCK_CELLS`` cells (or one longer sentence).  Each source sentence
+    meets only its own pair's targets: the counts come from sorted joins
+    on (pair, token) keys, whose hits are counted into cells with
+    ``np.bincount`` (integers, so exact).  Probability sums add token
+    positions in sentence order and ratios are single divisions, as in
+    the one-pair definition.
+    """
+    # Sentences of all pairs are numbered through the block, sources and
+    # targets apart.  Tokens get block ids 0..width-1 shared by both
+    # sides, so that equal strings compare equal.
+    sources = [sp for side, _ in pairs for sp in side]
+    targets = [tp for _, side in pairs for tp in side]
+    n = np.array([len(side) for side, _ in pairs])
+    m = np.array([len(side) for _, side in pairs])
+    source_tokens = [t for sp in sources for t in sp.tokens]
+    tokens = source_tokens + [t for tp in targets for t in tp.tokens]
+    ids = compiled.ids
+    lexicon_id = np.fromiter(map(ids.get, tokens, repeat(-1)), np.intp, len(tokens))
+    outside: dict[str, int] = {}  # tokens outside the lexicon get ids past it
+    for k in np.flatnonzero(lexicon_id < 0).tolist():
+        lexicon_id[k] = outside.setdefault(tokens[k], len(ids) + len(outside))
+    # Block ids number the block's distinct tokens in lexicon id order.
+    seen = np.zeros(len(ids) + len(outside), dtype=bool)
+    seen[lexicon_id] = True
+    block_ids = np.flatnonzero(seen)
+    token = (np.cumsum(seen) - 1)[lexicon_id]
+    source_token, target_token = token[: len(source_tokens)], token[len(source_tokens) :]
+    width = len(block_ids)
+    in_lexicon = int(np.searchsorted(block_ids, len(ids)))  # block ids of lexicon tokens
+    block_id = np.full(len(ids), width, dtype=np.intp)  # lexicon id -> block id
+    block_id[block_ids[:in_lexicon]] = np.arange(in_lexicon)
+    s_tokens, s_chars = _lengths(sources)
+    t_tokens, t_chars = _lengths(targets)
+    source_of = np.repeat(np.arange(len(sources)), s_tokens)  # per source position
+    pair_of_source = np.repeat(np.arange(len(pairs)), n)  # per source sentence
+    slot_of_target = np.arange(len(targets)) - np.repeat(_offsets(m), m)  # column in its pair
+    first_target = _offsets(m)  # per pair
+    first_position = _offsets(s_tokens)  # per source sentence
+
+    # The distinct tokens ("types") of each target sentence, sorted by
+    # (pair, token) key and then sentence, with how often each occurs in
+    # its sentence; a join on (pair, token) finds the run of types of
+    # that key, one per target sentence of the pair that holds the token.
+    target_of = np.repeat(np.arange(len(targets)), t_tokens)
+    occurrences = np.sort(
+        (np.repeat(np.arange(len(pairs)), m)[target_of] * width + target_token) * len(targets)
+        + target_of
+    )
+    type_start = np.flatnonzero(_first_of_each(occurrences))
+    type_count = np.diff(type_start, append=len(occurrences))
+    type_key, type_sentence = np.divmod(occurrences[type_start], len(targets))
+    type_cell = slot_of_target[type_sentence]  # column of the type's sentence in its pair
+    key_start = np.flatnonzero(_first_of_each(type_key))
+    keys, key_start = type_key[key_start], np.append(key_start, len(type_key))
+    t_types = np.bincount(type_sentence, minlength=len(targets))
+
+    # Rows: the distinct (pair, token) keys of the source tokens.
+    row_keys, row_of_position = np.unique(
+        pair_of_source[source_of] * width + source_token, return_inverse=True
+    )
+    row_pair, row_token = np.divmod(row_keys, width)
+
+    # Each row's translations with p > 0 that occur in a target sentence
+    # of its own pair; best[row_start[r] + j] is the highest p(t|s) of row
+    # r over those in column j of its pair (max is exact in any order).
+    # The hits are expanded in runs of at most 4 * BLOCK_CELLS, so memory
+    # stays bounded however many target sentences share a token.
+    row_id = np.minimum(block_ids[row_token], len(ids))
+    first = compiled.indptr[row_id]
+    count = compiled.indptr[row_id + 1] - first
+    entry = _ranges(first, count)
+    translation = block_id[compiled.targets[entry]]
+    present = translation < width
+    candidate_row = np.repeat(np.arange(len(row_keys)), count)[present]
+    translation = translation[present]
+    low, hits = _lookup(keys, key_start, row_pair[candidate_row] * width + translation)
+    found = hits > 0
+    candidate_row, translation, low, hits = (
+        v[found] for v in (candidate_row, translation, low, hits)
+    )
+    prob = compiled.probs[entry][present][found]
+    row_width = m[row_pair]
+    row_start = _offsets(row_width)
+    zero_row = int(row_start[-1] + row_width[-1])  # start of an all-zero row
+    best = np.zeros(zero_row + int(row_width.max()))
+    for run in _runs(hits, 4 * BLOCK_CELLS):
+        np.maximum.at(
+            best,
+            np.repeat(row_start[candidate_row[run]], hits[run])
+            + type_cell[_ranges(low[run], hits[run])],
+            np.repeat(prob[run], hits[run]),
+        )
+    # The found translations of each row start at found_start[row].
+    found_count = np.bincount(candidate_row, minlength=len(row_keys))
+    found_start = _offsets(found_count)
+
+    cells_of = m[pair_of_source]  # per source sentence
+    first_cell = _offsets(cells_of)
+    for run in _runs(cells_of, BLOCK_CELLS):
+        a, b = run.start, run.stop
+        positions = slice(first_position[a], first_position[b - 1] + s_tokens[b - 1])
+        sentence = source_of[positions] - a  # per position, in the run
+        cell_start = first_cell[a:b] - first_cell[a]  # per sentence, in the run
+        cells = int(cell_start[-1] + cells_of[b - 1])
+
+        # The distinct tokens of each sentence, as (sentence, row), and
+        # the target types they equal.
+        own_sentence, own_row = np.divmod(
+            _distinct(sentence * len(row_keys) + row_of_position[positions]), len(row_keys)
+        )
+        s_types = np.bincount(own_sentence, minlength=b - a)
+        query, hit = _join(keys, key_start, row_keys[own_row])
+        shared = np.bincount(cell_start[own_sentence[query]] + type_cell[hit], minlength=cells)
+
+        # The target positions that a found translation of one of the
+        # sentence's tokens reaches: each distinct (sentence, translation)
+        # joined on (pair, token), weighted by the type's occurrences.
+        reach_count = found_count[own_row]
+        reach_sentence, reach_token = np.divmod(
+            _distinct(
+                np.repeat(own_sentence, reach_count) * width
+                + translation[_ranges(found_start[own_row], reach_count)]
+            ),
+            width,
+        )
+        query, hit = _join(
+            keys, key_start, pair_of_source[reach_sentence + a] * width + reach_token
+        )
+        reached = np.bincount(
+            cell_start[reach_sentence[query]] + type_cell[hit],
+            weights=type_count[hit],
+            minlength=cells,
+        )
+
+        # covered and prob_sum: position by position in sentence order,
+        # the best of each position's row against every cell's target.
+        cell_source = np.repeat(np.arange(b - a), cells_of[a:b])
+        cell_slot = np.arange(cells) - cell_start[cell_source]
+        position_best = np.full((int(s_tokens[a:b].max()), b - a), zero_row)
+        rank = np.arange(positions.start, positions.stop) - first_position[sentence + a]
+        position_best[rank, sentence] = row_start[row_of_position[positions]]
+        prob_sum = np.zeros(cells)
+        covered = np.zeros(cells, dtype=np.int64)
+        for row_of_sentence in position_best:
+            token_best = best[row_of_sentence[cell_source] + cell_slot]
+            prob_sum += token_best
+            covered += token_best > 0.0
+
+        cell_target = first_target[pair_of_source[cell_source + a]] + cell_slot
+        row_tokens = s_tokens[a:b][cell_source]
+        yield slice(int(first_cell[a]), int(first_cell[a]) + cells), [
+            np.minimum(row_tokens / t_tokens[cell_target], _RATIO_CAP),
+            covered / row_tokens,
+            reached / t_tokens[cell_target],
+            prob_sum / np.maximum(covered, 1),
+            np.minimum(s_chars[a:b][cell_source] / t_chars[cell_target], _RATIO_CAP),
+            shared / np.maximum(s_types[cell_source], t_types[cell_target]),
+        ]
+
+
 def score_pairs(
     model: "SimilarityModel", lexicon: Lexicon, pairs: Sequence[ProfilePair]
 ) -> list[np.ndarray]:
     """Score matrix of each (source profiles, target profiles) pair.
 
-    Every cell equals ``score_from_margin(margin(extract_features(s, t)))``
-    bit for bit.  Pairs are scored together in the blocks of
-    ``pair_blocks``, so a short pair costs a share of a few array passes
-    rather than passes of its own.  Both sides of every pair must be
-    non-empty.
+    Every cell equals ``score_from_margin(margin(features))`` of the
+    pair's six features, bit for bit.  Pairs are scored together in the
+    blocks of ``pair_blocks``, so a short pair costs a share of a few
+    array passes rather than passes of its own; the matrices of a block
+    are C-contiguous views of one array.  Both sides of every pair must
+    be non-empty.
     """
     compiled = lexicon.compiled()
     pairs = list(pairs)
+    shapes = [(len(sources), len(targets)) for sources, targets in pairs]
     matrices: list[np.ndarray] = []
-    for block in pair_blocks([(len(sources), len(targets)) for sources, targets in pairs]):
-        matrices.extend(_score_block(model, compiled, pairs[block]))
+    for block in pair_blocks(shapes):
+        scores = np.empty(sum(n * m for n, m in shapes[block]))
+        for cells, features in _features(compiled, pairs[block]):
+            scores[cells] = model.scores_from_margins(model.margin(features))
+        offset = 0
+        for n, m in shapes[block]:
+            matrices.append(scores[offset : offset + n * m].reshape(n, m))
+            offset += n * m
     return matrices
 
 
@@ -267,139 +355,20 @@ def score_matrix(
     return score_pairs(model, lexicon, [(sources, targets)])[0]
 
 
-def _score_block(
-    model: "SimilarityModel", compiled: CompiledLexicon, pairs: Sequence[ProfilePair]
-) -> list[np.ndarray]:
-    # Sentences of all pairs are numbered through the block, sources and
-    # targets apart.  Tokens get block ids 0..width-1 shared by both
-    # sides, so that equal strings compare equal.
-    sources = [sp for side, _ in pairs for sp in side]
-    targets = [tp for _, side in pairs for tp in side]
-    n = np.array([len(side) for side, _ in pairs])
-    m = np.array([len(side) for _, side in pairs])
-    columns = int(m.max())
-    source_tokens = [t for sp in sources for t in sp.tokens]
-    tokens = source_tokens + [t for tp in targets for t in tp.tokens]
-    ids = compiled.ids
-    lexicon_id = [ids.get(t, -1) for t in tokens]
-    outside: dict[str, int] = {}  # tokens outside the lexicon get ids past it
-    for k in [k for k, i in enumerate(lexicon_id) if i < 0]:
-        lexicon_id[k] = outside.setdefault(tokens[k], len(ids) + len(outside))
-    block_ids, token = np.unique(np.array(lexicon_id, dtype=np.intp), return_inverse=True)
-    source_token, target_token = token[: len(source_tokens)], token[len(source_tokens) :]
-    width = len(block_ids)
-    s_tokens, s_chars = _lengths(sources)
-    t_tokens, t_chars = _lengths(targets)
-    source_of = np.repeat(np.arange(len(sources)), s_tokens)  # per source position
-    target_of = np.repeat(np.arange(len(targets)), t_tokens)  # per target position
-    pair_of_source = np.repeat(np.arange(len(pairs)), n)  # per source sentence
-    pair_of_target = np.repeat(np.arange(len(pairs)), m)  # per target sentence
-    slot_of_target = np.arange(len(targets)) - np.repeat(_offsets(m), m)  # column in its pair
+def extract_features(
+    source_sentence: str, target_sentence: str, lexicon: Lexicon
+) -> list[float]:
+    """Six-feature description of a sentence pair: the one-cell case of
+    the block feature stage.
 
-    # Rows: the distinct (pair, source token) of the block, and their
-    # translations with p > 0 that occur among the block's tokens.
-    row_keys, row_of_position = np.unique(
-        pair_of_source[source_of] * width + source_token, return_inverse=True
-    )
-    row_pair, row_token = np.divmod(row_keys, width)
-    in_lexicon = int(np.searchsorted(block_ids, len(ids)))  # block ids of lexicon tokens
-    block_id = np.full(len(ids), width, dtype=np.intp)  # lexicon id -> block id
-    block_id[block_ids[:in_lexicon]] = np.arange(in_lexicon)
-    row_id = np.minimum(block_ids[row_token], len(ids))
-    first = compiled.indptr[row_id]
-    count = compiled.indptr[row_id + 1] - first
-    entry = _ranges(first, count)
-    translation = block_id[compiled.targets[entry]]
-    present = translation < width
-    translation_row = np.repeat(np.arange(len(row_keys)), count)[present]
-    translation = translation[present]
-    translation_prob = compiled.probs[entry][present]
-
-    # best[r, j]: highest p(t|s) over the translations t of row r present
-    # in target sentence j of its pair; the last row stays 0.
-    target_types = _distinct(target_of * width + target_token)
-    type_sentence, type_token = np.divmod(target_types, width)
-    t_types = np.bincount(type_sentence, minlength=len(targets))  # distinct tokens
-    best = _best_present(
-        (len(row_keys) + 1, columns),
-        translation_row,
-        row_pair[translation_row] * width + translation,
-        translation_prob,
-        pair_of_target[type_sentence] * width + type_token,
-        slot_of_target[type_sentence],
-    )
-
-    # Per source sentence: the tokens its own tokens reach through the
-    # lexicon, and its own tokens.
-    row_count = np.bincount(translation_row, minlength=len(row_keys))
-    reach_sentence, reach_row = np.divmod(
-        _distinct(source_of * len(row_keys) + row_of_position), len(row_keys)
-    )
-    # A sentence's rows are its distinct tokens.
-    s_types = np.bincount(reach_sentence, minlength=len(sources))
-    reach = _marks(
-        len(sources),
-        width,
-        np.repeat(reach_sentence, row_count[reach_row]),
-        translation[_ranges(_offsets(row_count)[reach_row], row_count[reach_row])],
-    )
-    own = _marks(len(sources), width, source_of, source_token)
-
-    # [position, source sentence] -> row of the token, padded with the
-    # zero row.
-    position_row = np.full((int(s_tokens.max()), len(sources)), len(row_keys), dtype=np.intp)
-    position_row[np.arange(len(source_of)) - np.repeat(_offsets(s_tokens), s_tokens), source_of] = (
-        row_of_position
-    )
-    # Where each target sentence's tokens, and distinct tokens, start.
-    token_start = np.append(_offsets(t_tokens), len(target_token))
-    type_start = np.append(_offsets(t_types), len(type_token))
-    first_target = _offsets(m)
-    # Padding cells read the target sentence just past their row block's
-    # pairs, or an appended one with lengths of 1; their features are
-    # finite and never used.
-    t_tokens, t_chars, t_types = (np.append(v, 1) for v in (t_tokens, t_chars, t_types))
-
-    # Features of every source sentence against the target sentences of
-    # its pair, padded to ``columns``, in row blocks of at most
-    # BLOCK_CELLS cells (or one longer row), with the per-cell arithmetic:
-    # probability sums add token positions in sentence order, counts are
-    # integer sums, ratios single divisions.
-    result = np.empty((len(sources), columns))
-    slots = np.arange(columns)
-    step = max(1, BLOCK_CELLS // columns)
-    for start in range(0, len(sources), step):
-        stop = min(start + step, len(sources))
-        rows = slice(start, stop)
-        pair = pair_of_source[rows, None]
-        # The row block's pairs own target sentences low..high-1.
-        low = first_target[pair_of_source[start]]
-        high = first_target[pair_of_source[stop - 1]] + m[pair_of_source[stop - 1]]
-        local = np.where(slots < m[pair], first_target[pair] + slots - low, high - low)
-        column = local + low
-        row_tokens = s_tokens[rows, None]
-        prob_sum = np.zeros(column.shape)
-        covered = np.zeros(column.shape, dtype=np.int64)
-        for token_rows in position_row[: row_tokens.max(), rows]:
-            token_best = best[token_rows]
-            prob_sum += token_best
-            covered += token_best > 0.0
-        reached = _sums_by_sentence(reach[rows], target_token, token_start[low : high + 1], local)
-        shared = _sums_by_sentence(own[rows], type_token, type_start[low : high + 1], local)
-        features = [
-            np.minimum(row_tokens / t_tokens[column], _RATIO_CAP),
-            covered / row_tokens,
-            reached / t_tokens[column],
-            prob_sum / np.maximum(covered, 1),
-            np.minimum(s_chars[rows, None] / t_chars[column], _RATIO_CAP),
-            shared / np.maximum(s_types[rows, None], t_types[column]),
-        ]
-        result[rows] = model.scores_from_margins(model.margin(features))
-
-    return [
-        np.ascontiguousarray(result[offset : offset + height, :length])
-        for offset, height, length in zip(_offsets(n).tolist(), n.tolist(), m.tolist())
-    ]
+    Order: token-length ratio (capped at 4), source lexicon coverage,
+    target lexicon coverage, mean best translation probability over
+    covered source tokens, character-length ratio (capped at 4), and
+    fraction of shared identical tokens.
+    """
+    pair = ([profile_sentence(source_sentence)], [profile_sentence(target_sentence)])
+    ((_, features),) = _features(lexicon.compiled(), [pair])
+    return [float(feature[0]) for feature in features]
 
 
 @dataclass(frozen=True)
@@ -597,9 +566,72 @@ def training_features(
     negatives: Sequence[tuple[str, str]],
     lexicon: Lexicon,
 ) -> np.ndarray:
-    """Feature rows of every training example, positives first."""
-    rows = [extract_features(s, t, lexicon) for s, t in chain(positives, negatives)]
-    return np.asarray(rows, dtype=np.float64).reshape(-1, FEATURE_COUNT)
+    """Feature rows of every training example, positives first.
+
+    Each example is a 1x1 pair of the block feature stage, and each
+    distinct sentence is profiled once.
+    """
+    examples = [*positives, *negatives]
+    profiles = {
+        text: profile_sentence(text) for text in dict.fromkeys(chain.from_iterable(examples))
+    }
+    pairs = [([profiles[s]], [profiles[t]]) for s, t in examples]
+    compiled = lexicon.compiled()
+    x = np.empty((len(pairs), FEATURE_COUNT))
+    for block in pair_blocks([(1, 1)] * len(pairs)):
+        for cells, features in _features(compiled, pairs[block]):
+            x[block.start + cells.start : block.start + cells.stop] = np.column_stack(features)
+    return x
+
+
+# ``_pegasos`` checks runs of at least this many steps; a run without a
+# violation is followed by one four times longer, one with a violation
+# by one half as long.
+_SHORTEST_RUN = 8
+
+
+def _pegasos(xs: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> tuple[np.ndarray, float]:
+    """Weights and bias of Pegasos hinge-loss training with L2
+    regularization, one seeded permutation of the examples per epoch.
+
+    Step t shrinks ``w`` by ``1 - eta * lambda`` (``eta = 1 / (lambda t)``)
+    and, if the example's margin is below 1, adds ``eta * y * x``.  Most
+    steps only shrink, so the checks are taken in runs of steps: the run
+    scales ``w`` step by step with ``np.multiply.accumulate`` (one rounding
+    per step, as ``w *= s``) and takes every margin with ``np.vecdot``
+    (the ``np.dot`` kernel, row by row).  The first violating step is
+    updated with the same operands as a one-step loop, and the next run
+    starts after it, so the result equals that loop bit for bit.
+    """
+    rng = np.random.default_rng(seed)
+    w = np.zeros(FEATURE_COUNT)
+    bias = 0.0
+    length = _SHORTEST_RUN
+    for epoch in range(epochs):
+        order = rng.permutation(len(xs))
+        x, label = xs[order], y[order]
+        t = np.arange(epoch * len(xs) + 1, (epoch + 1) * len(xs) + 1, dtype=np.float64)
+        eta = 1.0 / (L2_LAMBDA * t)
+        shrink = 1.0 - eta * L2_LAMBDA
+        start = 0
+        while start < len(order):
+            stop = min(start + length, len(order))
+            scaled = np.empty((stop - start + 1, FEATURE_COUNT))
+            scaled[0] = w
+            scaled[1:] = shrink[start:stop, None]
+            scaled = np.multiply.accumulate(scaled, axis=0)[1:]
+            margins = label[start:stop] * (np.vecdot(scaled, x[start:stop]) + bias)
+            violated = np.flatnonzero(margins < 1.0)
+            if len(violated) == 0:
+                w = scaled[-1]
+                start, length = stop, 4 * length
+                continue
+            k = int(violated[0])
+            step = start + k
+            w = scaled[k] + eta[step] * label[step] * x[step]
+            bias += eta[step] * label[step]
+            start, length = step + 1, max(_SHORTEST_RUN, length // 2)
+    return w, bias
 
 
 def train_classifier(
@@ -633,20 +665,7 @@ def train_classifier(
     scales = np.where(scales < ZERO_VARIANCE_EPS, 1.0, scales)
     xs = (x - means) / scales
 
-    rng = np.random.default_rng(seed)
-    w = np.zeros(FEATURE_COUNT)
-    bias = 0.0
-    t = 0
-    for _ in range(epochs):
-        for index in rng.permutation(len(xs)):
-            t += 1
-            eta = 1.0 / (L2_LAMBDA * t)
-            xi = xs[index]
-            yi = y[index]
-            w *= 1.0 - eta * L2_LAMBDA
-            if yi * (float(np.dot(w, xi)) + bias) < 1.0:
-                w += eta * yi * xi
-                bias += eta * yi
+    w, bias = _pegasos(xs, y, epochs, seed)
 
     train_margins = xs @ w + bias
     sigmoid_a, sigmoid_b = _fit_platt(train_margins, y)
@@ -686,6 +705,7 @@ def training_accuracy(
 def similarity(
     model: SimilarityModel, source_sentence: str, target_sentence: str, lexicon: Lexicon
 ) -> float:
-    """Calibrated translation-likelihood score in [0, 1]."""
-    features = extract_features(source_sentence, target_sentence, lexicon)
-    return model.score_from_margin(model.margin(features))
+    """Calibrated translation-likelihood score in [0, 1]: the one-cell
+    case of ``score_matrix``."""
+    sources, targets = [profile_sentence(source_sentence)], [profile_sentence(target_sentence)]
+    return float(score_matrix(model, lexicon, sources, targets)[0, 0])

@@ -43,6 +43,7 @@ from .demos import (
 )
 from .lexicon import build_lexicon, merge_title_lexicon, read_lexicon, write_lexicon
 from .manifest import RunManifest, file_digest, write_manifest
+from .text import tokenize
 from .tuning import TuningSample, read_reference, tune
 
 # "nw-wavefront" named a retired anti-diagonal fill with the same output;
@@ -119,7 +120,12 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    positives = read_parallel(args.parallel_file)
+    pairs = read_parallel(args.parallel_file)
+    # The pairs that ``dict`` drops too: a side without tokens.
+    positives = [(s, t) for s, t in pairs if tokenize(s) and tokenize(t)]
+    skipped = len(pairs) - len(positives)
+    if skipped:
+        print(f"skipped {skipped} untokenizable training pairs", file=sys.stderr)
     if not positives:
         raise ValueError(f"{args.parallel_file}: no training pairs")
     lexicon = read_lexicon(args.lexicon_file)
@@ -317,7 +323,12 @@ class UsageError(Exception):
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42)
-    common.add_argument("--workers", type=int, default=1)
+    common.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for mine (default 1); the other commands run in one process",
+    )
     common.add_argument("--verbose", action="store_true")
 
     parser = argparse.ArgumentParser(

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: exhaustive enumeration instead
 of dynamic programming, a traceback that records every step as it
 walks, dict-based EM written from the update equations,
-scoring one cell at a time through the per-pair feature extractor
-instead of array blocks, and markup cleaning and sentence segmentation
+features of one sentence pair at a time from the lexicon's dict rows
+instead of array blocks, Pegasos training one step at a time, and
+markup cleaning and sentence segmentation
 by whole-text regex passes that may rescan the text.  These stay
 separate from the package's fast paths so each check has two routes.
 """
@@ -27,7 +28,7 @@ from bimine.align import (
     filter_by_threshold,
     run_engine,
 )
-from bimine.classifier import extract_features
+from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS, profile_sentence
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
 
 
@@ -120,6 +121,68 @@ def reference_traceback(
         steps.append(GapTarget(j))
         j += 1
     return steps
+
+
+def extract_features(source_sentence, target_sentence, lexicon) -> list[float]:
+    """Six-feature description of a sentence pair, token by token (the
+    package's former per-pair extractor)."""
+    source = profile_sentence(source_sentence)
+    target = profile_sentence(target_sentence)
+    source_set, target_set = set(source.tokens), set(target.tokens)
+    token_ratio = min(len(source.tokens) / len(target.tokens), 4.0)
+    char_ratio = min(len(source.text) / len(target.text), 4.0)
+
+    covered = 0
+    best_prob_sum = 0.0
+    for s in source.tokens:
+        best = 0.0
+        for t, p in lexicon.translations(s).items():
+            if t in target_set and p > best:
+                best = p
+        if best > 0.0:
+            covered += 1
+            best_prob_sum += best
+    source_coverage = covered / len(source.tokens)
+    mean_best_prob = best_prob_sum / covered if covered else 0.0
+
+    reach: set[str] = set()
+    for s in source_set:
+        reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
+    covered_target = 0
+    for t in target.tokens:
+        if t in reach:
+            covered_target += 1
+    target_coverage = covered_target / len(target.tokens)
+
+    shared = len(source_set & target_set)
+    overlap = shared / max(len(source_set), len(target_set))
+
+    return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
+
+
+def reference_pegasos(x: np.ndarray, y: np.ndarray, epochs: int, seed: int):
+    """Standardization and Pegasos training one step at a time (the
+    package's former loop): ``(weights, bias, means, scales)``."""
+    means = x.mean(axis=0)
+    scales = x.std(axis=0)
+    scales = np.where(scales < ZERO_VARIANCE_EPS, 1.0, scales)
+    xs = (x - means) / scales
+
+    rng = np.random.default_rng(seed)
+    w = np.zeros(FEATURE_COUNT)
+    bias = 0.0
+    t = 0
+    for _ in range(epochs):
+        for index in rng.permutation(len(xs)):
+            t += 1
+            eta = 1.0 / (L2_LAMBDA * t)
+            xi = xs[index]
+            yi = y[index]
+            w *= 1.0 - eta * L2_LAMBDA
+            if yi * (float(np.dot(w, xi)) + bias) < 1.0:
+                w += eta * yi * xi
+                bias += eta * yi
+    return w, bias, means, scales
 
 
 def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bimine import align, kernels
+from bimine import align, classifier, kernels
 from bimine.align import (
     Alignment,
     GapSource,
@@ -47,6 +47,7 @@ from bimine.demos import (
 from conftest import make_mining_pair
 from oracles import (
     brute_force_best_score,
+    extract_features,
     reference_dp_table,
     reference_score_matrix,
     reference_traceback,
@@ -679,6 +680,45 @@ def sentence_pairs(draw):
     return pairs
 
 
+@st.composite
+def stub_pairs(draw):
+    """100-400 pairs of 1x1, 1xn and nx1 sentence lists (n <= 3), the shape
+    of stub articles, so that hundreds of pairs share a block; sometimes
+    with one wide 1x150-400 pair among them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sources = draw(st.lists(sentence_strategy(SOURCE_WORDS), min_size=1, max_size=8))
+    targets = draw(st.lists(sentence_strategy(TARGET_WORDS), min_size=1, max_size=8))
+    kinds = [(1, 1), (1, 2), (1, 3), (2, 1), (3, 1)]
+    shapes = [kinds[k] for k in rng.integers(0, len(kinds), rng.integers(100, 401))]
+    if draw(st.booleans()):
+        shapes.insert(int(rng.integers(0, len(shapes) + 1)), (1, int(rng.integers(150, 401))))
+    return [
+        (
+            [sources[k] for k in rng.integers(0, len(sources), n)],
+            [targets[k] for k in rng.integers(0, len(targets), m)],
+        )
+        for n, m in shapes
+    ]
+
+
+def profile_pairs(pairs):
+    return [
+        ([profile_sentence(s) for s in sources], [profile_sentence(t) for t in targets])
+        for sources, targets in pairs
+    ]
+
+
+def block_features(lexicon, profiled):
+    """Feature rows of every cell of every pair, from the block feature
+    stage, pair after pair and row by row."""
+    compiled = lexicon.compiled()
+    rows = []
+    for block in pair_blocks([(len(s), len(t)) for s, t in profiled]):
+        for _, features in classifier._features(compiled, profiled[block]):
+            rows.append(np.column_stack(features))
+    return np.concatenate(rows)
+
+
 class TestScorePairs:
     """Scoring pairs in blocks equals the per-cell oracle bit for bit."""
 
@@ -701,10 +741,7 @@ class TestScorePairs:
         ],
     )
     def test_generated_blocks(self, model, lexicon, pairs):
-        profiled = [
-            ([profile_sentence(s) for s in sources], [profile_sentence(t) for t in targets])
-            for sources, targets in pairs
-        ]
+        profiled = profile_pairs(pairs)
         matrices = score_pairs(model, lexicon, profiled)
         assert len(matrices) == len(pairs)
         for (sources, targets), matrix in zip(pairs, matrices):
@@ -712,16 +749,68 @@ class TestScorePairs:
             assert matrix.shape == expected.shape and matrix.flags.c_contiguous
             assert np.array_equal(matrix, expected)
 
+    @settings(max_examples=20, deadline=None)
+    @given(model=MODELS, lexicon=LEXICONS, pairs=st.one_of(stub_pairs(), sentence_pairs()))
+    def test_generated_features_and_stub_blocks(self, model, lexicon, pairs):
+        profiled = profile_pairs(pairs)
+        expected = [
+            extract_features(s, t, lexicon)
+            for sources, targets in pairs
+            for s in sources
+            for t in targets
+        ]
+        assert np.array_equal(block_features(lexicon, profiled), np.array(expected))
+        for (sources, targets), matrix in zip(pairs, score_pairs(model, lexicon, profiled)):
+            assert np.array_equal(matrix, reference_score_matrix(model, lexicon, sources, targets))
+
+    def test_join_hits_follow_each_pair(self, toy_model, toy_lexicon, monkeypatch):
+        # Every hit of a join pairs a source token or sentence with a
+        # target token of the same pair, never of another pair in the block.
+        lookups, counts = [], []
+        real_lookup, real_join = classifier._lookup, classifier._join
+
+        def counting_lookup(keys, starts, queries):
+            first, hits = real_lookup(keys, starts, queries)
+            lookups.append(int(hits.sum()))
+            return first, hits
+
+        def counting_join(keys, starts, queries):
+            query, item = real_join(keys, starts, queries)
+            counts.append(len(item))
+            return query, item
+
+        monkeypatch.setattr(classifier, "_lookup", counting_lookup)
+        monkeypatch.setattr(classifier, "_join", counting_join)
+        rng = np.random.default_rng(137)
+        pair, _ = make_mining_pair(rng, "stub", true_pairs=8, target_noise=4)
+        sources, targets = pair.source.sentences, pair.target.sentences
+        pairs = [([sources[k % 8]], [targets[(k * 5) % 12]]) for k in range(600)]
+        pairs.insert(300, ([sources[0]], list(targets) * 30))  # a wide pair among tiny ones
+        profiled = profile_pairs(pairs)
+        assert len(list(pair_blocks([(len(s), len(t)) for s, t in profiled]))) == 1
+        score_pairs(toy_model, toy_lexicon, profiled)
+
+        def tokens(side):
+            return sum(len(p.tokens) for p in side)
+
+        # The two counts (shared and reached tokens) join source sentences,
+        # the best table source tokens, against their own pair's targets.
+        per_pair = sum(len(s) * tokens(t) for s, t in profiled)
+        assert len(counts) == 2 and 0 < max(counts) <= per_pair
+        assert 0 < sum(lookups) <= 2 * per_pair + sum(tokens(s) * tokens(t) for s, t in profiled)
+        # Hits that crossed pairs would be bounded by the block instead.
+        assert per_pair * 100 < len(profiled) * sum(tokens(t) for _, t in profiled)
+
     def test_block_of_many_pairs_in_several_row_blocks(self, toy_model, toy_lexicon):
-        # 100 tall pairs and one wide one: 820 cells, one block, but padded
-        # to 20 columns its 801 rows need eight row blocks.
+        # 100 tall pairs and one wide one: 820 cells in one block, whose
+        # cells are stored flat, so the wide pair pads none of the others.
         rng = np.random.default_rng(131)
         pair, _ = make_mining_pair(rng, "rows", true_pairs=8, target_noise=12)
         sources, targets = list(pair.source.sentences), list(pair.target.sentences)
         pairs = [(sources[k % 8 :] + sources[: k % 8], [targets[k % 20]]) for k in range(100)]
         pairs.insert(60, (sources[:1], targets))
         assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
-        profiled = [([profile_sentence(x) for x in s], [profile_sentence(x) for x in t]) for s, t in pairs]
+        profiled = profile_pairs(pairs)
         for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, profiled)):
             assert np.array_equal(matrix, reference_score_matrix(toy_model, toy_lexicon, s, t))
 

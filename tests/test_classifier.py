@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bimine.classifier import (
@@ -23,6 +23,8 @@ from bimine.classifier import (
 from bimine.lexicon import Lexicon
 
 from conftest import make_parallel_sentences
+from oracles import extract_features as reference_features
+from oracles import reference_pegasos
 
 EMPTY = Lexicon({})
 
@@ -129,13 +131,13 @@ class TestTraining:
         features = training_features(positives, negatives, toy_lexicon)
         assert features.shape == (len(positives) + len(negatives), FEATURE_COUNT)
         assert features.tolist() == [
-            extract_features(s, t, toy_lexicon) for s, t in positives + negatives
+            reference_features(s, t, toy_lexicon) for s, t in positives + negatives
         ]
         model = train_classifier(positives, negatives, toy_lexicon, epochs=4, seed=5)
         assert train_classifier(positives, negatives, toy_lexicon, 4, 5, features) == model
         # The per-example count that the accuracy pass replaces.
         correct = sum(
-            (model.margin(extract_features(s, t, toy_lexicon)) > 0) == label
+            (model.margin(reference_features(s, t, toy_lexicon)) > 0) == label
             for examples, label in ((positives, True), (negatives, False))
             for s, t in examples
         )
@@ -143,6 +145,52 @@ class TestTraining:
         assert expected < 1.0
         assert training_accuracy(model, positives, negatives, toy_lexicon, features) == expected
         assert training_accuracy(model, positives, negatives, toy_lexicon) == expected
+
+
+@st.composite
+def feature_sets(draw):
+    """Standardizable feature rows with +-1 labels: separated or
+    overlapping classes, optionally on a coarse grid (many equal rows and
+    margins) and with a constant column."""
+    positives = draw(st.integers(1, 250))
+    negatives = draw(st.integers(1, 250))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.normal(size=(positives + negatives, FEATURE_COUNT))
+    x[:positives] += draw(st.sampled_from([0.0, 0.5, 4.0]))
+    if draw(st.booleans()):
+        x = np.round(x * 2.0) / 2.0
+    if draw(st.booleans()):
+        x[:, draw(st.integers(0, FEATURE_COUNT - 1))] = draw(st.floats(-2.0, 2.0))
+    return positives, negatives, x
+
+
+class TestPegasos:
+    """Hinge checks taken in runs equal the one-step-at-a-time loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=feature_sets(), epochs=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+    @example(data=(1, 1, np.array([[1.0, 0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0, 0]])), epochs=3, seed=0)
+    def test_equals_reference_loop(self, data, epochs, seed):
+        positives, negatives, x = data
+        y = np.array([1.0] * positives + [-1.0] * negatives)
+        model = train_classifier(
+            [("a", "x")] * positives, [("a", "y")] * negatives, EMPTY, epochs, seed, x
+        )
+        weights, bias, means, scales = reference_pegasos(x, y, epochs, seed)
+        assert np.array_equal(model.weights, weights)
+        assert model.bias == bias
+        assert np.array_equal(model.feature_means, means)
+        assert np.array_equal(model.feature_scales, scales)
+
+    def test_run_margins_use_the_dot_kernel(self):
+        # The batched margins must round as ``np.dot`` does; ``einsum`` or
+        # a plain sum differ in about half of these.  A margin only
+        # decides whether a step updates, so a kernel change would alter
+        # the model only where a margin rounds across 1.
+        rng = np.random.default_rng(7)
+        w = rng.normal(size=(20000, FEATURE_COUNT)) * rng.uniform(1e-3, 1e3, size=(20000, 1))
+        x = rng.normal(size=(20000, FEATURE_COUNT))
+        assert np.array_equal(np.vecdot(w, x), [np.dot(a, b) for a, b in zip(w, x)])
 
 
 class TestScoring:

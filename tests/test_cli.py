@@ -173,21 +173,51 @@ class TestTrain:
         assert f"{lexicon}: line 2: duplicate entry 'a' -> 'x' (first on line 1)" in err
         assert not (tmp_path / "m.json").exists()
 
-    def test_features_extracted_once_per_example(self, tmp_path, pipeline, monkeypatch):
+    def test_each_distinct_training_sentence_profiled_once(self, tmp_path, pipeline, monkeypatch):
         import bimine.classifier
 
         calls = []
-        real = bimine.classifier.extract_features
+        real = bimine.classifier.profile_sentence
 
-        def counting(*args):
-            calls.append(args[:2])
-            return real(*args)
+        def counting(sentence):
+            calls.append(sentence)
+            return real(sentence)
 
-        monkeypatch.setattr(bimine.classifier, "extract_features", counting)
+        monkeypatch.setattr(bimine.classifier, "profile_sentence", counting)
         parallel, lexicon = str(pipeline / "parallel.tsv"), str(pipeline / "lexicon.tsv")
         assert main(["train", parallel, lexicon, str(tmp_path / "m.json")]) == 0
         positives = read_parallel(pipeline / "parallel.tsv")
-        assert len(calls) == 2 * len(positives)  # each positive and its negative, once
+        # Negatives reuse the positives' sentences, and the accuracy pass
+        # reuses the features.
+        assert sorted(calls) == sorted({sentence for pair in positives for sentence in pair})
+
+    def test_untokenizable_pairs_skipped(self, tmp_path, pipeline, capsys):
+        parallel, lexicon = pipeline / "parallel.tsv", str(pipeline / "lexicon.tsv")
+        lines = parallel.read_text(encoding="utf-8").splitlines(keepends=True)
+        noisy = tmp_path / "noisy.tsv"
+        noisy.write_text(
+            "".join(lines[:3] + ["!!!\tle chien\n", "\tzork\n"] + lines[3:] + ["zork\t...\n"]),
+            encoding="utf-8",
+        )
+        capsys.readouterr()
+        assert main(["train", str(parallel), lexicon, str(tmp_path / "clean.json")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["train", str(noisy), lexicon, str(tmp_path / "noisy.json")]) == 0
+        assert capsys.readouterr().err == "skipped 3 untokenizable training pairs\n"
+        # Dropped before the negatives are drawn: the model is the clean one.
+        assert (tmp_path / "noisy.json").read_bytes() == (tmp_path / "clean.json").read_bytes()
+
+    def test_only_untokenizable_pairs_fail(self, tmp_path, pipeline, capsys):
+        parallel = tmp_path / "bad.tsv"
+        parallel.write_text("!!!\tle chien\n...\t?\n", encoding="utf-8")
+        lexicon = str(pipeline / "lexicon.tsv")
+        code = main(["train", str(parallel), lexicon, str(tmp_path / "m.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == (
+            f"skipped 2 untokenizable training pairs\nerror: {parallel}: no training pairs\n"
+        )
+        assert not (tmp_path / "m.json").exists()
 
     def test_manifest_wall_time_covers_accuracy_pass(self, tmp_path, pipeline, monkeypatch):
         import bimine.cli
