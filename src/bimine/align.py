@@ -1,7 +1,7 @@
 """Sentence-sequence alignment engines and document-pair mining.
 
 A document pair is scored into an N x M similarity matrix (one cell per
-sentence pair, values in [0, 1]) by ``classifier.score_matrix``, which
+sentence pair, values in [0, 1]) by ``classifier.score_pairs``, which
 computes the features of whole row blocks with numpy and matches scoring
 each cell on its own bit for bit.  Cell values are mapped affinely onto
 [mismatch_cost, match_bonus] and an alignment maximizing total mapped
@@ -50,7 +50,6 @@ from .classifier import (
     SimilarityModel,
     pair_blocks,
     profile_sentence,
-    score_matrix,
     score_pairs,
 )
 from .corpus import DocumentPair
@@ -136,9 +135,8 @@ def build_score_matrix(
     """Similarity of every source sentence against every target sentence."""
     if not source_sentences or not target_sentences:
         raise ValueError("both sentence sequences must be non-empty")
-    return score_matrix(
-        model, lexicon, _profiles(source_sentences, "source"), _profiles(target_sentences, "target")
-    )
+    pair = (_profiles(source_sentences, "source"), _profiles(target_sentences, "target"))
+    return score_pairs(model, lexicon, [pair])[0]
 
 
 def _matches(

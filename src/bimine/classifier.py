@@ -14,10 +14,10 @@ own), and each feature of a block is a few array passes against the
 lexicon compiled once into arrays (``Lexicon.compiled``), with work that
 follows each pair's own sentences and tokens.  ``score_pairs`` adds the
 margin and the sigmoid; ``training_features`` runs the stage over the
-training examples as 1x1 pairs.  ``score_matrix``, ``extract_features``
-and ``similarity`` are its one-pair and one-cell cases.  Features and
-scores are bit-identical to the per-pair definition that
-``tests/oracles.py`` keeps.
+training examples as 1x1 pairs.  ``extract_features`` and
+``similarity`` are its one-cell cases.  Features and scores are
+bit-identical to the per-pair definition that ``tests/oracles.py``
+keeps.
 """
 
 from __future__ import annotations
@@ -342,17 +342,6 @@ def score_pairs(
             matrices.append(scores[offset : offset + n * m].reshape(n, m))
             offset += n * m
     return matrices
-
-
-def score_matrix(
-    model: "SimilarityModel",
-    lexicon: Lexicon,
-    sources: Sequence[SentenceProfile],
-    targets: Sequence[SentenceProfile],
-) -> np.ndarray:
-    """Score of every source profile against every target profile: the
-    one-pair case of ``score_pairs``."""
-    return score_pairs(model, lexicon, [(sources, targets)])[0]
 
 
 def extract_features(
@@ -706,6 +695,6 @@ def similarity(
     model: SimilarityModel, source_sentence: str, target_sentence: str, lexicon: Lexicon
 ) -> float:
     """Calibrated translation-likelihood score in [0, 1]: the one-cell
-    case of ``score_matrix``."""
-    sources, targets = [profile_sentence(source_sentence)], [profile_sentence(target_sentence)]
-    return float(score_matrix(model, lexicon, sources, targets)[0, 0])
+    case of ``score_pairs``."""
+    pair = ([profile_sentence(source_sentence)], [profile_sentence(target_sentence)])
+    return float(score_pairs(model, lexicon, [pair])[0][0, 0])

@@ -5,7 +5,9 @@ reproducible and diffable.  A document file carries one article per
 line (``id<TAB>title<TAB>text`` with tabs/newlines escaped), a link
 table carries one ``source_title<TAB>target_title`` pair per line, and
 a paired corpus directory holds the resolved article pairs plus their
-segmented sentences.
+segmented sentences.  Every reader of these files, and of the lexicon
+and reference files, takes its rows from ``read_rows``, which holds the
+rules they share: encoding, blank lines, width and error location.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 import os
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .text import clean_markup, segment_sentences, tokenize
 
@@ -87,40 +89,73 @@ def unescape_field(text: str) -> str:
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP[m.group(1)], text)
 
 
+def read_rows(path: str | os.PathLike, count: int) -> Iterator[tuple[int, list[str]]]:
+    """Yield ``(line number, fields)`` for each non-blank line of a
+    tab-separated file.
+
+    This is the one place of the file format shared by every reader: the
+    file is UTF-8, a leading byte order mark is dropped, blank lines are
+    skipped, and a line that is not ``count`` fields wide or not UTF-8
+    is rejected as ``path: line N: ...``.
+    """
+    with open(path, encoding="utf-8-sig") as handle:
+        try:
+            for lineno, line in enumerate(handle, 1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                fields = line.split("\t")
+                if len(fields) != count:
+                    raise ValueError(
+                        f"{path}: line {lineno}: expected {count} tab-separated fields, "
+                        f"got {len(fields)}"
+                    )
+                yield lineno, fields
+        except UnicodeDecodeError:
+            raise ValueError(_not_utf8(path)) from None
+
+
+def _not_utf8(path: str | os.PathLike) -> str:
+    """The error for the first line of ``path`` that is not UTF-8.
+
+    The text reader decodes ahead of the line it yields, so its error
+    does not locate the line; the file is scanned again in binary, with
+    the same line breaks, only when it fails.
+    """
+    with open(path, "rb") as handle:
+        for lineno, raw in enumerate(handle.read().splitlines(), 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return (
+                    f"{path}: line {lineno}: not UTF-8 (byte {raw[exc.start]:#04x} "
+                    f"at column {exc.start + 1}: {exc.reason})"
+                )
+    return f"{path}: changed while it was read"
+
+
 def ingest_documents(path: str | os.PathLike, lang: str) -> list[Document]:
     """Read a document file, clean and segment every record.
 
-    Raises ValueError naming the offending line or id on malformed
-    input, duplicate ids, or records that clean down to no sentences.
+    Raises ValueError naming the offending line on malformed input,
+    duplicate ids, or records that clean down to no sentences.
     """
     documents: list[Document] = []
     first_line: dict[str, int] = {}  # document id -> line it first appears on
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            doc_id, title, raw = fields
-            if not doc_id:
-                raise ValueError(f"{path}: line {lineno}: empty document id")
-            if doc_id in first_line:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate document id {doc_id!r} "
-                    f"(first on line {first_line[doc_id]})"
-                )
-            first_line[doc_id] = lineno
-            text = clean_markup(unescape_field(raw))
-            sentences = segment_sentences(text)
-            if not sentences:
-                raise ValueError(f"document {doc_id} has no sentences")
-            documents.append(
-                Document(id=doc_id, lang=lang, title=title.strip(), sentences=tuple(sentences))
+    for lineno, (doc_id, title, raw) in read_rows(path, 3):
+        if doc_id in first_line:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate document id {doc_id!r} "
+                f"(first on line {first_line[doc_id]})"
             )
+        first_line[doc_id] = lineno
+        sentences = tuple(segment_sentences(clean_markup(unescape_field(raw))))
+        try:
+            documents.append(
+                Document(id=doc_id, lang=lang, title=title.strip(), sentences=sentences)
+            )
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return documents
 
 
@@ -178,36 +213,15 @@ def corpus_stats(bitext: Sequence[tuple[object, str, str]]) -> CorpusStats:
 
 
 def read_links(path: str | os.PathLike) -> list[tuple[str, str]]:
-    links = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            links.append((fields[0], fields[1]))
-    return links
+    """Read a link or title table of ``source<TAB>target`` rows."""
+    return [(source, target) for _, (source, target) in read_rows(path, 2)]
 
 
 def read_parallel(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read a training corpus of ``source<TAB>target`` sentence pairs."""
-    pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            pairs.append((fields[0], fields[1]))
-    return pairs
+    # Not a call of ``read_links``: ``perfbench/tracing.py`` counts the
+    # bytes each of the two reads, and would count a nested call twice.
+    return [(source, target) for _, (source, target) in read_rows(path, 2)]
 
 
 def write_bitext(path: str | os.PathLike, rows: Iterable[tuple[float, str, str]]) -> None:
@@ -218,25 +232,16 @@ def write_bitext(path: str | os.PathLike, rows: Iterable[tuple[float, str, str]]
 
 def read_bitext(path: str | os.PathLike) -> list[tuple[float, str, str]]:
     rows = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            try:
-                score = float(fields[0])
-            except ValueError:
-                score = math.nan
-            if not math.isfinite(score):
-                raise ValueError(
-                    f"{path}: line {lineno}: score must be a finite number, got {fields[0]!r}"
-                )
-            rows.append((score, fields[1], fields[2]))
+    for lineno, (score_field, source_sentence, target_sentence) in read_rows(path, 3):
+        try:
+            score = float(score_field)
+        except ValueError:
+            score = math.nan
+        if not math.isfinite(score):
+            raise ValueError(
+                f"{path}: line {lineno}: score must be a finite number, got {score_field!r}"
+            )
+        rows.append((score, source_sentence, target_sentence))
     return rows
 
 
@@ -278,41 +283,35 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     The sentence indices of each topic and side must be exactly
     ``0..k-1`` (in any row order) and the side ``src`` or ``tgt``;
     anything else is rejected as ``path: line N: ...``, since a
-    reference alignment would otherwise point at other sentences.
+    reference alignment would otherwise point at other sentences.  So is
+    a pair row whose documents fail their checks, such as a topic
+    without sentence rows or two sides of one language.
     """
     pairs_path = os.path.join(corpus_dir, _PAIRS_FILE)
     sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
     # (topic, side) -> sentence index -> (line number, sentence)
     sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
-    with open(sentences_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 4:
-                raise ValueError(f"{sentences_path}: line {lineno}: malformed sentence row")
-            topic_id, side, index, sentence = fields
-            if side not in ("src", "tgt"):
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
-                )
-            try:
-                position = int(index)
-            except ValueError:
-                position = -1
-            if position < 0:
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: sentence index must be a "
-                    f"non-negative integer, got {index!r}"
-                )
-            rows = sentences.setdefault((unescape_field(topic_id), side), {})
-            if position in rows:
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
-                    f"(first on line {rows[position][0]})"
-                )
-            rows[position] = (lineno, sentence)
+    for lineno, (topic_id, side, index, sentence) in read_rows(sentences_path, 4):
+        if side not in ("src", "tgt"):
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
+            )
+        try:
+            position = int(index)
+        except ValueError:
+            position = -1
+        if position < 0:
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: sentence index must be a "
+                f"non-negative integer, got {index!r}"
+            )
+        rows = sentences.setdefault((unescape_field(topic_id), side), {})
+        if position in rows:
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
+                f"(first on line {rows[position][0]})"
+            )
+        rows[position] = (lineno, sentence)
     for (topic_id, side), rows in sentences.items():
         for expected, position in enumerate(sorted(rows)):
             if position != expected:
@@ -326,15 +325,9 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
         return tuple(rows[position][1] for position in range(len(rows)))
 
     pairs: list[DocumentPair] = []
-    with open(pairs_path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 7:
-                raise ValueError(f"{pairs_path}: line {lineno}: malformed pair row")
-            topic_id = unescape_field(fields[0])
+    for lineno, fields in read_rows(pairs_path, 7):
+        topic_id = unescape_field(fields[0])
+        try:
             source = Document(
                 id=fields[1],
                 lang=fields[2],
@@ -348,4 +341,6 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
                 sentences=doc_sentences(topic_id, "tgt"),
             )
             pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
+        except ValueError as exc:
+            raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
     return pairs

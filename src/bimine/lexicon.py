@@ -27,6 +27,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import read_rows
 from .text import tokenize
 
 # Entries below this probability are dropped after the final iteration.
@@ -252,42 +253,24 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
     probability outside [0, 1] and a repeated (source, target) pair as
     ``path: line N: ...``."""
     table: dict[str, dict[str, float]] = defaultdict(dict)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            try:
-                prob = float(fields[2])
-            except ValueError:
-                prob = math.nan
-            if not 0.0 <= prob <= 1.0:  # also rejects nan
-                raise ValueError(
-                    f"{path}: line {lineno}: probability must lie in [0, 1], got {fields[2]!r}"
-                )
-            row = table[fields[0]]
-            if fields[1] in row:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate entry {fields[0]!r} -> {fields[1]!r} "
-                    f"(first on line {_first_line_of(path, fields[:2])})"
-                )
-            row[fields[1]] = prob
+    for lineno, (source, target, prob_field) in read_rows(path, 3):
+        try:
+            prob = float(prob_field)
+        except ValueError:
+            prob = math.nan
+        if not 0.0 <= prob <= 1.0:  # also rejects nan
+            raise ValueError(
+                f"{path}: line {lineno}: probability must lie in [0, 1], got {prob_field!r}"
+            )
+        row = table[source]
+        if target in row:
+            # Only this message needs a line number, so none is kept and
+            # the file is read again up to the entry's first line.
+            rows = read_rows(path, 3)
+            first = next((n for n, entry in rows if entry[:2] == [source, target]), lineno)
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate entry {source!r} -> {target!r} "
+                f"(first on line {first})"
+            )
+        row[target] = prob
     return Lexicon(table)
-
-
-def _first_line_of(path: str | os.PathLike, entry: list[str]) -> int:
-    """Number of the first line of a lexicon file holding ``entry``.
-
-    Only an error message needs it, so the reader keeps no line numbers
-    and the file is scanned again instead.
-    """
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            if line.rstrip("\n").split("\t")[:2] == entry:
-                return lineno
-    raise ValueError(f"{path}: changed while it was read")

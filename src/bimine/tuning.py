@@ -27,7 +27,7 @@ from .align import (
     run_engine,
 )
 from .classifier import SimilarityModel
-from .corpus import DocumentPair
+from .corpus import DocumentPair, read_rows
 from .lexicon import Lexicon
 
 GAP_PENALTY_RANGE = (0.0, 5.0)
@@ -177,33 +177,24 @@ def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
     """
     reference: dict[str, list[tuple[int, int]]] = {}
     first_line: dict[tuple[str, int, int], int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, 1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise ValueError(
-                    f"{path}: line {lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            try:
-                pair = (int(fields[1]), int(fields[2]))
-            except ValueError:
-                raise ValueError(
-                    f"{path}: line {lineno}: indices must be integers, got "
-                    f"{fields[1]!r} and {fields[2]!r}"
-                ) from None
-            if min(pair) < 0:
-                raise ValueError(
-                    f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
-                )
-            key = (fields[0], *pair)
-            if key in first_line:
-                raise ValueError(
-                    f"{path}: line {lineno}: duplicate reference pair {fields[0]!r} "
-                    f"{pair[0]} {pair[1]} (first on line {first_line[key]})"
-                )
-            first_line[key] = lineno
-            reference.setdefault(fields[0], []).append(pair)
+    for lineno, (topic_id, source_index, target_index) in read_rows(path, 3):
+        try:
+            pair = (int(source_index), int(target_index))
+        except ValueError:
+            raise ValueError(
+                f"{path}: line {lineno}: indices must be integers, got "
+                f"{source_index!r} and {target_index!r}"
+            ) from None
+        if min(pair) < 0:
+            raise ValueError(
+                f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
+            )
+        key = (topic_id, *pair)
+        if key in first_line:
+            raise ValueError(
+                f"{path}: line {lineno}: duplicate reference pair {topic_id!r} "
+                f"{pair[0]} {pair[1]} (first on line {first_line[key]})"
+            )
+        first_line[key] = lineno
+        reference.setdefault(topic_id, []).append(pair)
     return reference

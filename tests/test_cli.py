@@ -77,6 +77,29 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "1 paired, 1 skipped, 0 duplicates" in out
 
+    def test_document_without_sentences_names_its_line(self, tmp_path, capsys):
+        source = tmp_path / "s.tsv"
+        source.write_text(
+            "d1\tAlpha\tFirst text here.\nd2\tBeta\t<table></table>\n", encoding="utf-8"
+        )
+        (tmp_path / "t.tsv").write_text("t1\tAlfa\tInny tekst tutaj.\n", encoding="utf-8")
+        (tmp_path / "l.tsv").write_text("Alpha\tAlfa\n", encoding="utf-8")
+        code = main(
+            [
+                "ingest",
+                str(source),
+                str(tmp_path / "t.tsv"),
+                str(tmp_path / "l.tsv"),
+                str(tmp_path / "corpus"),
+                "--source-lang",
+                "en",
+                "--target-lang",
+                "pl",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {source}: line 2: document d2 has no sentences\n"
+
     def test_unreadable_file_names_path(self, tmp_path, capsys):
         code = main(
             [
@@ -117,6 +140,26 @@ class TestDict:
             == 0
         )
         assert "dog\tpies\t1.000000" in (tmp_path / "lex.tsv").read_text(encoding="utf-8")
+
+    def test_byte_order_mark_dropped(self, pipeline, tmp_path):
+        parallel = (pipeline / "parallel.tsv").read_bytes()
+        (tmp_path / "bom.tsv").write_bytes(b"\xef\xbb\xbf" + parallel)
+        assert main(["dict", str(pipeline / "parallel.tsv"), str(tmp_path / "plain_lex.tsv")]) == 0
+        assert main(["dict", str(tmp_path / "bom.tsv"), str(tmp_path / "bom_lex.tsv")]) == 0
+        assert (tmp_path / "bom_lex.tsv").read_bytes() == (tmp_path / "plain_lex.tsv").read_bytes()
+
+    def test_invalid_utf8_names_its_line(self, tmp_path, capsys):
+        # Far past the reader's decoding block, so that the line after the
+        # last one read would be the wrong answer.
+        lines = [b"a b\tx y\n"] * 4500
+        lines[3999] = b"a \xff b\tx y\n"
+        parallel = tmp_path / "p.tsv"
+        parallel.write_bytes(b"".join(lines))
+        assert main(["dict", str(parallel), str(tmp_path / "lex.tsv")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {parallel}: line 4000: not UTF-8 (byte 0xff at column 3: invalid start byte)\n"
+        )
+        assert not (tmp_path / "lex.tsv").exists()
 
     def test_zero_iterations_usage_error(self, tmp_path):
         (tmp_path / "p.tsv").write_text("a\tx\n", encoding="utf-8")
@@ -306,6 +349,29 @@ class TestMine:
             self.run_mine(pipeline, "mined_bad.tsv", "--engine", "astar-unconstrained")
         assert excinfo.value.code == 2
         assert "diagnostic-only" in capsys.readouterr().err
+
+    def test_topic_without_sentences_names_its_pair_line(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        pairs = (pipeline / "corpus" / "pairs.tsv").read_text(encoding="utf-8")
+        extra = "Extra\tsx\teo\tExtra\ttx\ten\tExtra\n"
+        (corpus / "pairs.tsv").write_text(pairs + extra, encoding="utf-8")
+        (corpus / "sentences.tsv").write_bytes((pipeline / "corpus" / "sentences.tsv").read_bytes())
+        code = main(
+            [
+                "mine",
+                str(corpus),
+                str(pipeline / "model.json"),
+                str(pipeline / "lexicon.tsv"),
+                str(tmp_path / "mined.tsv"),
+            ]
+        )
+        assert code == 1
+        line = len(pairs.splitlines()) + 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'pairs.tsv'}: line {line}: document sx has no sentences\n"
+        )
+        assert not (tmp_path / "mined.tsv").exists()
 
     def test_input_files_not_mutated(self, pipeline):
         model_before = (pipeline / "model.json").read_bytes()

@@ -14,10 +14,15 @@ from bimine.corpus import (
     load_corpus,
     pair_articles,
     read_bitext,
+    read_links,
+    read_parallel,
+    read_rows,
     save_corpus,
     unescape_field,
     write_bitext,
 )
+from bimine.lexicon import read_lexicon
+from bimine.tuning import read_reference
 
 
 def write_docfile(path, records):
@@ -47,8 +52,9 @@ class TestIngest:
     def test_markup_only_record_fails(self, tmp_path):
         path = tmp_path / "docs.tsv"
         write_docfile(path, [("d1", "Topic", "<table><tr><td>1</td></tr></table>")])
-        with pytest.raises(ValueError, match="document d1 has no sentences"):
+        with pytest.raises(ValueError) as excinfo:
             ingest_documents(path, "en")
+        assert str(excinfo.value) == f"{path}: line 1: document d1 has no sentences"
 
     def test_malformed_line_names_line_number(self, tmp_path):
         path = tmp_path / "docs.tsv"
@@ -260,3 +266,136 @@ class TestFiles:
             ValueError, match=rf"^{re.escape(str(sentences))}: line 2: sentence index"
         ):
             load_corpus(tmp_path)
+
+    def test_topic_without_sentence_rows_names_pair_line(self, tmp_path):
+        source = make_doc("s1", "Alpha", "en", ("First one.",))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        with open(pairs, "a", encoding="utf-8") as handle:
+            handle.write("Beta\ts2\ten\tBeta\tt2\tpl\tBeta\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{pairs}: line 2: document s2 has no sentences"
+
+    def test_same_language_pair_row_names_its_line(self, tmp_path):
+        source = make_doc("s1", "Alpha", "en", ("First one.",))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        row = pairs.read_text(encoding="utf-8").replace("\tpl\t", "\ten\t")
+        pairs.write_text(row, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{pairs}: line 1: pair Alpha: both sides have language 'en'"
+
+
+SIDES = ("src", "tgt")
+
+# Every reader of a tab-separated file: (files of a valid input, the file
+# whose line 3 is corrupted, its width, and the reader given the directory).
+READERS = {
+    "documents": (
+        {"docs.tsv": [f"d{i}\tTitle {i}\tSentence number {i}." for i in range(5)]},
+        "docs.tsv", 3, lambda d: ingest_documents(d / "docs.tsv", "en"),
+    ),
+    "links": (
+        {"links.tsv": [f"Alpha {i}\tAlfa {i}" for i in range(5)]},
+        "links.tsv", 2, lambda d: read_links(d / "links.tsv"),
+    ),
+    "parallel": (
+        {"parallel.tsv": [f"a{i} b\tx{i} y" for i in range(5)]},
+        "parallel.tsv", 2, lambda d: read_parallel(d / "parallel.tsv"),
+    ),
+    "bitext": (
+        {"bitext.tsv": [f"0.{i}000\tsource {i}\ttarget {i}" for i in range(5)]},
+        "bitext.tsv", 3, lambda d: read_bitext(d / "bitext.tsv"),
+    ),
+    "lexicon": (
+        {"lexicon.tsv": [f"a{i}\tx{i}\t0.500000" for i in range(5)]},
+        "lexicon.tsv", 3, lambda d: read_lexicon(d / "lexicon.tsv"),
+    ),
+    "reference": (
+        {"reference.tsv": [f"Topic\t{i}\t{i}" for i in range(5)]},
+        "reference.tsv", 3, lambda d: read_reference(d / "reference.tsv"),
+    ),
+    "corpus sentences": (
+        {
+            "sentences.tsv": [f"T\t{side}\t{i}\tLine {i}." for side in SIDES for i in range(3)],
+            "pairs.tsv": ["T\ts1\ten\tT\tt1\tpl\tT"],
+        },
+        "sentences.tsv", 4, load_corpus,
+    ),
+    "corpus pairs": (
+        {
+            "sentences.tsv": [f"T{k}\t{side}\t0\tLine {k}." for k in range(5) for side in SIDES],
+            "pairs.tsv": [f"T{k}\ts{k}\ten\tT{k}\tt{k}\tpl\tT{k}" for k in range(5)],
+        },
+        "pairs.tsv", 7, load_corpus,
+    ),
+}
+
+
+def _corrupt(lines, width, corruption):
+    """The bytes of ``lines`` with line 3 corrupted, and the message
+    expected from reading them (None: they read as the clean lines)."""
+    lines = [line.encode("utf-8") for line in lines]
+    if corruption == "too few fields":
+        lines[2] = lines[2].rsplit(b"\t", 1)[0]
+        message = f"line 3: expected {width} tab-separated fields, got {width - 1}"
+    elif corruption == "too many fields":
+        lines[2] += b"\textra"
+        message = f"line 3: expected {width} tab-separated fields, got {width + 1}"
+    elif corruption == "blank line":
+        lines.insert(2, b"")
+        message = None
+    elif corruption == "byte order mark":
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+        message = None
+    else:
+        lines[2] = b"\xff" + lines[2]
+        message = "line 3: not UTF-8 (byte 0xff at column 1: invalid start byte)"
+    return b"".join(line + b"\n" for line in lines), message
+
+
+@pytest.mark.parametrize(
+    "corruption",
+    ["too few fields", "too many fields", "blank line", "byte order mark", "bad byte"],
+)
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_shares_the_row_rules(tmp_path, reader, corruption):
+    files, corrupted, width, read = READERS[reader]
+    clean_dir, bad_dir = tmp_path / "clean", tmp_path / "bad"
+    for directory in (clean_dir, bad_dir):
+        directory.mkdir()
+        for name, lines in files.items():
+            (directory / name).write_text("".join(f"{line}\n" for line in lines), encoding="utf-8")
+    data, message = _corrupt(files[corrupted], width, corruption)
+    (bad_dir / corrupted).write_bytes(data)
+    if message is None:
+        assert read(bad_dir) == read(clean_dir)
+    else:
+        with pytest.raises(ValueError) as excinfo:
+            read(bad_dir)
+        assert str(excinfo.value) == f"{bad_dir / corrupted}: {message}"
+
+
+class TestReadRows:
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_bad_byte_far_into_the_file_names_its_line(self, tmp_path, newline):
+        # The text reader decodes some kilobytes ahead, so the error must
+        # not be placed on the line after the last one read.
+        lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]
+        lines[3999] = b"source \xc3(\ttarget"
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(newline.join(lines) + newline)
+        with pytest.raises(ValueError) as excinfo:
+            list(read_rows(path, 2))
+        assert str(excinfo.value) == (
+            f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
+        )
+
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "rows.tsv"
+        path.write_text("\ufeffa\tb\n\n\nc\td\n", encoding="utf-8")
+        assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (4, ["c", "d"])]
