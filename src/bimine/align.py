@@ -11,9 +11,7 @@ score minus gap penalties is found by one of two engines:
   anti-diagonal sweep, see ``kernels``) and a tie-ordered traceback
   that walks the table and keeps only the matched cells (``_matches``).
   The steps of the returned ``Alignment`` are rebuilt from the matches
-  (``_steps``).  ``nw_align_batch`` gives the matched cells of one
-  matrix for many gap penalties, filling their tables together in
-  bounded batches and walking each in place (tuning uses it);
+  (``_steps``);
 * ``astar_align`` -- best-first search over the alignment grid.
   Constrained to right/down/diagonal moves it matches the dynamic
   program; unconstrained it may also step left at no cost, re-entering
@@ -21,15 +19,19 @@ score minus gap penalties is found by one of two engines:
   sequence aligners that skip the monotonicity requirement.
 
 Matches above a confidence threshold become mined sentence pairs.
+Mining and tuning align through one walker, ``kept_cells``: its lanes
+are the score matrices of a block of document pairs with one (threshold,
+gap penalty) trial, or one matrix with many trials.  With ``nw`` it fills
+consecutive lanes together in bounded runs (``kernels.fill``) and walks
+each lane for its matched cells, so no ``Alignment`` is built.
+
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
 are identical for any worker count.  A worker that dies costs only the
 pairs of the chunk that killed it.  Within a worker (or the serial run)
-document pairs are mined in blocks of whole pairs: one scoring pass per
-block (``classifier.score_pairs``), and with ``nw`` one table sweep per
-block (``kernels.fill_many``), then the match walk and the threshold per
-pair; no ``Alignment`` is built.  Every pair's rows equal those of
-mining it alone (``mine_document_pair``).
+document pairs are mined in blocks of whole pairs (``_mine_pairs``): one
+scoring pass per block (``classifier.score_pairs``), then ``kept_cells``
+over the block's matrices.  ``mine_document_pair`` is its one-pair case.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from multiprocessing import get_context
 from typing import Iterator, Sequence
 
@@ -111,7 +113,8 @@ def _validate_scores(scores: np.ndarray) -> np.ndarray:
     sim = np.ascontiguousarray(scores, dtype=np.float64)
     if sim.ndim != 2 or sim.shape[0] == 0 or sim.shape[1] == 0:
         raise ValueError("score matrix must be a non-empty 2-D array")
-    if not np.all(np.isfinite(sim)) or sim.min() < 0.0 or sim.max() > 1.0:
+    # A NaN makes both comparisons false, and an infinity fails one.
+    if not (sim.min() >= 0.0 and sim.max() <= 1.0):
         raise ValueError("score matrix values must be finite and lie in [0, 1]")
     return sim
 
@@ -229,10 +232,6 @@ def _steps(matches: Sequence[tuple[float, int, int]], dp_rev: memoryview, gap: f
     return steps
 
 
-def _reversed_scores(sim: np.ndarray) -> np.ndarray:
-    return np.ascontiguousarray(sim[::-1, ::-1])
-
-
 def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
@@ -242,44 +241,11 @@ def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """
     sim = _validate_scores(scores)
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
-    dp_rev = kernels.fill_sequential(_reversed_scores(sim), mismatch, bonus, gap)
+    dp_rev = kernels.fill_sequential(sim[::-1, ::-1], mismatch, bonus, gap)
     matches = _matches(dp_rev[:, :, None], 0, sim, mismatch, bonus, gap)
     return Alignment(
         steps=tuple(_steps(matches, memoryview(dp_rev), gap)), score=float(dp_rev[-1, -1])
     )
-
-
-def nw_align_batch(
-    scores: np.ndarray, config: MiningConfig, gaps: Sequence[float]
-) -> Iterator[list[tuple[float, int, int]]]:
-    """The matched cells ``(score, i, j)`` of ``nw_align`` of one matrix for
-    each gap penalty, yielded in order.
-
-    Each item equals ``filter_by_threshold(scores, nw_align(...), 0.0)``
-    with that gap penalty, without building an ``Alignment``.
-    ``config.gap_penalty`` is ignored; every other field applies to all
-    gaps.  The matrix is validated and reversed once.  Tables are filled
-    in batches of at most ``kernels.BATCH_CELLS`` cells, and each lane
-    of a batch is walked in place as the batch completes, so memory
-    stays bounded for any number of gaps.
-    """
-    sim = _validate_scores(scores)
-    gaps = [float(gap) for gap in gaps]
-    if not all(math.isfinite(gap) and gap >= 0.0 for gap in gaps):
-        raise ValueError("gap penalties must be finite and >= 0")
-    reversed_sim = _reversed_scores(sim)
-    mismatch, bonus = config.mismatch_cost, config.match_bonus
-    n, m = sim.shape
-    per_batch = max(1, kernels.BATCH_CELLS // ((n + 1) * (m + 1)))
-
-    def matches() -> Iterator[list[tuple[float, int, int]]]:
-        for first in range(0, len(gaps), per_batch):
-            chunk = gaps[first : first + per_batch]
-            tables = kernels.fill_batch(reversed_sim, mismatch, bonus, chunk)
-            for lane, gap in enumerate(chunk):
-                yield _matches(tables, lane, sim, mismatch, bonus, gap)
-
-    return matches()
 
 
 def nw_align_wavefront(scores: np.ndarray, config: MiningConfig, workers: int) -> Alignment:
@@ -434,35 +400,67 @@ def run_engine(scores: np.ndarray, config: MiningConfig, engine: str) -> Alignme
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
-def align_pair_indices(
-    model: SimilarityModel,
-    lexicon: Lexicon,
-    pair: DocumentPair,
-    config: MiningConfig,
-    engine: str = "nw",
-) -> list[tuple[float, int, int]]:
-    """Mine one document pair down to (score, i, j) index triples."""
-    scores = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-    alignment = run_engine(scores, config, engine)
-    return filter_by_threshold(scores, alignment, config.threshold)
+def _lane_runs(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
+    """Runs of consecutive lanes whose padded table (the run's largest
+    ``(n+1) * (m+1)`` per lane) holds at most ``kernels.BATCH_CELLS``
+    cells; a lane larger than that runs alone."""
+    start = n = m = 0
+    for lane, (rows, cols) in enumerate(shapes):
+        n, m = max(n, rows), max(m, cols)
+        if lane > start and (n + 1) * (m + 1) * (lane + 1 - start) > kernels.BATCH_CELLS:
+            yield slice(start, lane)
+            start, n, m = lane, rows, cols
+    if start < len(shapes):
+        yield slice(start, len(shapes))
 
 
-def mine_document_pair(
-    model: SimilarityModel,
-    lexicon: Lexicon,
-    pair: DocumentPair,
+def kept_cells(
+    matrices: Sequence[np.ndarray],
+    trials: Sequence[tuple[float, float]],
     config: MiningConfig,
-    engine: str = "nw",
-) -> list[tuple[float, str, str]]:
-    """Mined sentence pairs of one document pair, with similarity scores."""
-    try:
-        matches = align_pair_indices(model, lexicon, pair, config, engine)
-    except ValueError as exc:
-        raise ValueError(f"pair {pair.topic_id}: {exc}") from None
-    return [
-        (score, pair.source.sentences[i], pair.target.sentences[j])
-        for score, i, j in matches
-    ]
+    engine: str,
+) -> Iterator[list[tuple[float, int, int]]]:
+    """For each lane in order, the matched cells ``(score, i, j)`` of its
+    alignment whose score reaches the lane's threshold.
+
+    Lanes broadcast as numpy's do: K score matrices with one
+    ``(threshold, gap penalty)`` trial (a block of mined pairs), one
+    matrix with T trials (tuning), or K of each.  A lane's cells equal
+    ``filter_by_threshold`` of ``run_engine`` with ``config`` but the
+    trial's threshold and gap penalty.  With ``nw``, consecutive lanes
+    are filled together (``kernels.fill``) in the runs of ``_lane_runs``
+    and each is walked in place for its matches only (``_matches``), so
+    memory stays bounded and no ``Alignment`` is built.
+    """
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
+    sims = [_validate_scores(matrix) for matrix in matrices]
+    thresholds = [float(threshold) for threshold, _ in trials]
+    gaps = [float(gap) for _, gap in trials]
+    if not all(math.isfinite(gap) and gap >= 0.0 for gap in gaps):
+        raise ValueError("gap penalties must be finite and >= 0")
+    (lanes,) = np.broadcast_shapes((len(sims),), (len(gaps),))
+    # Lane l reads matrix l and trial l, or the only one given.
+    k, t = len(sims), len(gaps)
+    if engine != "nw":
+        for lane in range(lanes):
+            sim, gap = sims[lane % k], gaps[lane % t]
+            alignment = run_engine(sim, replace(config, gap_penalty=gap), engine)
+            yield filter_by_threshold(sim, alignment, thresholds[lane % t])
+        return
+    mismatch, bonus = config.mismatch_cost, config.match_bonus
+    reversed_sims = [sim[::-1, ::-1] for sim in sims]
+    for run in _lane_runs([sims[lane % k].shape for lane in range(lanes)]):
+        tables = kernels.fill(
+            reversed_sims[run] if k > 1 else reversed_sims,
+            mismatch,
+            bonus,
+            gaps[run] if t > 1 else gaps,
+        )
+        for lane in range(run.start, run.stop):
+            sim, gap = sims[lane % k], gaps[lane % t]
+            cells = _matches(tables, lane - run.start, sim, mismatch, bonus, gap)
+            yield [cell for cell in cells if cell[0] >= thresholds[lane % t]]
 
 
 @dataclass(frozen=True)
@@ -485,28 +483,6 @@ def _profile_pair(pair: DocumentPair) -> tuple[list[SentenceProfile], list[Sente
     return _profiles(pair.source.sentences, "source"), _profiles(pair.target.sentences, "target")
 
 
-def _mined_cells(
-    matrices: Sequence[np.ndarray], config: MiningConfig, engine: str
-) -> list[list[tuple[float, int, int]]]:
-    """Matched cells ``(score, i, j)`` at or above the threshold of each of
-    a block's score matrices.  With ``nw`` all tables come from one sweep
-    (``kernels.fill_many``) and each is walked in place (``_matches``);
-    with ``astar_constrained`` each matrix is searched on its own and
-    filtered (``filter_by_threshold``)."""
-    threshold = config.threshold
-    if engine != "nw":
-        return [
-            filter_by_threshold(matrix, run_engine(matrix, config, engine), threshold)
-            for matrix in matrices
-        ]
-    mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
-    tables = kernels.fill_many([matrix[::-1, ::-1] for matrix in matrices], mismatch, bonus, gap)
-    return [
-        [cell for cell in _matches(tables, k, matrix, mismatch, bonus, gap) if cell[0] >= threshold]
-        for k, matrix in enumerate(matrices)
-    ]
-
-
 def _mine_pairs(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -516,17 +492,19 @@ def _mine_pairs(
 ) -> list[tuple[list[tuple[float, str, str]] | None, str | None]]:
     """Mined rows or an error message for each pair, in order.
 
-    The one mining path of the serial run and of every pool worker.
-    Pairs are taken in the blocks of ``classifier.pair_blocks``.  Each
-    pair of a block is profiled on its own; a pair that fails there is
-    reported as ``pair <id>: ...`` and leaves the block.  The rest of the
-    block is scored together (``classifier.score_pairs``) and aligned
-    together, down to each pair's matched cells at or above the
-    threshold (``_mined_cells``).  Every pair's rows equal
-    ``mine_document_pair``'s.
+    The one mining path of the serial run, of every pool worker and of
+    ``mine_document_pair``.  Pairs are taken in the blocks of
+    ``classifier.pair_blocks``.  Each pair of a block is profiled on its
+    own; a pair that fails there leaves the block.  The rest of the block
+    is scored together (``classifier.score_pairs``) and aligned together
+    by ``kept_cells``, one lane per pair, down to each pair's matched
+    cells at or above the threshold.  Every error message reads
+    ``pair <id>: ...``; an error past profiling fails every pair left in
+    its block.
     """
     outcomes: list = [None] * len(pairs)
     shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
+    trial = [(config.threshold, config.gap_penalty)]
     for block in pair_blocks(shapes):
         kept: list[int] = []
         profiled = []
@@ -541,13 +519,29 @@ def _mine_pairs(
             continue
         try:
             matrices = score_pairs(model, lexicon, profiled)
-            for k, cells in zip(kept, _mined_cells(matrices, config, engine)):
+            for k, cells in zip(kept, kept_cells(matrices, trial, config, engine)):
                 source, target = pairs[k].source.sentences, pairs[k].target.sentences
                 outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
         except Exception as exc:  # the run continues past failing pairs
             for k in kept:
-                outcomes[k] = (None, str(exc))
+                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
     return outcomes
+
+
+def mine_document_pair(
+    model: SimilarityModel,
+    lexicon: Lexicon,
+    pair: DocumentPair,
+    config: MiningConfig,
+    engine: str = "nw",
+) -> list[tuple[float, str, str]]:
+    """Mined sentence pairs of one document pair, with similarity scores:
+    the one-pair case of ``_mine_pairs``, raising its error as a
+    ``ValueError``."""
+    ((rows, error),) = _mine_pairs(model, lexicon, [pair], config, engine)
+    if error is not None:
+        raise ValueError(error)
+    return rows
 
 
 def _pool_mine(chunk: list[DocumentPair]):

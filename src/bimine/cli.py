@@ -44,7 +44,7 @@ from .demos import (
 from .lexicon import build_lexicon, merge_title_lexicon, read_lexicon, write_lexicon
 from .manifest import RunManifest, file_digest, write_manifest
 from .text import tokenize
-from .tuning import TuningSample, read_reference, tune
+from .tuning import read_samples, tune
 
 # "nw-wavefront" named a retired anti-diagonal fill with the same output;
 # it stays as an alias of "nw" so existing command lines keep working.
@@ -147,16 +147,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     pairs = load_corpus(args.corpus_dir)
     model = load_model(args.model_file)
     lexicon = read_lexicon(args.lexicon_file)
-    reference = read_reference(args.reference_file)
-    by_topic = {pair.topic_id: pair for pair in pairs}
-    for topic_id in reference:
-        if topic_id not in by_topic:
-            raise ValueError(f"reference names unknown topic_id {topic_id!r}")
-    samples = [
-        TuningSample(pair=pair, reference=tuple(sorted(reference[pair.topic_id])))
-        for pair in pairs
-        if pair.topic_id in reference
-    ]
+    samples = read_samples(args.reference_file, pairs)
     config = MiningConfig(workers=args.workers)
     result = tune(
         model,

@@ -283,9 +283,11 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     The sentence indices of each topic and side must be exactly
     ``0..k-1`` (in any row order) and the side ``src`` or ``tgt``;
     anything else is rejected as ``path: line N: ...``, since a
-    reference alignment would otherwise point at other sentences.  So is
-    a pair row whose documents fail their checks, such as a topic
-    without sentence rows or two sides of one language.
+    reference alignment would otherwise point at other sentences.  So
+    are an empty sentence, a sentence row whose topic has no pair row
+    (at its first such line), and a pair row whose documents fail their
+    checks, such as a topic without sentence rows or two sides of one
+    language.
     """
     pairs_path = os.path.join(corpus_dir, _PAIRS_FILE)
     sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
@@ -305,6 +307,8 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
                 f"{sentences_path}: line {lineno}: sentence index must be a "
                 f"non-negative integer, got {index!r}"
             )
+        if not sentence.strip():
+            raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
         rows = sentences.setdefault((unescape_field(topic_id), side), {})
         if position in rows:
             raise ValueError(
@@ -343,4 +347,13 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
             pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
         except ValueError as exc:
             raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
+    topics = {pair.topic_id for pair in pairs}
+    orphans = [
+        (min(lineno for lineno, _ in rows.values()), topic_id)
+        for (topic_id, _), rows in sentences.items()
+        if topic_id not in topics
+    ]
+    if orphans:
+        lineno, topic_id = min(orphans)
+        raise ValueError(f"{sentences_path}: line {lineno}: topic {topic_id!r} has no pair row")
     return pairs

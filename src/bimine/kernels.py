@@ -1,29 +1,32 @@
 """The fill of the alignment score table.
 
-Many tables are filled at once, as one C-contiguous ``(n+1, m+1, L)``
-array whose last axis holds either T gap penalties of one similarity
-matrix (``fill_batch``, for tuning) or K matrices with one gap penalty
-(``fill_many``, for mining a block of document pairs; the matrices are
-zero-padded on the bottom and right to one shape).  Every cell gets
+One function, ``fill``, fills many tables at once, as one C-contiguous
+``(n+1, m+1, L)`` array.  Its lanes broadcast as numpy's do: K
+similarity matrices with one gap penalty (a block of mined document
+pairs), one matrix with T gap penalties (the trials of tuning), or K of
+each.  The matrices are zero-padded on the bottom and right to one
+shape.  Every cell gets
 
     dp[i, j] = max(dp[i-1, j-1] + c, max(dp[i-1, j] - gap, dp[i, j-1] - gap))
     c        = mismatch + sim[i-1, j-1] * (bonus - mismatch)
 
 evaluated with numpy one anti-diagonal at a time: every cell of a
 diagonal reads only the two previous diagonals, so a whole diagonal is
-one vector step.  Flattened to ``((n+1)*(m+1), T)``, cell ``(i, j)``
+one vector step.  Flattened to ``((n+1)*(m+1), L)``, cell ``(i, j)``
 sits at row ``i*(m+1) + j``, so the cells of anti-diagonal ``d = i + j``
 with ``lo <= i <= hi`` are the basic slice ``[lo*m + d : hi*m + d + 1 : m]``
 and their up, left and diagonal neighbours are that slice shifted by
 ``-(m+1)``, ``-1`` and ``-(m+2)``.  A diagonal step is therefore five
 ``out=`` ufunc calls on strided views -- no index arrays, no gathers,
-no copies -- over ``k x L`` cells at once.  Each table is bit-identical
-to filling it alone, which the test suite checks against a plain-loop
-oracle: no cell reads a cell below or to the right of it, so a padded
-matrix's own ``(n_k+1, m_k+1)`` region never sees the padding.
+no copies -- over ``k x L`` cells at once.  The mapped-cost table has
+one lane per matrix, so one matrix filled for T gaps keeps it one lane
+wide.  Each table is bit-identical to filling it alone, which the test
+suite checks against a plain-loop oracle: no cell reads a cell below or
+to the right of it, so a padded matrix's own ``(n_k+1, m_k+1)`` region
+never sees the padding.
 
-``fill_batch`` and ``fill_many`` share one sweep (``_sweep``);
-``fill_sequential`` is the one-gap case of ``fill_batch``.
+``align.kept_cells`` bounds each fill to ``BATCH_CELLS``;
+``fill_sequential`` is the one-lane case.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ def backend_name() -> str:
     return "python"
 
 
-# Cap on the cells of one batched table, all trials together: 1 MB of
+# Cap on the cells of one padded table, all lanes together: 1 MB of
 # float64.  Large enough that each numpy call of the sweep covers many
-# cells, small enough to add little to peak memory however many trials
+# cells, small enough to add little to peak memory however many lanes
 # a caller asks for.
 BATCH_CELLS = 1 << 17
 
@@ -67,9 +70,31 @@ def _sweep(dp: np.ndarray, cost: np.ndarray, gaps: np.ndarray) -> None:
         np.maximum(tmp, cell, out=cell)
 
 
-def _filled(cost: np.ndarray, gaps: np.ndarray, lanes: int) -> np.ndarray:
-    """The ``(n+1, m+1, lanes)`` tables of a mapped-cost table."""
-    n, m = cost.shape[0] - 1, cost.shape[1] - 1
+def fill(
+    sims: Sequence[np.ndarray], mismatch: float, bonus: float, gaps: Sequence[float]
+) -> np.ndarray:
+    """Score tables of K matrices for T gap penalties, in one sweep.
+
+    K and T broadcast: they are equal, or one of them is 1, and lane
+    ``l`` is the table of ``sims[l]`` (or the one matrix) for
+    ``gaps[l]`` (or the one gap).  The matrices are zero-padded on the
+    bottom and right to the largest shape ``(n, m)``.  Returns a
+    C-contiguous ``(n+1, m+1, L)`` array whose ``[: n_l + 1, : m_l + 1, l]``
+    region is lane ``l``'s table, bit-identical to filling it alone.
+    Callers bound the table (see ``BATCH_CELLS``); this function does
+    not split it.
+    """
+    gaps = np.asarray(gaps, dtype=np.float64)
+    (lanes,) = np.broadcast_shapes((len(sims),), gaps.shape)
+    n = max(sim.shape[0] for sim in sims)
+    m = max(sim.shape[1] for sim in sims)
+    # The mapped cost, built in place (x + mismatch is the same IEEE sum
+    # as mismatch + x) to add no full-size temporaries.
+    cost = np.zeros((n + 1, m + 1, len(sims)))
+    for k, sim in enumerate(sims):
+        cost[1 : sim.shape[0] + 1, 1 : sim.shape[1] + 1, k] = sim
+    np.multiply(cost, bonus - mismatch, out=cost)
+    np.add(cost, mismatch, out=cost)
     dp = np.empty((n + 1, m + 1, lanes), dtype=np.float64)
     dp[0, :, :] = -gaps * np.arange(m + 1, dtype=np.float64)[:, None]
     dp[1:, 0, :] = -gaps * np.arange(1, n + 1, dtype=np.float64)[:, None]
@@ -77,50 +102,9 @@ def _filled(cost: np.ndarray, gaps: np.ndarray, lanes: int) -> np.ndarray:
     return dp
 
 
-def fill_batch(
-    sim: np.ndarray, mismatch: float, bonus: float, gaps: Sequence[float]
-) -> np.ndarray:
-    """Score tables of one matrix for several gap penalties at once.
-
-    Returns a C-contiguous ``(n+1, m+1, T)`` array whose ``[:, :, t]``
-    slice is the table for ``gaps[t]``, bit-identical to filling that
-    gap alone.  Callers bound T (see ``BATCH_CELLS``); this function
-    does not split the batch.
-    """
-    sim = np.asarray(sim, dtype=np.float64)
-    n, m = sim.shape
-    # The mapped cost, built in place (x + mismatch is the same IEEE sum
-    # as mismatch + x) to add no full-size temporaries.
-    cost = np.zeros((n + 1, m + 1, 1))
-    np.multiply(sim, bonus - mismatch, out=cost[1:, 1:, 0])
-    np.add(cost[1:, 1:, 0], mismatch, out=cost[1:, 1:, 0])
-    return _filled(cost, np.asarray(gaps, dtype=np.float64), len(gaps))
-
-
-def fill_many(
-    sims: Sequence[np.ndarray], mismatch: float, bonus: float, gap: float
-) -> np.ndarray:
-    """Score tables of several matrices for one gap penalty, in one sweep.
-
-    The matrices are zero-padded on the bottom and right to the largest
-    shape ``(n, m)``.  Returns a C-contiguous ``(n+1, m+1, K)`` array
-    whose ``[: n_k + 1, : m_k + 1, k]`` region is the table of
-    ``sims[k]``, bit-identical to filling it alone: no cell reads a cell
-    below or to the right of it, so padding never reaches the region.
-    """
-    n = max(sim.shape[0] for sim in sims)
-    m = max(sim.shape[1] for sim in sims)
-    cost = np.zeros((n + 1, m + 1, len(sims)))
-    for k, sim in enumerate(sims):
-        cost[1 : sim.shape[0] + 1, 1 : sim.shape[1] + 1, k] = sim
-    np.multiply(cost, bonus - mismatch, out=cost)
-    np.add(cost, mismatch, out=cost)
-    return _filled(cost, np.array([gap], dtype=np.float64), len(sims))
-
-
 def fill_sequential(sim: np.ndarray, mismatch: float, bonus: float, gap: float) -> np.ndarray:
     """The ``(n+1, m+1)`` score table for one gap penalty."""
-    return fill_batch(sim, mismatch, bonus, [gap])[:, :, 0]
+    return fill([sim], mismatch, bonus, [gap])[:, :, 0]
 
 
 def fill_wavefront(

@@ -7,25 +7,20 @@ from a seeded generator -- always evaluating the configured defaults
 first, so the result can never fall below them -- and keeps the
 candidate with the best mean agreement.  Only the gap penalty and the
 threshold change between trials, so each sample is scored once and
-realigned for all trials together: with ``nw``, batched table fills
-whose tables are each walked for their matched cells only.
+realigned for all trials together, through the walker mining uses
+(``align.kept_cells``, one lane per trial): with ``nw``, bounded runs of
+table fills whose tables are each walked for their matched cells only.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .align import (
-    MiningConfig,
-    build_score_matrix,
-    filter_by_threshold,
-    nw_align_batch,
-    run_engine,
-)
+from .align import MiningConfig, build_score_matrix, kept_cells
 from .classifier import SimilarityModel
 from .corpus import DocumentPair, read_rows
 from .lexicon import Lexicon
@@ -41,15 +36,27 @@ class TuningSample:
     reference: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        previous = (-1, -1)
-        for i, j in self.reference:
-            if not (0 <= i < len(self.pair.source.sentences)):
-                raise ValueError(f"{self.pair.topic_id}: reference source index {i} out of range")
-            if not (0 <= j < len(self.pair.target.sentences)):
-                raise ValueError(f"{self.pair.topic_id}: reference target index {j} out of range")
-            if i <= previous[0] or j <= previous[1]:
-                raise ValueError(f"{self.pair.topic_id}: reference pairs must be monotone")
-            previous = (i, j)
+        bad = _bad_reference_row(self.pair, self.reference)
+        if bad is not None:
+            raise ValueError(f"{self.pair.topic_id}: {bad[1]}")
+
+
+def _bad_reference_row(
+    pair: DocumentPair, reference: Sequence[tuple[int, int]]
+) -> tuple[int, str] | None:
+    """The position and error of the first index pair of ``reference`` that
+    is out of range for ``pair`` or not after the one before it in both
+    indices; ``None`` if there is none."""
+    previous = (-1, -1)
+    for k, (i, j) in enumerate(reference):
+        if not (0 <= i < len(pair.source.sentences)):
+            return k, f"reference source index {i} out of range"
+        if not (0 <= j < len(pair.target.sentences)):
+            return k, f"reference target index {j} out of range"
+        if i <= previous[0] or j <= previous[1]:
+            return k, "reference pairs must be monotone"
+        previous = (i, j)
+    return None
 
 
 @dataclass(frozen=True)
@@ -79,29 +86,6 @@ def alignment_agreement(
     return 100.0 * len(shared) / len(reference)
 
 
-def _kept_cells(
-    scores: np.ndarray,
-    config: MiningConfig,
-    trials: Sequence[tuple[float, float]],
-    engine: str,
-) -> Iterator[list[tuple[int, int]]]:
-    """For each (threshold, gap penalty) trial in order, the cells ``(i, j)``
-    of the alignment of ``scores`` whose score reaches the threshold.
-
-    With ``nw`` these come from the batched match walk
-    (``align.nw_align_batch``), so no ``Alignment`` is built; other
-    engines align and filter one trial at a time.
-    """
-    if engine == "nw":
-        batch = nw_align_batch(scores, config, [gap for _, gap in trials])
-        for (threshold, _), matches in zip(trials, batch):
-            yield [(i, j) for score, i, j in matches if score >= threshold]
-        return
-    for threshold, gap in trials:
-        alignment = run_engine(scores, replace(config, gap_penalty=gap), engine)
-        yield [(i, j) for _, i, j in filter_by_threshold(scores, alignment, threshold)]
-
-
 def tune(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -120,10 +104,11 @@ def tune(
     never return a worse result.
 
     All trials are drawn up front.  Each sample is then scored once and
-    realigned for every trial's gap penalty; with the ``nw`` engine the
-    realignments of one sample share batched table fills, and each
-    trial's table is walked in place for its matched cells only
-    (``align.nw_align_batch``), so no ``Alignment`` is built per trial.
+    realigned for every trial by ``align.kept_cells``, one lane per
+    trial, the walker mining uses.  With the ``nw`` engine a sample's
+    trials share table fills of at most ``kernels.BATCH_CELLS`` cells,
+    and each trial's table is walked in place for its matched cells
+    only, so no ``Alignment`` is built per trial.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -143,8 +128,9 @@ def tune(
     for s, sample in enumerate(samples):
         pair = sample.pair
         matrix = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-        for trial, cells in enumerate(_kept_cells(matrix, config, trials, engine)):
-            per_trial[trial][s] = alignment_agreement(cells, sample.reference)
+        for trial, cells in enumerate(kept_cells([matrix], trials, config, engine)):
+            candidate = [(i, j) for _, i, j in cells]
+            per_trial[trial][s] = alignment_agreement(candidate, sample.reference)
 
     best: tuple[float, int, float, float, tuple[float, ...]] | None = None
     default_agreement = 0.0
@@ -168,15 +154,15 @@ def tune(
     )
 
 
-def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
+def read_reference(path: str | os.PathLike) -> dict[str, dict[tuple[int, int], int]]:
     """Read ``topic_id<TAB>source_index<TAB>target_index`` rows.
 
-    Indices are 0-based.  A malformed row, a non-integer or negative
-    index and a repeated (topic, source, target) row are rejected as
-    ``path: line N: ...``.
+    Returns each topic's index pairs, in file order, mapped to the line
+    that holds them.  Indices are 0-based.  A malformed row, a
+    non-integer or negative index and a repeated (topic, source, target)
+    row are rejected as ``path: line N: ...``.
     """
-    reference: dict[str, list[tuple[int, int]]] = {}
-    first_line: dict[tuple[str, int, int], int] = {}
+    reference: dict[str, dict[tuple[int, int], int]] = {}
     for lineno, (topic_id, source_index, target_index) in read_rows(path, 3):
         try:
             pair = (int(source_index), int(target_index))
@@ -189,12 +175,41 @@ def read_reference(path: str | os.PathLike) -> dict[str, list[tuple[int, int]]]:
             raise ValueError(
                 f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
             )
-        key = (topic_id, *pair)
-        if key in first_line:
+        rows = reference.setdefault(topic_id, {})
+        if pair in rows:
             raise ValueError(
                 f"{path}: line {lineno}: duplicate reference pair {topic_id!r} "
-                f"{pair[0]} {pair[1]} (first on line {first_line[key]})"
+                f"{pair[0]} {pair[1]} (first on line {rows[pair]})"
             )
-        first_line[key] = lineno
-        reference.setdefault(topic_id, []).append(pair)
+        rows[pair] = lineno
     return reference
+
+
+def read_samples(path: str | os.PathLike, pairs: Sequence[DocumentPair]) -> list[TuningSample]:
+    """The tuning samples of the reference file at ``path``: each pair of
+    ``pairs`` that it names, in corpus order, with its index pairs sorted.
+
+    Besides the row errors of ``read_reference``, a topic that no pair
+    has (at its first row), an index out of range and a row that breaks
+    the monotone order once the rows are sorted are rejected as
+    ``path: line N: ...``.
+    """
+    reference = read_reference(path)
+    topics = {pair.topic_id for pair in pairs}
+    for topic_id, rows in reference.items():
+        if topic_id not in topics:
+            raise ValueError(
+                f"{path}: line {min(rows.values())}: reference names unknown topic_id {topic_id!r}"
+            )
+    samples = []
+    for pair in pairs:
+        rows = reference.get(pair.topic_id)
+        if rows is None:
+            continue
+        ordered = tuple(sorted(rows))
+        bad = _bad_reference_row(pair, ordered)
+        if bad is not None:
+            position, message = bad
+            raise ValueError(f"{path}: line {rows[ordered[position]]}: {pair.topic_id}: {message}")
+        samples.append(TuningSample(pair=pair, reference=ordered))
+    return samples

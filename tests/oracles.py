@@ -2,7 +2,7 @@
 
 Everything here is deliberately naive: exhaustive enumeration instead
 of dynamic programming, a traceback that records every step as it
-walks, dict-based EM written from the update equations,
+walks, mining one document pair at a time with its own engine call, dict-based EM written from the update equations,
 features of one sentence pair at a time from the lexicon's dict rows
 instead of array blocks, Pegasos training one step at a time, and
 markup cleaning and sentence segmentation
@@ -193,6 +193,15 @@ def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -
             features = extract_features(source, target, lexicon)
             matrix[i, j] = model.score_from_margin(model.margin(features))
     return matrix
+
+
+def reference_mine_pair(model, lexicon, pair, config, engine="nw"):
+    """Mine one document pair down to (score, i, j) index triples: score
+    it alone, align it with its own engine call and keep the matches at or
+    above the threshold (no blocks, no shared fills)."""
+    scores = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
+    alignment = run_engine(scores, config, engine)
+    return filter_by_threshold(scores, alignment, config.threshold)
 
 
 def reference_tune(model, lexicon, samples, budget, seed, engine="nw", base_config=None):

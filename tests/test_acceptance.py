@@ -14,7 +14,6 @@ from bimine import kernels
 from bimine.align import (
     Match,
     MiningConfig,
-    align_pair_indices,
     astar_align,
     filter_by_threshold,
     mine_corpus,
@@ -42,7 +41,7 @@ from conftest import (
     make_mining_pair,
     make_parallel_sentences,
 )
-from oracles import brute_force_best_score, reference_dp_table
+from oracles import brute_force_best_score, reference_dp_table, reference_mine_pair
 
 EXACT_CONFIG = MiningConfig(threshold=0.0, gap_penalty=2.0, match_bonus=1.0, mismatch_cost=-1.0)
 
@@ -218,7 +217,7 @@ def test_criterion_6_tuning_recovery(toy_model, toy_lexicon):
     samples = []
     for k in range(6):
         pair, _ = make_mining_pair(rng, f"planted-{k}", true_pairs=6, target_noise=2)
-        mined = align_pair_indices(toy_model, toy_lexicon, pair, reference_config, engine="nw")
+        mined = reference_mine_pair(toy_model, toy_lexicon, pair, reference_config, engine="nw")
         samples.append(TuningSample(pair=pair, reference=tuple((i, j) for _, i, j in mined)))
     result = tune(toy_model, toy_lexicon, samples, budget=200, seed=42)
     report(

@@ -19,10 +19,10 @@ from bimine.align import (
     astar_align,
     build_score_matrix,
     filter_by_threshold,
+    kept_cells,
     mine_corpus,
     mine_document_pair,
     nw_align,
-    nw_align_batch,
     nw_align_wavefront,
 )
 from bimine.classifier import (
@@ -49,6 +49,7 @@ from oracles import (
     brute_force_best_score,
     extract_features,
     reference_dp_table,
+    reference_mine_pair,
     reference_score_matrix,
     reference_traceback,
 )
@@ -145,6 +146,9 @@ class TestNwAlign:
 
 
 class TestFillBatch:
+    """``kernels.fill`` of one matrix for several gap penalties (tuning's
+    lanes): each lane equals the plain-loop table."""
+
     GAPS = (0.0, 0.6, 2.0, 0.25, 4.75)
 
     def test_every_table_matches_oracle(self):
@@ -155,7 +159,7 @@ class TestFillBatch:
         for n, m in shapes:
             sim = rng.random((n, m)) if rng.random() < 0.5 else rng.integers(0, 3, (n, m)) / 2.0
             mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
-            tables = kernels.fill_batch(sim, mismatch, bonus, self.GAPS)
+            tables = kernels.fill([sim], mismatch, bonus, self.GAPS)
             assert tables.shape == (n + 1, m + 1, len(self.GAPS))
             assert tables.flags.c_contiguous
             for t, gap in enumerate(self.GAPS):
@@ -166,14 +170,14 @@ class TestFillBatch:
         sim = np.random.default_rng(43).random((9, 13))
         table = kernels.fill_sequential(sim, -1.0, 1.0, 0.6)
         assert table.shape == (10, 14)
-        assert table.tobytes() == kernels.fill_batch(sim, -1.0, 1.0, [0.6])[:, :, 0].tobytes()
+        assert table.tobytes() == kernels.fill([sim], -1.0, 1.0, [0.6])[:, :, 0].tobytes()
 
     def test_batch_larger_than_the_cell_cap(self):
-        # More trials than one batch may hold: the fill itself does not split.
+        # More lanes than one run may hold: the fill itself does not split.
         rng = np.random.default_rng(47)
         sim = rng.random((40, 50))
         gaps = rng.uniform(0.0, 5.0, 2 * (kernels.BATCH_CELLS // (41 * 51)) + 3)
-        tables = kernels.fill_batch(sim, -1.0, 1.0, gaps)
+        tables = kernels.fill([sim], -1.0, 1.0, gaps)
         for t in (0, len(gaps) // 2, len(gaps) - 1):
             assert np.array_equal(tables[:, :, t], reference_dp_table(sim, -1.0, 1.0, gaps[t]))
 
@@ -187,7 +191,18 @@ def assert_table_bytes_equal(table, expected):
     assert table.ravel()[1:].tobytes() == expected.ravel()[1:].tobytes()
 
 
+def random_sims(rng, shapes):
+    return [
+        rng.random(shape) if rng.random() < 0.5 else rng.integers(0, 3, shape) / 2.0
+        for shape in shapes
+    ]
+
+
 class TestFillMany:
+    """``kernels.fill`` of several padded matrices (a mining block's
+    lanes): each lane's region equals the plain-loop table and the
+    matrix filled alone."""
+
     SHAPES = [(1, 1), (3, 7), (7, 3), (12, 5), (2, 15), (15, 14), (1, 9), (9, 1)]
 
     @pytest.mark.parametrize("gap", [0.0, 0.6, 2.0])
@@ -195,13 +210,9 @@ class TestFillMany:
         rng = np.random.default_rng(53)
         for _ in range(10):
             order = rng.permutation(len(self.SHAPES))
-            shapes = [self.SHAPES[k] for k in order]
-            sims = [
-                rng.random(shape) if rng.random() < 0.5 else rng.integers(0, 3, shape) / 2.0
-                for shape in shapes
-            ]
+            sims = random_sims(rng, [self.SHAPES[k] for k in order])
             mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
-            tables = kernels.fill_many(sims, mismatch, bonus, gap)
+            tables = kernels.fill(sims, mismatch, bonus, [gap])
             assert tables.shape == (16, 16, len(sims)) and tables.flags.c_contiguous
             for k, sim in enumerate(sims):
                 n, m = sim.shape
@@ -212,8 +223,22 @@ class TestFillMany:
 
     def test_one_matrix_is_the_sequential_fill(self):
         sim = np.random.default_rng(59).random((6, 11))
-        table = np.ascontiguousarray(kernels.fill_many([sim], -1.0, 1.0, 0.6)[:, :, 0])
+        table = np.ascontiguousarray(kernels.fill([sim], -1.0, 1.0, [0.6])[:, :, 0])
         assert table.tobytes() == kernels.fill_sequential(sim, -1.0, 1.0, 0.6).tobytes()
+
+    def test_a_matrix_and_a_gap_per_lane(self):
+        rng = np.random.default_rng(61)
+        sims = random_sims(rng, self.SHAPES)
+        gaps = rng.uniform(0.0, 5.0, len(sims))
+        tables = kernels.fill(sims, -1.0, 1.0, gaps)
+        for k, (sim, gap) in enumerate(zip(sims, gaps)):
+            n, m = sim.shape
+            alone = kernels.fill_sequential(sim, -1.0, 1.0, gap)
+            assert np.ascontiguousarray(tables[: n + 1, : m + 1, k]).tobytes() == alone.tobytes()
+
+    def test_lanes_that_do_not_broadcast(self):
+        with pytest.raises(ValueError):
+            kernels.fill([np.eye(2), np.eye(3)], -1.0, 1.0, [0.5, 1.0, 2.0])
 
 
 def nw_matches(sim, config):
@@ -221,7 +246,15 @@ def nw_matches(sim, config):
     return filter_by_threshold(sim, nw_align(sim, config), 0.0)
 
 
+def trials_of(gaps, threshold=0.0):
+    return [(threshold, gap) for gap in gaps]
+
+
 class TestNwAlignBatch:
+    """``align.kept_cells`` of one matrix for many (threshold, gap) trials,
+    the lanes of tuning: each equals aligning and filtering one trial
+    alone."""
+
     def test_equals_nw_align_for_each_gap(self):
         rng = np.random.default_rng(53)
         for _ in range(40):
@@ -231,30 +264,88 @@ class TestNwAlignBatch:
                 match_bonus=float(rng.uniform(0, 2)), mismatch_cost=float(rng.uniform(-2, 0))
             )
             gaps = [0.0, *rng.uniform(0.0, 5.0, 6).tolist(), 1.0]
-            batch = list(nw_align_batch(sim, config, gaps))
-            assert batch == [nw_matches(sim, replace(config, gap_penalty=g)) for g in gaps]
+            thresholds = [0.0, *rng.uniform(0.0, 1.0, 6).tolist(), 1.0]
+            trials = list(zip(thresholds, gaps))
+            kept = list(kept_cells([sim], trials, config, "nw"))
+            assert kept == [
+                filter_by_threshold(sim, nw_align(sim, replace(config, gap_penalty=g)), t)
+                for t, g in trials
+            ]
 
-    def test_gaps_spanning_several_batches(self):
+    def test_gaps_spanning_several_batches(self, monkeypatch):
         rng = np.random.default_rng(59)
         sim = rng.random((40, 50))
         per_batch = kernels.BATCH_CELLS // (41 * 51)
         gaps = rng.uniform(0.0, 5.0, 2 * per_batch + 7).tolist()
-        batch = list(nw_align_batch(sim, MiningConfig(), gaps))
-        assert len(batch) == len(gaps)
+        lanes = []
+        fill = kernels.fill
+
+        def recorded_fill(sims, mismatch, bonus, gaps):
+            lanes.append((len(sims), len(gaps)))
+            return fill(sims, mismatch, bonus, gaps)
+
+        monkeypatch.setattr(kernels, "fill", recorded_fill)
+        kept = list(kept_cells([sim], trials_of(gaps), MiningConfig(), "nw"))
+        assert lanes == [(1, per_batch), (1, per_batch), (1, 7)]
+        assert len(kept) == len(gaps)
         for k in (0, per_batch - 1, per_batch, 2 * per_batch, len(gaps) - 1):
-            assert batch[k] == nw_matches(sim, MiningConfig(gap_penalty=gaps[k]))
+            assert kept[k] == nw_matches(sim, MiningConfig(gap_penalty=gaps[k]))
 
     def test_no_gaps_no_alignments(self):
-        assert list(nw_align_batch(np.eye(3), MiningConfig(), [])) == []
+        assert list(kept_cells([np.eye(3)], [], MiningConfig(), "nw")) == []
 
     @pytest.mark.parametrize("gap", [-0.5, float("nan"), float("inf")])
     def test_rejects_bad_gaps(self, gap):
         with pytest.raises(ValueError, match="gap penalties"):
-            nw_align_batch(np.eye(3), MiningConfig(), [1.0, gap])
+            list(kept_cells([np.eye(3)], trials_of([1.0, gap]), MiningConfig(), "nw"))
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
-            nw_align_batch(np.array([[0.5, 1.5]]), MiningConfig(), [1.0])
+            list(kept_cells([np.array([[0.5, 1.5]])], trials_of([1.0]), MiningConfig(), "nw"))
+
+
+class TestKeptCells:
+    """``align.kept_cells`` over several matrices, the lanes of a mining
+    block, for both engines."""
+
+    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
+    def test_each_lane_equals_its_own_engine_call(self, engine):
+        rng = np.random.default_rng(67)
+        sims = random_sims(rng, [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(30)])
+        config = MiningConfig(threshold=0.4, gap_penalty=0.7)
+        per_matrix = list(kept_cells(sims, [(0.4, 0.7)], config, engine))
+        assert per_matrix == [
+            filter_by_threshold(sim, align.run_engine(sim, config, engine), 0.4) for sim in sims
+        ]
+        trials = [(float(t), float(g)) for t, g in rng.uniform(0.0, 1.0, (len(sims), 2))]
+        per_lane = list(kept_cells(sims, trials, config, engine))
+        assert per_lane == [
+            filter_by_threshold(sim, align.run_engine(sim, replace(config, gap_penalty=g), engine), t)
+            for sim, (t, g) in zip(sims, trials)
+        ]
+
+    def test_wide_lane_runs_alone(self, monkeypatch):
+        # A lane over the cap is filled alone; the small lanes after it
+        # share runs capped at BATCH_CELLS cells.
+        rng = np.random.default_rng(71)
+        sims = [rng.random((300, 500))] + random_sims(rng, [(2, 3)] * 50)
+        tables = []
+        fill = kernels.fill
+
+        def recorded_fill(sims, mismatch, bonus, gaps):
+            table = fill(sims, mismatch, bonus, gaps)
+            tables.append(table.shape)
+            return table
+
+        monkeypatch.setattr(kernels, "fill", recorded_fill)
+        config = MiningConfig(threshold=0.0)
+        kept = list(kept_cells(sims, [(0.0, 2.0)], config, "nw"))
+        assert tables == [(301, 501, 1), (3, 4, 50)]
+        assert kept == [nw_matches(sim, config) for sim in sims]
+
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ValueError, match="unknown engine"):
+            list(kept_cells([np.eye(2)], [(0.5, 1.0)], MiningConfig(), "bogus"))
 
 
 TIE_GRIDS = ((0.0, 0.5, 1.0), (0.0, 1.0), tuple(k / 10 for k in range(11)))
@@ -307,10 +398,10 @@ class TestTraceback:
         config = MiningConfig(match_bonus=bonus, mismatch_cost=mismatch, gap_penalty=gap)
         expected = oracle_steps(sim, mismatch, bonus, gap)
         assert nw_align(sim, config).steps == tuple(expected)
-        assert list(nw_align_batch(sim, config, [gap])) == [matched_cells(sim, expected)]
+        assert list(kept_cells([sim], [(0.0, gap)], config, "nw")) == [matched_cells(sim, expected)]
         # Each lane of a batch table is walked in place.
         reversed_sim = np.ascontiguousarray(sim[::-1, ::-1])
-        tables = kernels.fill_batch(reversed_sim, mismatch, bonus, [other, gap])
+        tables = kernels.fill([reversed_sim], mismatch, bonus, [other, gap])
         assert align._matches(tables, 1, sim, mismatch, bonus, gap) == matched_cells(sim, expected)
         assert align._matches(tables, 0, sim, mismatch, bonus, other) == matched_cells(
             sim, oracle_steps(sim, mismatch, bonus, other)
@@ -830,6 +921,21 @@ class TestScorePairs:
         assert list(pair_blocks([])) == []
 
 
+def oracle_outcome(model, lexicon, pairs, config, engine):
+    """Rows and failures of mining each pair alone with
+    ``oracles.reference_mine_pair``, in ``mine_corpus``'s form."""
+    rows, failures = [], []
+    for pair in pairs:
+        try:
+            cells = reference_mine_pair(model, lexicon, pair, config, engine)
+        except ValueError as exc:
+            failures.append((pair.topic_id, f"pair {pair.topic_id}: {exc}"))
+            continue
+        source, target = pair.source.sentences, pair.target.sentences
+        rows.extend((score, source[i], target[j]) for score, i, j in cells)
+    return tuple(rows), tuple(failures)
+
+
 class TestMining:
     def test_true_pairs_mined_no_noise(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(59)
@@ -970,15 +1076,66 @@ class TestMining:
 
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, config, engine=engine)
 
-        expected = []
-        for pair in pairs:
-            if pair is not bad:
-                expected.extend(mine_document_pair(toy_model, toy_lexicon, pair, config, engine))
+        assert (outcome.rows, outcome.failures) == oracle_outcome(
+            toy_model, toy_lexicon, pairs, config, engine
+        )
+        assert outcome.failures[0][1].startswith("pair bad: source sentence 1: untokenizable")
+
+    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
+    def test_one_pair_equals_the_oracle(self, toy_model, toy_lexicon, engine):
+        rng = np.random.default_rng(137)
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6)
+        for k in range(10):
+            pair = make_mining_pair(rng, f"one-{k}", int(rng.integers(1, 9)), int(rng.integers(0, 4)))[0]
+            expected, _ = oracle_outcome(toy_model, toy_lexicon, [pair], config, engine)
+            assert tuple(mine_document_pair(toy_model, toy_lexicon, pair, config, engine)) == expected
+        bad = DocumentPair(
+            topic_id="bad",
+            source=Document(id="b1", lang="eo", title="bad", sentences=("domo",)),
+            target=Document(id="b2", lang="en", title="bad", sentences=("house", "!")),
+        )
+        _, ((_, message),) = oracle_outcome(toy_model, toy_lexicon, [bad], config, engine)
         with pytest.raises(ValueError) as excinfo:
             mine_document_pair(toy_model, toy_lexicon, bad, config, engine)
-        assert outcome.rows == tuple(expected)
-        assert outcome.failures == (("bad", str(excinfo.value)),)
-        assert "pair bad: source sentence 1: untokenizable" in str(excinfo.value)
+        assert str(excinfo.value) == message
+        assert message.startswith("pair bad: target sentence 1: untokenizable")
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_wide_pair_pads_no_table_past_the_cap(
+        self, toy_model, toy_lexicon, workers, monkeypatch, tmp_path
+    ):
+        # One 1x1000 pair and 1000 1x1 pairs make one scoring block; no
+        # fill of it may pad the small pairs to one table past the cap.
+        def pair(topic, targets):
+            return DocumentPair(
+                topic_id=topic,
+                source=Document(id=f"{topic}-s", lang="eo", title=topic, sentences=("domo kato",)),
+                target=Document(id=f"{topic}-t", lang="en", title=topic, sentences=targets),
+            )
+
+        words = ("house cat", "dog", "house", "zork blip", "cat house")
+        pairs = [pair("wide", tuple(words[k % 5] for k in range(1000)))]
+        pairs += [pair(f"small-{k}", (words[k % 5],)) for k in range(1000)]
+        shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
+        assert len(list(pair_blocks(shapes))) == 1
+        record = tmp_path / "tables.txt"
+        fill = kernels.fill
+
+        def recorded_fill(sims, mismatch, bonus, gaps):
+            table = fill(sims, mismatch, bonus, gaps)
+            with open(record, "a", encoding="utf-8") as handle:  # also from pool workers
+                handle.write(f"{table.size}\n")
+            return table
+
+        monkeypatch.setattr(kernels, "fill", recorded_fill)
+        config = MiningConfig(threshold=0.3, workers=workers)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
+        sizes = [int(line) for line in record.read_text(encoding="utf-8").split()]
+        assert 0 < max(sizes) <= kernels.BATCH_CELLS
+        assert (outcome.rows, outcome.failures) == oracle_outcome(
+            toy_model, toy_lexicon, pairs, config, "nw"
+        )
+        assert outcome.failures == () and len(outcome.rows) > 400
 
     def test_one_sweep_per_block(self, toy_model, toy_lexicon, monkeypatch):
         rng = np.random.default_rng(127)

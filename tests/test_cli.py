@@ -10,6 +10,7 @@ from bimine.cli import main
 from bimine.corpus import load_corpus, read_parallel
 
 from conftest import build_corpus_files
+from oracles import reference_mine_pair
 
 
 @pytest.fixture(scope="module")
@@ -313,6 +314,30 @@ class TestMine:
         assert nw == (pipeline / "mined_nw-wavefront.tsv").read_bytes()
         assert nw == (pipeline / "mined_astar.tsv").read_bytes()
 
+    def test_sentence_rows_without_a_pair_row_are_an_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name in ("pairs.tsv", "sentences.tsv"):
+            (corpus / name).write_bytes((pipeline / "corpus" / name).read_bytes())
+        lines = (corpus / "sentences.tsv").read_text(encoding="utf-8").count("\n")
+        with open(corpus / "sentences.tsv", "a", encoding="utf-8") as handle:
+            handle.write("Orphan\tsrc\t0\tZ.\n")
+        out = tmp_path / "mined.tsv"
+        code = main(
+            [
+                "mine",
+                str(corpus),
+                str(pipeline / "model.json"),
+                str(pipeline / "lexicon.tsv"),
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'sentences.tsv'}: line {lines + 1}: topic 'Orphan' has no pair row\n"
+        )
+        assert not out.exists()
+
     def test_impossible_threshold_mines_nothing(self, pipeline, capsys):
         assert self.run_mine(pipeline, "mined_none.tsv", "--threshold", "1.0") == 0
         assert "0 sentence pairs" in capsys.readouterr().out
@@ -416,7 +441,7 @@ class TestStats:
 
 class TestTune:
     def make_reference(self, pipeline, threshold=0.6):
-        from bimine.align import MiningConfig, align_pair_indices
+        from bimine.align import MiningConfig
         from bimine.classifier import load_model
         from bimine.lexicon import read_lexicon
 
@@ -425,7 +450,7 @@ class TestTune:
         lexicon = read_lexicon(pipeline / "lexicon.tsv")
         lines = []
         for pair in pairs:
-            mined = align_pair_indices(
+            mined = reference_mine_pair(
                 model, lexicon, pair, MiningConfig(threshold=threshold), engine="nw"
             )
             for _, i, j in mined:
@@ -519,8 +544,25 @@ class TestTune:
                 "line 2: duplicate reference pair 'Topic 0' 0 0 (first on line 1)",
             ),
             ("Topic 0\t-1\t0\n", "line 1: negative index -1"),
+            (
+                "Topic 0\t0\t0\nNoSuchTopic\t1\t1\nNoSuchTopic\t0\t0\n",
+                "line 2: reference names unknown topic_id 'NoSuchTopic'\n",
+            ),
+            (
+                "Topic 1\t0\t0\nTopic 1\t99\t1\n",
+                "line 2: Topic 1: reference source index 99 out of range\n",
+            ),
+            (
+                "Topic 1\t4\t6\nTopic 1\t0\t0\n",
+                "line 1: Topic 1: reference target index 6 out of range\n",
+            ),
+            # Sorted, the rows read (0, 0) (1, 3) (2, 2): line 1 breaks the order.
+            (
+                "Topic 2\t2\t2\nTopic 2\t1\t3\nTopic 2\t0\t0\n",
+                "line 1: Topic 2: reference pairs must be monotone\n",
+            ),
         ],
-        ids=["duplicate", "negative"],
+        ids=["duplicate", "negative", "unknown-topic", "source-range", "target-range", "monotone"],
     )
     def test_bad_reference_row_names_its_line(self, pipeline, capsys, rows, message):
         reference = pipeline / "bad_row_reference.tsv"

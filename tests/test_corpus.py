@@ -267,6 +267,23 @@ class TestFiles:
         ):
             load_corpus(tmp_path)
 
+    def test_sentence_rows_without_a_pair_row_name_the_first(self, tmp_path):
+        sentences = self.write_corpus_rows(tmp_path, ["src\t0\tA.", "tgt\t0\tX."])
+        with open(sentences, "a", encoding="utf-8") as handle:
+            handle.write("Zeta\tsrc\t0\tZ.\nOrphan\tsrc\t1\tB.\nOrphan\tsrc\t0\tA.\nZeta\ttgt\t0\tY.\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{sentences}: line 3: topic 'Zeta' has no pair row"
+
+    @pytest.mark.parametrize("text", [" ", "  \u3000"])
+    def test_empty_sentence_names_its_own_line(self, tmp_path, text):
+        sentences = self.write_corpus_rows(
+            tmp_path, ["src\t0\tA.", "tgt\t0\tX.", f"src\t1\t{text}", "src\t2\tC."]
+        )
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{sentences}: line 3: sentence is empty"
+
     def test_topic_without_sentence_rows_names_pair_line(self, tmp_path):
         source = make_doc("s1", "Alpha", "en", ("First one.",))
         target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
@@ -317,7 +334,9 @@ READERS = {
     ),
     "reference": (
         {"reference.tsv": [f"Topic\t{i}\t{i}" for i in range(5)]},
-        "reference.tsv", 3, lambda d: read_reference(d / "reference.tsv"),
+        # Compared without the line numbers the reader keeps per row.
+        "reference.tsv", 3,
+        lambda d: {t: list(rows) for t, rows in read_reference(d / "reference.tsv").items()},
     ),
     "corpus sentences": (
         {

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bimine import align, kernels, tuning
-from bimine.align import MiningConfig, align_pair_indices, nw_align
-from bimine.tuning import TuningSample, alignment_agreement, read_reference, tune
+from bimine.align import MiningConfig, nw_align
+from bimine.tuning import TuningSample, alignment_agreement, read_reference, read_samples, tune
 
 from conftest import make_mining_pair
 import oracles
@@ -106,7 +106,7 @@ def planted(toy_model, toy_lexicon):
     samples = []
     for k in range(4):
         pair, _ = make_mining_pair(rng, f"planted-{k}", true_pairs=6, target_noise=2)
-        mined = align_pair_indices(toy_model, toy_lexicon, pair, base, engine="nw")
+        mined = oracles.reference_mine_pair(toy_model, toy_lexicon, pair, base, engine="nw")
         reference = tuple((i, j) for _, i, j in mined)
         samples.append(TuningSample(pair=pair, reference=reference))
     assert all(sample.reference for sample in samples)
@@ -154,7 +154,7 @@ class TestTune:
         samples = []
         for k in range(3):
             pair, _ = make_mining_pair(rng, f"default-ref-{k}")
-            mined = align_pair_indices(toy_model, toy_lexicon, pair, config, engine="nw")
+            mined = oracles.reference_mine_pair(toy_model, toy_lexicon, pair, config, engine="nw")
             samples.append(
                 TuningSample(pair=pair, reference=tuple((i, j) for _, i, j in mined))
             )
@@ -221,13 +221,14 @@ class TestTune:
         )
         monkeypatch.setattr(kernels, "BATCH_CELLS", 3 * largest)
         lanes = []
-        fill_batch = kernels.fill_batch
+        fill = kernels.fill
 
-        def recorded_fill(sim, mismatch, bonus, gaps):
+        def recorded_fill(sims, mismatch, bonus, gaps):
+            assert len(sims) == 1  # the cost table stays one lane wide
             lanes.append(len(gaps))
-            return fill_batch(sim, mismatch, bonus, gaps)
+            return fill(sims, mismatch, bonus, gaps)
 
-        monkeypatch.setattr(kernels, "fill_batch", recorded_fill)
+        monkeypatch.setattr(kernels, "fill", recorded_fill)
         result = tune(toy_model, toy_lexicon, planted, budget, seed=21, base_config=config)
         assert result == expected
         assert sum(lanes) == budget * len(planted)
@@ -262,7 +263,17 @@ class TestReferenceFile:
         path = tmp_path / "reference.tsv"
         path.write_text("topicA\t0\t0\ntopicA\t1\t2\ntopicB\t3\t4\n", encoding="utf-8")
         reference = read_reference(path)
-        assert reference == {"topicA": [(0, 0), (1, 2)], "topicB": [(3, 4)]}
+        assert reference == {"topicA": {(0, 0): 1, (1, 2): 2}, "topicB": {(3, 4): 3}}
+        assert list(reference["topicA"]) == [(0, 0), (1, 2)]
+
+    def test_samples_in_corpus_order_with_sorted_rows(self, tmp_path):
+        rng = np.random.default_rng(5)
+        pairs = [make_mining_pair(rng, topic)[0] for topic in ("a", "b", "c")]
+        path = tmp_path / "reference.tsv"
+        path.write_text("c\t3\t4\nc\t1\t1\na\t0\t2\n", encoding="utf-8")
+        samples = read_samples(path, pairs)
+        assert [s.pair.topic_id for s in samples] == ["a", "c"]
+        assert [s.reference for s in samples] == [((0, 2),), ((1, 1), (3, 4))]
 
     def test_malformed_row(self, tmp_path):
         path = tmp_path / "reference.tsv"
