@@ -12,11 +12,15 @@ score minus gap penalties is found by one of two engines:
   that walks the table and keeps only the matched cells (``_matches``).
   The steps of the returned ``Alignment`` are rebuilt from the matches
   (``_steps``);
-* ``astar_align`` -- best-first search over the alignment grid.
-  Constrained to right/down/diagonal moves it matches the dynamic
-  program; unconstrained it may also step left at no cost, re-entering
-  earlier columns, which reproduces the repetition artifact of greedy
-  sequence aligners that skip the monotonicity requirement.
+* ``astar_align`` -- one best-first search over the alignment grid
+  with two move sets.  Constrained to right/down/diagonal moves it
+  matches the dynamic program; unconstrained it may also step left at
+  no cost, re-entering earlier columns, which reproduces the repetition
+  artifact of greedy sequence aligners that skip the monotonicity
+  requirement.
+
+``run_engine`` is the one place an engine name (``ENGINES``) becomes
+an alignment.
 
 Matches above a confidence threshold become mined sentence pairs.
 Mining and tuning align through one walker, ``kept_cells``: its lanes
@@ -254,20 +258,65 @@ def nw_align_wavefront(scores: np.ndarray, config: MiningConfig, workers: int) -
 
 
 def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = True) -> Alignment:
-    """Best-first search over the alignment grid.
+    """Best-first search over the alignment grid: one search, two move sets.
 
-    With ``constrained=True`` moves are limited to right, down and
-    diagonal and the result score equals the dynamic program's.  With
-    ``constrained=False`` free leftward moves are also allowed: the
-    search may re-enter earlier columns and pair them again (each
-    re-entered cell scores again), so one target sentence can appear
-    against several source sentences.  A depth cap of ``2 * (N + M)``
-    bounds the unconstrained search.
+    Both modes expand a node by a match, a source gap and a target gap, in
+    that order.  With ``constrained=True`` those are the only moves and the
+    result score equals the dynamic program's.  With ``constrained=False``
+    a free leftward move follows them: the search may re-enter earlier
+    columns and pair them again (each re-entered cell scores again), so
+    one target sentence can appear against several source sentences.  The
+    mode also picks the heuristic.  A depth cap of ``2 * (N + M)`` bounds
+    the search; a constrained path, which advances on every move, never
+    reaches it.
     """
     sim = _validate_scores(scores)
+    n, m = sim.shape
+    bonus = config.match_bonus
+    mismatch = config.mismatch_cost
+    gap = config.gap_penalty
+    h_bonus = max(bonus, 0.0)
+    depth_cap = 2 * (n + m)
+
+    def h(i: int, j: int) -> float:
+        if constrained:
+            # Optimistic completion: fewest possible remaining steps, each
+            # collecting the full match bonus.
+            return max(n - i, m - j) * h_bonus
+        # Every remaining row may still be matched; columns beyond what
+        # diagonal moves can absorb must be paid for as gaps.
+        return (n - i) * h_bonus - gap * max(0, (m - j) - (n - i))
+
+    g_best: dict[tuple[int, int], float] = {(0, 0): 0.0}
+    parent: dict[tuple[int, int], tuple[int, int, Step | None] | None] = {(0, 0): None}
+    counter = 0
+    heap: list[tuple[float, int, int, int, float, int]] = [(-h(0, 0), counter, 0, 0, 0.0, 0)]
+    while heap:
+        _, _, i, j, g, depth = heapq.heappop(heap)
+        if g < g_best.get((i, j), -np.inf):
+            continue
+        if i == n and j == m:
+            return Alignment(steps=tuple(_reconstruct(parent, (n, m))), score=g)
+        if depth >= depth_cap:
+            continue
+        moves: list[tuple[int, int, float, Step | None]] = []
+        if i < n and j < m:
+            moves.append((i + 1, j + 1, g + _mapped(sim, i, j, mismatch, bonus), Match(i, j)))
+        if i < n:
+            moves.append((i + 1, j, g - gap, GapSource(i)))
+        if j < m:
+            moves.append((i, j + 1, g - gap, GapTarget(j)))
+        if not constrained and j > 0:
+            moves.append((i, j - 1, g, None))  # free backtrack into earlier columns
+        for ni, nj, ng, step in moves:
+            if ng > g_best.get((ni, nj), -np.inf):
+                g_best[(ni, nj)] = ng
+                parent[(ni, nj)] = (i, j, step)
+                counter += 1
+                heapq.heappush(heap, (-(ng + h(ni, nj)), counter, ni, nj, ng, depth + 1))
     if constrained:
-        return _astar_constrained(sim, config)
-    return _astar_unconstrained(sim, config)
+        raise RuntimeError("search exhausted without reaching the goal")
+    raise RuntimeError("unconstrained search diverged")
 
 
 def _mapped(sim: np.ndarray, i: int, j: int, mismatch: float, bonus: float) -> float:
@@ -292,87 +341,6 @@ def _reconstruct(
     return steps
 
 
-def _astar_constrained(sim: np.ndarray, config: MiningConfig) -> Alignment:
-    n, m = sim.shape
-    bonus = config.match_bonus
-    mismatch = config.mismatch_cost
-    gap = config.gap_penalty
-    h_bonus = max(bonus, 0.0)
-
-    def h(i: int, j: int) -> float:
-        # Optimistic completion: fewest possible remaining steps, each
-        # collecting the full match bonus.
-        return max(n - i, m - j) * h_bonus
-
-    g_best: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    parent: dict[tuple[int, int], tuple[int, int, Step | None] | None] = {(0, 0): None}
-    counter = 0
-    heap: list[tuple[float, int, int, int, float]] = [(-h(0, 0), counter, 0, 0, 0.0)]
-    while heap:
-        _, _, i, j, g = heapq.heappop(heap)
-        if g < g_best.get((i, j), -np.inf):
-            continue
-        if i == n and j == m:
-            return Alignment(steps=tuple(_reconstruct(parent, (n, m))), score=g)
-        moves: list[tuple[int, int, float, Step | None]] = []
-        if i < n and j < m:
-            moves.append((i + 1, j + 1, g + _mapped(sim, i, j, mismatch, bonus), Match(i, j)))
-        if i < n:
-            moves.append((i + 1, j, g - gap, GapSource(i)))
-        if j < m:
-            moves.append((i, j + 1, g - gap, GapTarget(j)))
-        for ni, nj, ng, step in moves:
-            if ng > g_best.get((ni, nj), -np.inf):
-                g_best[(ni, nj)] = ng
-                parent[(ni, nj)] = (i, j, step)
-                counter += 1
-                heapq.heappush(heap, (-(ng + h(ni, nj)), counter, ni, nj, ng))
-    raise RuntimeError("search exhausted without reaching the goal")
-
-
-def _astar_unconstrained(sim: np.ndarray, config: MiningConfig) -> Alignment:
-    n, m = sim.shape
-    bonus = config.match_bonus
-    mismatch = config.mismatch_cost
-    gap = config.gap_penalty
-    h_bonus = max(bonus, 0.0)
-    depth_cap = 2 * (n + m)
-
-    def h(i: int, j: int) -> float:
-        # Every remaining row may still be matched; columns beyond what
-        # diagonal moves can absorb must be paid for as gaps.
-        return (n - i) * h_bonus - gap * max(0, (m - j) - (n - i))
-
-    g_best: dict[tuple[int, int], float] = {(0, 0): 0.0}
-    parent: dict[tuple[int, int], tuple[int, int, Step | None] | None] = {(0, 0): None}
-    counter = 0
-    heap: list[tuple[float, int, int, int, float, int]] = [(-h(0, 0), counter, 0, 0, 0.0, 0)]
-    while heap:
-        _, _, i, j, g, depth = heapq.heappop(heap)
-        if g < g_best.get((i, j), -np.inf):
-            continue
-        if i == n and j == m:
-            return Alignment(steps=tuple(_reconstruct(parent, (n, m))), score=g)
-        if depth >= depth_cap:
-            continue
-        moves: list[tuple[int, int, float, Step | None]] = []
-        if i < n and j < m:
-            moves.append((i + 1, j + 1, g + _mapped(sim, i, j, mismatch, bonus), Match(i, j)))
-        if i < n:
-            moves.append((i + 1, j, g - gap, GapSource(i)))
-        if j < m:
-            moves.append((i, j + 1, g - gap, GapTarget(j)))
-        if j > 0:
-            moves.append((i, j - 1, g, None))  # free backtrack into earlier columns
-        for ni, nj, ng, step in moves:
-            if ng > g_best.get((ni, nj), -np.inf):
-                g_best[(ni, nj)] = ng
-                parent[(ni, nj)] = (i, j, step)
-                counter += 1
-                heapq.heappush(heap, (-(ng + h(ni, nj)), counter, ni, nj, ng, depth + 1))
-    raise RuntimeError("unconstrained search diverged")
-
-
 def filter_by_threshold(
     scores: np.ndarray, alignment: Alignment, threshold: float
 ) -> list[tuple[float, int, int]]:
@@ -393,6 +361,8 @@ def filter_by_threshold(
 
 
 def run_engine(scores: np.ndarray, config: MiningConfig, engine: str) -> Alignment:
+    """The alignment of ``scores`` by the engine named ``engine``, one of
+    ``ENGINES``."""
     if engine == "nw":
         return nw_align(scores, config)
     if engine == "astar_constrained":
@@ -432,8 +402,6 @@ def kept_cells(
     and each is walked in place for its matches only (``_matches``), so
     memory stays bounded and no ``Alignment`` is built.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     sims = [_validate_scores(matrix) for matrix in matrices]
     thresholds = [float(threshold) for threshold, _ in trials]
     gaps = [float(gap) for _, gap in trials]

@@ -435,18 +435,30 @@ class SimilarityModel:
         if not isinstance(data, dict):
             raise ValueError("model must be a JSON object")
         version = data.get("version")
-        if version != MODEL_FORMAT_VERSION:
+        # ``True == 1``, so the type is checked as well as the value.
+        if type(version) is not int or version != MODEL_FORMAT_VERSION:
             raise ValueError(f"unsupported model format version: {version!r}")
         fields: dict = {}
         for name in _VECTOR_FIELDS + _SCALAR_FIELDS:
             try:
                 value = data[name]
-                fields[name] = (
-                    tuple(float(v) for v in value) if name in _VECTOR_FIELDS else float(value)
-                )
-            except (KeyError, TypeError, ValueError):
+                if name in _VECTOR_FIELDS:
+                    if not isinstance(value, list):
+                        raise TypeError(name)
+                    fields[name] = tuple(_json_number(v) for v in value)
+                else:
+                    fields[name] = _json_number(value)
+            except (KeyError, TypeError, OverflowError):
                 raise ValueError(f"{name} is missing or not numeric") from None
         return cls(**fields)
+
+
+def _json_number(value: object) -> float:
+    """``value`` as a float if it is a JSON number; a JSON boolean, string,
+    array or object raises ``TypeError``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"not a number: {value!r}")
+    return float(value)
 
 
 def save_model(model: SimilarityModel, path: str | os.PathLike) -> None:

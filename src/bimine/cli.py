@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .align import MiningConfig, astar_align, mine_corpus, nw_align
+from .align import MiningConfig, astar_align, mine_corpus, nw_align, run_engine
 from .classifier import (
     load_model,
     make_negative_pairs,
@@ -273,15 +273,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     for size in sizes:
         matrix = rng.random((size, size))
         for engine in engines:
-            if _CLI_ENGINES[engine] == "nw":
-                run = lambda: nw_align(matrix, config)
-            else:
-                run = lambda: astar_align(matrix, config, constrained=True)
-            run()  # warm caches before timing
+            run_engine(matrix, config, _CLI_ENGINES[engine])  # warm caches before timing
             elapsed_ms = float("inf")
             for _ in range(3):
                 start = time.perf_counter()
-                run()
+                run_engine(matrix, config, _CLI_ENGINES[engine])
                 elapsed_ms = min(elapsed_ms, (time.perf_counter() - start) * 1000.0)
             records.append({"size": size, "engine": engine, "ms": round(elapsed_ms, 3)})
 

@@ -33,6 +33,14 @@ class Document:
     def __post_init__(self) -> None:
         if not self.id:
             raise ValueError("document id must be non-empty")
+        # pairs.tsv stores id and lang unescaped, and ``escape_field``
+        # has no escape for a carriage return.
+        if any(c in self.id for c in "\t\n\r"):
+            raise ValueError(f"document id {self.id!r} contains a tab or line break")
+        if any(c in self.lang for c in "\t\n\r"):
+            raise ValueError(f"document {self.id}: lang {self.lang!r} contains a tab or line break")
+        if "\r" in self.title:
+            raise ValueError(f"document {self.id}: title contains a carriage return")
         if not self.sentences:
             raise ValueError(f"document {self.id} has no sentences")
         for index, sentence in enumerate(self.sentences):
@@ -54,6 +62,8 @@ class DocumentPair:
     target: Document
 
     def __post_init__(self) -> None:
+        if "\r" in self.topic_id:
+            raise ValueError(f"pair {self.topic_id!r}: topic_id contains a carriage return")
         if self.source.lang == self.target.lang:
             raise ValueError(
                 f"pair {self.topic_id}: both sides have language {self.source.lang!r}"
@@ -285,9 +295,9 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     anything else is rejected as ``path: line N: ...``, since a
     reference alignment would otherwise point at other sentences.  So
     are an empty sentence, a sentence row whose topic has no pair row
-    (at its first such line), and a pair row whose documents fail their
-    checks, such as a topic without sentence rows or two sides of one
-    language.
+    (at its first such line), a second pair row of one topic, and a pair
+    row whose documents fail their checks, such as a topic without
+    sentence rows or two sides of one language.
     """
     pairs_path = os.path.join(corpus_dir, _PAIRS_FILE)
     sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
@@ -329,8 +339,15 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
         return tuple(rows[position][1] for position in range(len(rows)))
 
     pairs: list[DocumentPair] = []
+    first_line: dict[str, int] = {}  # topic -> the pair row it first appears on
     for lineno, fields in read_rows(pairs_path, 7):
         topic_id = unescape_field(fields[0])
+        if topic_id in first_line:
+            raise ValueError(
+                f"{pairs_path}: line {lineno}: duplicate topic {topic_id!r} "
+                f"(first on line {first_line[topic_id]})"
+            )
+        first_line[topic_id] = lineno
         try:
             source = Document(
                 id=fields[1],
@@ -347,11 +364,10 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
             pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
         except ValueError as exc:
             raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
-    topics = {pair.topic_id for pair in pairs}
     orphans = [
         (min(lineno for lineno, _ in rows.values()), topic_id)
         for (topic_id, _), rows in sentences.items()
-        if topic_id not in topics
+        if topic_id not in first_line
     ]
     if orphans:
         lineno, topic_id = min(orphans)

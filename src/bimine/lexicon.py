@@ -94,17 +94,6 @@ class Lexicon:
             for t, p in row.items():
                 yield s, t, p
 
-    def transposed(self) -> "Lexicon":
-        """Lexicon with source and target roles swapped (rows renormalized)."""
-        flipped: dict[str, dict[str, float]] = defaultdict(dict)
-        for s, t, p in self.items():
-            flipped[t][s] = p
-        for t, row in flipped.items():
-            total = sum(row.values())
-            if total > 0.0:  # an all-zero column (possible in a read file) stays as it is
-                flipped[t] = {s: p / total for s, p in row.items()}
-        return Lexicon(flipped)
-
     def __len__(self) -> int:
         return sum(len(row) for row in self._table.values())
 

@@ -492,6 +492,41 @@ class TestAstar:
             assert source_indices == sorted(set(source_indices))
 
 
+def replayed_score(alignment: Alignment, sim, mismatch: float, bonus: float, gap: float) -> float:
+    """The score of ``alignment``'s steps, summed in order from 0.0."""
+    g = 0.0
+    for step in alignment.steps:
+        if isinstance(step, Match):
+            g = g + (mismatch + sim[step.i, step.j] * (bonus - mismatch))
+        else:
+            g = g - gap
+    return g
+
+
+class TestStepsGiveTheScore:
+    """The steps every engine returns add up to the score it reports."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(tie_heavy_instances())
+    def test_replayed_steps_equal_the_score(self, instance):
+        sim, mismatch, bonus, gap, _ = instance
+        config = MiningConfig(match_bonus=bonus, mismatch_cost=mismatch, gap_penalty=gap)
+        n, m = sim.shape
+        # (alignment, tolerance, whether it uses every index once, in order);
+        # the DP table sums suffixes, so its additions run in another order.
+        for alignment, tolerance, monotone in (
+            (nw_align(sim, config), 1e-9, True),
+            (astar_align(sim, config, constrained=True), 0.0, True),
+            (astar_align(sim, config, constrained=False), 0.0, False),
+        ):
+            replayed = replayed_score(alignment, sim, mismatch, bonus, gap)
+            assert abs(replayed - alignment.score) <= tolerance
+            if monotone:
+                sources = [s.i for s in alignment.steps if not isinstance(s, GapTarget)]
+                targets = [s.j for s in alignment.steps if not isinstance(s, GapSource)]
+                assert sources == list(range(n)) and targets == list(range(m))
+
+
 class TestDemoFixtures:
     def test_symbol_monotone_alignment(self):
         sim = exact_match_matrix(SYMBOL_SOURCE, SYMBOL_TARGET)

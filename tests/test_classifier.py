@@ -55,10 +55,13 @@ class TestExtractFeatures:
 
     def test_coverage_components_swap_under_transposition(self):
         lexicon = Lexicon({"a": {"x": 0.7}, "b": {"y": 0.4, "z": 0.6}})
+        # The same entries with the roles swapped; coverage depends only
+        # on which entries have p > 0.
+        reversed_lexicon = Lexicon({"x": {"a": 1.0}, "y": {"b": 1.0}, "z": {"b": 1.0}})
         pairs = [("a b", "x y"), ("a a b", "z x"), ("b", "y y z")]
         for source, target in pairs:
             forward = extract_features(source, target, lexicon)
-            backward = extract_features(target, source, lexicon.transposed())
+            backward = extract_features(target, source, reversed_lexicon)
             assert backward[1] == pytest.approx(forward[2])
             assert backward[2] == pytest.approx(forward[1])
 
@@ -361,6 +364,34 @@ class TestModelLoaderFuzz:
     def test_error_names_the_file(self, tmp_path):
         path = write_model_json(tmp_path / "model.json", {**VALID_MODEL, "sigmoid_a": float("nan")})
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: sigmoid_a"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bias", True),  # a JSON boolean, which float() reads as 1.0
+            ("sigmoid_b", "0.5"),  # a numeric string
+            ("weights", {str(k): 0 for k in range(1, 7)}),  # an object: its keys are six strings
+            ("feature_scales", "111111"),  # a string of six digits
+            ("feature_means", [0.0, 0.0, 0.0, 0.0, 0.0, False]),  # a boolean entry
+        ],
+    )
+    def test_only_json_numbers_accepted(self, tmp_path, field, value):
+        path = write_model_json(tmp_path / "model.json", {**VALID_MODEL, field: value})
+        with pytest.raises(
+            ValueError, match=rf"^{re.escape(str(path))}: {field} is missing or not numeric$"
+        ):
+            load_model(path)
+
+    def test_integer_entries_accepted(self, tmp_path):
+        data = {**VALID_MODEL, "bias": 0, "weights": [1, 0, 1, 0, 1, 0]}
+        model = load_model(write_model_json(tmp_path / "model.json", data))
+        assert model.bias == 0.0 and model.weights == (1.0, 0.0, 1.0, 0.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer_one(self, tmp_path, version):
+        path = write_model_json(tmp_path / "model.json", {**VALID_MODEL, "version": version})
+        with pytest.raises(ValueError, match="unsupported model format version"):
             load_model(path)
 
     @settings(max_examples=60, deadline=None)

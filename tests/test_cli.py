@@ -78,6 +78,31 @@ class TestIngest:
         out = capsys.readouterr().out
         assert "1 paired, 1 skipped, 0 duplicates" in out
 
+    def test_language_with_tab_is_an_error(self, tmp_path, capsys):
+        # pairs.tsv stores the language unescaped; a tab would split its row.
+        (tmp_path / "s.tsv").write_text("s1\tAlpha\tFirst text here.\n", encoding="utf-8")
+        (tmp_path / "t.tsv").write_text("t1\tAlfa\tInny tekst tutaj.\n", encoding="utf-8")
+        (tmp_path / "l.tsv").write_text("Alpha\tAlfa\n", encoding="utf-8")
+        code = main(
+            [
+                "ingest",
+                str(tmp_path / "s.tsv"),
+                str(tmp_path / "t.tsv"),
+                str(tmp_path / "l.tsv"),
+                str(tmp_path / "corpus"),
+                "--source-lang",
+                "x\ty",
+                "--target-lang",
+                "pl",
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path / 's.tsv'}: line 1: document s1: lang 'x\\ty' "
+            "contains a tab or line break\n"
+        )
+        assert not (tmp_path / "corpus").exists()
+
     def test_document_without_sentences_names_its_line(self, tmp_path, capsys):
         source = tmp_path / "s.tsv"
         source.write_text(
@@ -360,6 +385,47 @@ class TestMine:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "sigmoid_a" in err
+        assert not (tmp_path / "mined.tsv").exists()
+
+    def test_boolean_in_model_is_an_error(self, pipeline, tmp_path, capsys):
+        data = json.loads((pipeline / "model.json").read_text(encoding="utf-8"))
+        data["bias"] = True
+        bad_model = tmp_path / "model.json"
+        bad_model.write_text(json.dumps(data), encoding="utf-8")
+        code = main(
+            [
+                "mine",
+                str(pipeline / "corpus"),
+                str(bad_model),
+                str(pipeline / "lexicon.tsv"),
+                str(tmp_path / "mined.tsv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {bad_model}: bias is missing or not numeric\n"
+        assert not (tmp_path / "mined.tsv").exists()
+
+    def test_duplicate_topic_row_is_an_error(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rows = (pipeline / "corpus" / "pairs.tsv").read_text(encoding="utf-8").splitlines()
+        topic = rows[0].split("\t")[0]
+        (corpus / "pairs.tsv").write_text("\n".join(rows + [rows[0]]) + "\n", encoding="utf-8")
+        (corpus / "sentences.tsv").write_bytes((pipeline / "corpus" / "sentences.tsv").read_bytes())
+        code = main(
+            [
+                "mine",
+                str(corpus),
+                str(pipeline / "model.json"),
+                str(pipeline / "lexicon.tsv"),
+                str(tmp_path / "mined.tsv"),
+            ]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {corpus / 'pairs.tsv'}: line {len(rows) + 1}: "
+            f"duplicate topic {topic!r} (first on line 1)\n"
+        )
         assert not (tmp_path / "mined.tsv").exists()
 
     @pytest.mark.parametrize("option", ["--gap-penalty", "--match-bonus", "--mismatch-cost"])

@@ -93,6 +93,37 @@ class TestDocument:
             make_doc("d1", "T", sentences=("Fine.", f"Hello{separator}world."))
         assert str(excinfo.value) == "document d1: sentence 1 contains a tab or line break"
 
+    @pytest.mark.parametrize("separator", ["\t", "\n", "\r"])
+    def test_id_or_lang_with_tab_or_line_break_rejected(self, separator):
+        with pytest.raises(ValueError) as excinfo:
+            make_doc(f"d{separator}1", "T")
+        assert str(excinfo.value) == f"document id {f'd{separator}1'!r} contains a tab or line break"
+        with pytest.raises(ValueError) as excinfo:
+            make_doc("d1", "T", lang=f"x{separator}y")
+        assert str(excinfo.value) == (
+            f"document d1: lang {f'x{separator}y'!r} contains a tab or line break"
+        )
+
+    def test_title_or_topic_with_carriage_return_rejected(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_doc("d1", "A\rB")
+        assert str(excinfo.value) == "document d1: title contains a carriage return"
+        with pytest.raises(ValueError) as excinfo:
+            DocumentPair("A\rB", make_doc("s", "T", "xs"), make_doc("g", "T", "xt"))
+        assert str(excinfo.value) == "pair 'A\\rB': topic_id contains a carriage return"
+
+    def test_accepted_fields_survive_a_saved_corpus(self, tmp_path):
+        # Every id, lang, title and topic a Document or DocumentPair
+        # accepts comes back from pairs.tsv.
+        odd = "a\\t b\\ \u2028 \x0b c"
+        pair = DocumentPair(
+            "topic\t\n" + odd,
+            make_doc("s" + odd, "title\t\n" + odd, "xs" + odd),
+            make_doc("g" + odd, odd, "xt" + odd),
+        )
+        save_corpus([pair], tmp_path)
+        assert load_corpus(tmp_path) == [pair]
+
     def test_accepted_sentences_survive_a_saved_corpus(self, tmp_path):
         # Every sentence a Document accepts comes back from sentences.tsv.
         sentences = ("Tab\\t and backslash \\ stay.", "Unicode \u2028 line separator.", "x\x0by")
@@ -294,6 +325,17 @@ class TestFiles:
         with pytest.raises(ValueError) as excinfo:
             load_corpus(tmp_path)
         assert str(excinfo.value) == f"{pairs}: line 2: document s2 has no sentences"
+
+    def test_duplicate_topic_row_names_both_lines(self, tmp_path):
+        source = make_doc("s1", "Alpha", "en", ("First one.",))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        row = pairs.read_text(encoding="utf-8")
+        pairs.write_text(row + row.replace("\ts1\t", "\ts9\t"), encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{pairs}: line 2: duplicate topic 'Alpha' (first on line 1)"
 
     def test_same_language_pair_row_names_its_line(self, tmp_path):
         source = make_doc("s1", "Alpha", "en", ("First one.",))

@@ -249,17 +249,6 @@ class TestLexiconFile:
         for s, t, p in lexicon.items():
             assert loaded.prob(s, t) == pytest.approx(p, abs=5e-7)
 
-    def test_transposed_swaps_roles(self):
-        lexicon = Lexicon({"a": {"x": 0.5, "y": 0.5}})
-        flipped = lexicon.transposed()
-        assert flipped.prob("x", "a") == 1.0
-        assert flipped.prob("y", "a") == 1.0
-
-    def test_transposed_leaves_all_zero_column_unnormalized(self):
-        flipped = Lexicon({"a": {"x": 0.0}, "b": {"x": 0.0, "y": 1.0}}).transposed()
-        assert flipped.translations("x") == {"a": 0.0, "b": 0.0}
-        assert flipped.prob("y", "b") == 1.0
-
 
 class TestLexiconReader:
     @pytest.mark.parametrize(
