@@ -24,10 +24,11 @@ an alignment.
 
 Matches above a confidence threshold become mined sentence pairs.
 Mining and tuning align through one walker, ``kept_cells``: its lanes
-are the score matrices of a block of document pairs with one (threshold,
-gap penalty) trial, or one matrix with many trials.  With ``nw`` it fills
-consecutive lanes together in bounded runs (``kernels.fill``) and walks
-each lane for its matched cells, so no ``Alignment`` is built.
+are the score matrices of document pairs with one (threshold, gap
+penalty) trial, or one matrix with many trials.  With ``nw`` it fills
+lanes of similar shape together in bounded groups (``kernels.fill``,
+which keeps only each cell's traceback moves) and walks each lane's
+moves for its matched cells, so no ``Alignment`` is built.
 
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
@@ -35,7 +36,8 @@ are identical for any worker count.  A worker that dies costs only the
 pairs of the chunk that killed it.  Within a worker (or the serial run)
 document pairs are mined in blocks of whole pairs (``_mine_pairs``): one
 scoring pass per block (``classifier.score_pairs``), then ``kept_cells``
-over the block's matrices.  ``mine_document_pair`` is its one-pair case.
+over the matrices of consecutive blocks.  ``mine_document_pair`` is its
+one-pair case.
 """
 
 from __future__ import annotations
@@ -146,47 +148,40 @@ def build_score_matrix(
     return score_pairs(model, lexicon, [pair])[0]
 
 
-def _matches(
-    tables: np.ndarray, lane: int, sim: np.ndarray, mismatch: float, bonus: float, gap: float
-) -> list[tuple[float, int, int]]:
+def _matches(moves: np.ndarray, lane: int, sim: np.ndarray) -> list[tuple[float, int, int]]:
     """The traceback's matched cells ``(score, i, j)`` of ``sim``, in order.
 
-    ``tables`` is a C-contiguous ``(N+1, M+1, L)`` array as ``kernels``
-    fills it, and ``tables[: n + 1, : m + 1, lane]`` is the table of the
-    reversed problem, so its cell ``(n-i, m-j)`` is the best score of the
-    remaining suffixes.  Walking forward from (0, 0) lets ties resolve in
-    reading order: diagonal first, then source gap, then target gap.
-    Every cell of the table was assigned as the max of the candidates
-    recomputed here, so one equality always holds exactly.  A gap move
-    only advances ``i`` or ``j``; nothing is recorded for it.
+    ``moves`` is a C-contiguous ``(2, N+1, M+1, L)`` array as
+    ``kernels.fill`` returns it, and lane ``lane`` holds the moves of the
+    reversed problem, so its cell ``(n-i, m-j)`` tells which candidate
+    gave the best score of the remaining suffixes.  Walking forward from
+    (0, 0) lets ties resolve in reading order: diagonal first, then
+    source gap, then target gap.  A gap move only advances ``i`` or
+    ``j``; nothing is recorded for it.
 
-    The lane is read in place, through a flat memoryview of ``tables``
-    and of the C-contiguous ``sim``: each read is one integer index and
-    returns the same IEEE double as a Python float, at a fraction of the
-    cost of a numpy scalar, and only the O(n + m) cells the walk visits
-    are converted.  The score of a match is the cell read for its
-    diagonal test.
+    The lane is read in place, through a flat memoryview of ``moves`` and
+    of the C-contiguous ``sim``: each read is one integer index and
+    returns a Python bool or float, at a fraction of the cost of a numpy
+    scalar, and only the O(n + m) cells the walk visits are read.
     """
     n, m = sim.shape
-    col = tables.shape[2]
-    row = tables.shape[1] * col
+    col = moves.shape[3]
+    row = moves.shape[2] * col
     diag = row + col
-    dp = memoryview(tables.reshape(-1))
+    up = moves.shape[1] * row  # from a cell's diagonal move to its up move
+    flat = memoryview(moves.reshape(-1))
     cells = memoryview(sim.reshape(-1))
-    scale = bonus - mismatch
     matches = []
-    k = lane + n * row + m * col  # the table cell of (i, j)
+    k = lane + n * row + m * col  # the diagonal move of (i, j)
     p = i = j = 0  # p: the cell of (i, j) in sim
     while i < n and j < m:
-        value = dp[k]
-        score = cells[p]
-        if value == mismatch + score * scale + dp[k - diag]:
-            matches.append((score, i, j))
+        if flat[k]:
+            matches.append((cells[p], i, j))
             i += 1
             j += 1
             k -= diag
             p += m + 1
-        elif value == dp[k - row] - gap:
+        elif flat[k + up]:
             i += 1
             k -= row
             p += m
@@ -197,26 +192,25 @@ def _matches(
     return matches
 
 
-def _steps(matches: Sequence[tuple[float, int, int]], dp_rev: memoryview, gap: float) -> list[Step]:
+def _steps(matches: Sequence[tuple[float, int, int]], up: memoryview) -> list[Step]:
     """Every step of the walk of ``_matches``, rebuilt from its matches and
-    the table ``dp_rev`` it walked.
+    the up moves ``up`` (an ``(n+1, m+1)`` plane) of the lane it walked.
 
     Up to each match the walk takes every source gap before any target
-    gap.  Write V(i, j) for the table's score of the suffixes from
-    (i, j).  Were a target gap at (i, j) followed by a source gap at
+    gap.  Write V(i, j) for the reversed table's score of the suffixes
+    from (i, j).  Were a target gap at (i, j) followed by a source gap at
     (i, j+1) with i + 1 < n, then V(i, j) = (V(i+1, j+1) - gap) - gap,
     each difference rounded, while the inner cell V(i+1, j) is at least
     V(i+1, j+1) - gap.  Rounding x - gap is monotone in x, so
-    V(i+1, j) - gap >= V(i, j) and the source-gap test would already
-    have held at (i, j).  The other ways a target gap can precede a
-    source gap -- a source gap out of row n - 1, or the source gaps left
-    once a target gap reaches the last column -- leave no cell for a
-    further match.  They occur only after the last match, where the
-    table's outer row and column hold ``-(gap * k)`` rather than repeated
-    subtractions and ties may round either way, so that stretch is
-    replayed against the table.
+    V(i+1, j) - gap >= V(i, j) and the source gap would already have won
+    at (i, j).  The other ways a target gap can precede a source gap -- a
+    source gap out of row n - 1, or the source gaps left once a target
+    gap reaches the last column -- leave no cell for a further match.
+    They occur only after the last match, where the table's outer row and
+    column hold ``-(gap * k)`` rather than repeated subtractions and ties
+    may round either way, so that stretch is replayed from the moves.
     """
-    n, m = dp_rev.shape[0] - 1, dp_rev.shape[1] - 1
+    n, m = up.shape[0] - 1, up.shape[1] - 1
     steps: list[Step] = []
     i = j = 0
     for _, mi, mj in matches:
@@ -225,7 +219,7 @@ def _steps(matches: Sequence[tuple[float, int, int]], dp_rev: memoryview, gap: f
         steps.append(Match(mi, mj))
         i, j = mi + 1, mj + 1
     while i < n and j < m:
-        if dp_rev[n - i, m - j] == dp_rev[n - i - 1, m - j] - gap:
+        if up[n - i, m - j]:
             steps.append(GapSource(i))
             i += 1
         else:
@@ -239,16 +233,16 @@ def _steps(matches: Sequence[tuple[float, int, int]], dp_rev: memoryview, gap: f
 def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
-    One table fill (``kernels.fill_sequential``) and the walk of
-    ``_matches``; the steps of the ``Alignment`` are rebuilt from the
-    matches (``_steps``).
+    One fill (``kernels.fill``) of the reversed problem and the walk of
+    ``_matches`` over its moves; the steps of the ``Alignment`` are
+    rebuilt from the matches (``_steps``) and its score is the fill's.
     """
     sim = _validate_scores(scores)
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
-    dp_rev = kernels.fill_sequential(sim[::-1, ::-1], mismatch, bonus, gap)
-    matches = _matches(dp_rev[:, :, None], 0, sim, mismatch, bonus, gap)
+    moves, final = kernels.fill([sim[::-1, ::-1]], mismatch, bonus, [gap])
+    matches = _matches(moves, 0, sim)
     return Alignment(
-        steps=tuple(_steps(matches, memoryview(dp_rev), gap)), score=float(dp_rev[-1, -1])
+        steps=tuple(_steps(matches, memoryview(moves[1, :, :, 0]))), score=float(final[0])
     )
 
 
@@ -370,18 +364,37 @@ def run_engine(scores: np.ndarray, config: MiningConfig, engine: str) -> Alignme
     raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
 
 
-def _lane_runs(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
-    """Runs of consecutive lanes whose padded table (the run's largest
-    ``(n+1) * (m+1)`` per lane) holds at most ``kernels.BATCH_CELLS``
-    cells; a lane larger than that runs alone."""
-    start = n = m = 0
-    for lane, (rows, cols) in enumerate(shapes):
-        n, m = max(n, rows), max(m, cols)
-        if lane > start and (n + 1) * (m + 1) * (lane + 1 - start) > kernels.BATCH_CELLS:
-            yield slice(start, lane)
-            start, n, m = lane, rows, cols
-    if start < len(shapes):
-        yield slice(start, len(shapes))
+def _lane_groups(shapes: Sequence[tuple[int, int]], own_matrices: bool) -> Iterator[list[int]]:
+    """Groups of lanes to fill together, given each lane's shape.
+
+    Lanes are taken largest first (by rows, then columns; in input order
+    among equal shapes), so that a group rarely widens after its first
+    lane.  A group's fill, padded to its largest ``n`` and ``m``, takes
+    at most ``kernels.BATCH_BYTES`` (``kernels.fill_bytes``, with one
+    cost lane per lane if ``own_matrices``, else one for all); a lane
+    over that is filled alone.  A lane also starts a new group when
+    joining would add more padding -- its own table padded to the
+    group's shape, or the group's tables widened to its shape -- than
+    the cells of its own table, so a group's padded tables hold at most
+    twice the cells its lanes need.
+    """
+    order = sorted(range(len(shapes)), key=lambda lane: shapes[lane], reverse=True)
+    group: list[int] = []
+    n = m = 0
+    for lane in order:
+        rows, cols = shapes[lane]
+        grown_n, grown_m = max(n, rows), max(m, cols)
+        count = len(group) + 1
+        own = (rows + 1) * (cols + 1)
+        padding = (grown_n + 1) * (grown_m + 1) * count - (n + 1) * (m + 1) * (count - 1) - own
+        size = kernels.fill_bytes(grown_n, grown_m, count, count if own_matrices else 1)
+        if group and (padding > own or size > kernels.BATCH_BYTES):
+            yield group
+            group, grown_n, grown_m = [], rows, cols
+        group.append(lane)
+        n, m = grown_n, grown_m
+    if group:
+        yield group
 
 
 def kept_cells(
@@ -394,13 +407,15 @@ def kept_cells(
     alignment whose score reaches the lane's threshold.
 
     Lanes broadcast as numpy's do: K score matrices with one
-    ``(threshold, gap penalty)`` trial (a block of mined pairs), one
-    matrix with T trials (tuning), or K of each.  A lane's cells equal
+    ``(threshold, gap penalty)`` trial (mined pairs), one matrix with T
+    trials (tuning), or K of each.  A lane's cells equal
     ``filter_by_threshold`` of ``run_engine`` with ``config`` but the
-    trial's threshold and gap penalty.  With ``nw``, consecutive lanes
-    are filled together (``kernels.fill``) in the runs of ``_lane_runs``
-    and each is walked in place for its matches only (``_matches``), so
-    memory stays bounded and no ``Alignment`` is built.
+    trial's threshold and gap penalty.  With ``nw``, lanes are filled
+    together (``kernels.fill``) in the groups of ``_lane_groups`` and
+    each lane's moves are walked in place for its matches only
+    (``_matches``), so memory stays bounded and no ``Alignment`` is
+    built.  Lanes are still yielded in order, each as soon as it and
+    every lane before it are walked.
     """
     sims = [_validate_scores(matrix) for matrix in matrices]
     thresholds = [float(threshold) for threshold, _ in trials]
@@ -418,17 +433,22 @@ def kept_cells(
         return
     mismatch, bonus = config.mismatch_cost, config.match_bonus
     reversed_sims = [sim[::-1, ::-1] for sim in sims]
-    for run in _lane_runs([sims[lane % k].shape for lane in range(lanes)]):
-        tables = kernels.fill(
-            reversed_sims[run] if k > 1 else reversed_sims,
+    done: dict[int, list[tuple[float, int, int]]] = {}
+    ready = 0  # the next lane to yield
+    for group in _lane_groups([sims[lane % k].shape for lane in range(lanes)], k > 1):
+        moves, _ = kernels.fill(
+            [reversed_sims[lane] for lane in group] if k > 1 else reversed_sims,
             mismatch,
             bonus,
-            gaps[run] if t > 1 else gaps,
+            [gaps[lane] for lane in group] if t > 1 else gaps,
         )
-        for lane in range(run.start, run.stop):
-            sim, gap = sims[lane % k], gaps[lane % t]
-            cells = _matches(tables, lane - run.start, sim, mismatch, bonus, gap)
-            yield [cell for cell in cells if cell[0] >= thresholds[lane % t]]
+        for slot, lane in enumerate(group):
+            cells = _matches(moves, slot, sims[lane % k])
+            threshold = thresholds[lane % t]
+            done[lane] = [cell for cell in cells if cell[0] >= threshold]
+        while ready in done:
+            yield done.pop(ready)
+            ready += 1
 
 
 @dataclass(frozen=True)
@@ -464,15 +484,34 @@ def _mine_pairs(
     ``mine_document_pair``.  Pairs are taken in the blocks of
     ``classifier.pair_blocks``.  Each pair of a block is profiled on its
     own; a pair that fails there leaves the block.  The rest of the block
-    is scored together (``classifier.score_pairs``) and aligned together
-    by ``kept_cells``, one lane per pair, down to each pair's matched
-    cells at or above the threshold.  Every error message reads
-    ``pair <id>: ...``; an error past profiling fails every pair left in
-    its block.
+    is scored together (``classifier.score_pairs``).  The score matrices
+    of consecutive blocks are then aligned together by one ``kept_cells``
+    call, one lane per pair, down to each pair's matched cells at or
+    above the threshold; a call takes blocks while their lanes, each
+    alone, fit in ``kernels.BATCH_BYTES``, so that small lanes of
+    several blocks, or long pairs of one lane each, share fills.  Every
+    error message reads ``pair <id>: ...``.  A scoring error fails the
+    pairs left in its block; an alignment error fails the pairs of the
+    ``kept_cells`` call it happened in.
     """
     outcomes: list = [None] * len(pairs)
     shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
     trial = [(config.threshold, config.gap_penalty)]
+    waiting: list[int] = []  # pairs scored but not yet aligned
+    matrices: list[np.ndarray] = []
+
+    def align_waiting() -> None:
+        try:
+            for k, cells in zip(waiting, kept_cells(matrices, trial, config, engine)):
+                source, target = pairs[k].source.sentences, pairs[k].target.sentences
+                outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
+        except Exception as exc:  # the run continues past failing pairs
+            for k in waiting:
+                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
+        waiting.clear()
+        matrices.clear()
+
+    size = 0  # of the waiting lanes' fills, each alone
     for block in pair_blocks(shapes):
         kept: list[int] = []
         profiled = []
@@ -486,13 +525,19 @@ def _mine_pairs(
         if not kept:
             continue
         try:
-            matrices = score_pairs(model, lexicon, profiled)
-            for k, cells in zip(kept, kept_cells(matrices, trial, config, engine)):
-                source, target = pairs[k].source.sentences, pairs[k].target.sentences
-                outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
+            scored = score_pairs(model, lexicon, profiled)
         except Exception as exc:  # the run continues past failing pairs
             for k in kept:
                 outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
+            continue
+        added = sum(kernels.fill_bytes(*shapes[k], 1, 1) for k in kept)
+        if waiting and size + added > kernels.BATCH_BYTES:
+            align_waiting()
+            size = 0
+        waiting.extend(kept)
+        matrices.extend(scored)
+        size += added
+    align_waiting()
     return outcomes
 
 

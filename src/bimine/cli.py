@@ -393,6 +393,13 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--budget must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.command == "ingest":
+        # pairs.tsv stores a language unescaped, so it may hold no tab or
+        # line break; checked here, before any file is read.
+        langs = (("--source-lang", args.source_lang), ("--target-lang", args.target_lang))
+        for option, lang in langs:
+            if any(c in lang for c in "\t\n\r"):
+                parser.error(f"{option} {lang!r} contains a tab or line break")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -47,7 +47,7 @@ class Document:
             if not sentence.strip():
                 raise ValueError(f"document {self.id} contains an empty sentence")
             # sentences.tsv stores a sentence unescaped, one per line.
-            if any(c in sentence for c in "\t\n\r"):
+            if "\t" in sentence or "\n" in sentence or "\r" in sentence:
                 raise ValueError(
                     f"document {self.id}: sentence {index} contains a tab or line break"
                 )
@@ -280,11 +280,10 @@ def save_corpus(pairs: Sequence[DocumentPair], out_dir: str | os.PathLike) -> No
             )
     with open(os.path.join(out_dir, _SENTENCES_FILE), "w", encoding="utf-8") as handle:
         for pair in pairs:
+            topic = escape_field(pair.topic_id)
             for side, doc in (("src", pair.source), ("tgt", pair.target)):
                 for index, sentence in enumerate(doc.sentences):
-                    handle.write(
-                        f"{escape_field(pair.topic_id)}\t{side}\t{index}\t{sentence}\n"
-                    )
+                    handle.write(f"{topic}\t{side}\t{index}\t{sentence}\n")
 
 
 def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:

@@ -8,8 +8,9 @@ first, so the result can never fall below them -- and keeps the
 candidate with the best mean agreement.  Only the gap penalty and the
 threshold change between trials, so each sample is scored once and
 realigned for all trials together, through the walker mining uses
-(``align.kept_cells``, one lane per trial): with ``nw``, bounded runs of
-table fills whose tables are each walked for their matched cells only.
+(``align.kept_cells``, one lane per trial): with ``nw``, bounded fills
+that keep only each cell's moves, each trial's walked for its matched
+cells only.
 """
 
 from __future__ import annotations
@@ -106,9 +107,10 @@ def tune(
     All trials are drawn up front.  Each sample is then scored once and
     realigned for every trial by ``align.kept_cells``, one lane per
     trial, the walker mining uses.  With the ``nw`` engine a sample's
-    trials share table fills of at most ``kernels.BATCH_CELLS`` cells,
-    and each trial's table is walked in place for its matched cells
-    only, so no ``Alignment`` is built per trial.
+    trials share fills of at most ``kernels.BATCH_BYTES`` (all of them,
+    for samples of a few thousand cells), and each trial's moves are
+    walked in place for its matched cells only, so no ``Alignment`` is
+    built per trial.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")

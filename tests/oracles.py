@@ -81,6 +81,30 @@ def reference_dp_table(
     return np.array(dp)
 
 
+def reference_moves(
+    table: np.ndarray, sim: np.ndarray, mismatch_cost: float, match_bonus: float, gap_penalty: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal and up moves of every interior cell of a score table
+    (``reference_dp_table`` of ``sim``), as two ``(n, m)`` bool arrays.
+
+    A cell's diagonal move holds when its diagonal candidate reaches the
+    better gap candidate, its up move when the up candidate reaches the
+    left one; each candidate is recomputed from the table, one cell at a
+    time, and rounded as the fill rounds it.
+    """
+    n, m = sim.shape
+    dp, cells = table.tolist(), sim.tolist()
+    diag = np.zeros((n, m), dtype=bool)
+    up = np.zeros((n, m), dtype=bool)
+    for i in range(1, n + 1):
+        for j in range(1, m + 1):
+            cell = mismatch_cost + cells[i - 1][j - 1] * (match_bonus - mismatch_cost)
+            from_up, from_left = dp[i - 1][j] - gap_penalty, dp[i][j - 1] - gap_penalty
+            diag[i - 1, j - 1] = dp[i - 1][j - 1] + cell >= max(from_up, from_left)
+            up[i - 1, j - 1] = from_up >= from_left
+    return diag, up
+
+
 def reference_traceback(
     dp_rev: memoryview, sim: memoryview, mismatch: float, bonus: float, gap: float
 ) -> list[Step]:

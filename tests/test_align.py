@@ -50,6 +50,7 @@ from oracles import (
     extract_features,
     reference_dp_table,
     reference_mine_pair,
+    reference_moves,
     reference_score_matrix,
     reference_traceback,
 )
@@ -145,9 +146,37 @@ class TestNwAlign:
             nw_align(np.array([[np.nan]]), MiningConfig())
 
 
+def assert_lane_equals_oracle(moves, scores, lane, sim, mismatch, bonus, gap):
+    """Lane ``lane`` of a fill holds the moves and final score of
+    ``sim``'s plain-loop table."""
+    n, m = sim.shape
+    table = reference_dp_table(sim, mismatch, bonus, gap)
+    diag, up = reference_moves(table, sim, mismatch, bonus, gap)
+    assert np.array_equal(moves[0, 1 : n + 1, 1 : m + 1, lane], diag), (n, m, gap)
+    assert np.array_equal(moves[1, 1 : n + 1, 1 : m + 1, lane], up), (n, m, gap)
+    assert scores[lane] == table[n, m], (n, m, gap)
+
+
+def assert_lane_equals_alone(moves, scores, lane, sim, mismatch, bonus, gap):
+    """Lane ``lane`` of a fill equals ``sim`` filled alone for ``gap``."""
+    n, m = sim.shape
+    alone, (score,) = kernels.fill([sim], mismatch, bonus, [gap])
+    region = np.ascontiguousarray(moves[:, 1 : n + 1, 1 : m + 1, lane])
+    assert region.tobytes() == np.ascontiguousarray(alone[:, 1:, 1:, 0]).tobytes()
+    assert scores[lane].tobytes() == score.tobytes()
+
+
+def lanes_per_run(n, m):
+    """The most lanes of one (n, m) matrix that one fill may hold."""
+    lanes = 1
+    while kernels.fill_bytes(n, m, lanes + 1, 1) <= kernels.BATCH_BYTES:
+        lanes += 1
+    return lanes
+
+
 class TestFillBatch:
     """``kernels.fill`` of one matrix for several gap penalties (tuning's
-    lanes): each lane equals the plain-loop table."""
+    lanes): each lane holds the moves and score of the plain-loop table."""
 
     GAPS = (0.0, 0.6, 2.0, 0.25, 4.75)
 
@@ -159,36 +188,34 @@ class TestFillBatch:
         for n, m in shapes:
             sim = rng.random((n, m)) if rng.random() < 0.5 else rng.integers(0, 3, (n, m)) / 2.0
             mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
-            tables = kernels.fill([sim], mismatch, bonus, self.GAPS)
-            assert tables.shape == (n + 1, m + 1, len(self.GAPS))
-            assert tables.flags.c_contiguous
+            moves, scores = kernels.fill([sim], mismatch, bonus, self.GAPS)
+            assert moves.shape == (2, n + 1, m + 1, len(self.GAPS))
+            assert moves.flags.c_contiguous and moves.dtype == bool
+            assert scores.shape == (len(self.GAPS),)
             for t, gap in enumerate(self.GAPS):
-                expected = reference_dp_table(sim, mismatch, bonus, gap)
-                assert np.array_equal(tables[:, :, t], expected), (n, m, gap)
+                assert_lane_equals_oracle(moves, scores, t, sim, mismatch, bonus, gap)
 
     def test_sequential_is_the_one_gap_batch(self):
+        # fill_sequential keeps every diagonal of the same sweep: its table
+        # gives the moves and score of the one-lane fill.
         sim = np.random.default_rng(43).random((9, 13))
         table = kernels.fill_sequential(sim, -1.0, 1.0, 0.6)
         assert table.shape == (10, 14)
-        assert table.tobytes() == kernels.fill([sim], -1.0, 1.0, [0.6])[:, :, 0].tobytes()
+        moves, (score,) = kernels.fill([sim], -1.0, 1.0, [0.6])
+        diag, up = reference_moves(table, sim, -1.0, 1.0, 0.6)
+        assert np.array_equal(moves[0, 1:, 1:, 0], diag)
+        assert np.array_equal(moves[1, 1:, 1:, 0], up)
+        assert score.tobytes() == table[-1, -1].tobytes()
 
     def test_batch_larger_than_the_cell_cap(self):
         # More lanes than one run may hold: the fill itself does not split.
         rng = np.random.default_rng(47)
         sim = rng.random((40, 50))
-        gaps = rng.uniform(0.0, 5.0, 2 * (kernels.BATCH_CELLS // (41 * 51)) + 3)
-        tables = kernels.fill([sim], -1.0, 1.0, gaps)
+        gaps = rng.uniform(0.0, 5.0, 2 * lanes_per_run(40, 50) + 3)
+        moves, scores = kernels.fill([sim], -1.0, 1.0, gaps)
+        assert moves.shape == (2, 41, 51, len(gaps))
         for t in (0, len(gaps) // 2, len(gaps) - 1):
-            assert np.array_equal(tables[:, :, t], reference_dp_table(sim, -1.0, 1.0, gaps[t]))
-
-
-def assert_table_bytes_equal(table, expected):
-    """Bytes of every cell but (0, 0), which the fill writes as -gap * 0
-    (-0.0) and the oracle as 0.0; that one is compared by value."""
-    table, expected = np.ascontiguousarray(table), np.ascontiguousarray(expected)
-    assert table.shape == expected.shape
-    assert table[0, 0] == expected[0, 0]
-    assert table.ravel()[1:].tobytes() == expected.ravel()[1:].tobytes()
+            assert_lane_equals_oracle(moves, scores, t, sim, -1.0, 1.0, gaps[t])
 
 
 def random_sims(rng, shapes):
@@ -200,8 +227,8 @@ def random_sims(rng, shapes):
 
 class TestFillMany:
     """``kernels.fill`` of several padded matrices (a mining block's
-    lanes): each lane's region equals the plain-loop table and the
-    matrix filled alone."""
+    lanes): each lane's region holds the moves and score of the
+    plain-loop table and of the matrix filled alone."""
 
     SHAPES = [(1, 1), (3, 7), (7, 3), (12, 5), (2, 15), (15, 14), (1, 9), (9, 1)]
 
@@ -212,29 +239,28 @@ class TestFillMany:
             order = rng.permutation(len(self.SHAPES))
             sims = random_sims(rng, [self.SHAPES[k] for k in order])
             mismatch, bonus = float(rng.uniform(-2, 0)), float(rng.uniform(0, 2))
-            tables = kernels.fill(sims, mismatch, bonus, [gap])
-            assert tables.shape == (16, 16, len(sims)) and tables.flags.c_contiguous
+            moves, scores = kernels.fill(sims, mismatch, bonus, [gap])
+            assert moves.shape == (2, 16, 16, len(sims)) and moves.flags.c_contiguous
             for k, sim in enumerate(sims):
-                n, m = sim.shape
-                region = tables[: n + 1, : m + 1, k]
-                assert_table_bytes_equal(region, reference_dp_table(sim, mismatch, bonus, gap))
-                alone = kernels.fill_sequential(sim, mismatch, bonus, gap)
-                assert np.ascontiguousarray(region).tobytes() == alone.tobytes()
+                assert_lane_equals_oracle(moves, scores, k, sim, mismatch, bonus, gap)
+                assert_lane_equals_alone(moves, scores, k, sim, mismatch, bonus, gap)
 
     def test_one_matrix_is_the_sequential_fill(self):
         sim = np.random.default_rng(59).random((6, 11))
-        table = np.ascontiguousarray(kernels.fill([sim], -1.0, 1.0, [0.6])[:, :, 0])
-        assert table.tobytes() == kernels.fill_sequential(sim, -1.0, 1.0, 0.6).tobytes()
+        moves, (score,) = kernels.fill([sim], -1.0, 1.0, [0.6])
+        table = kernels.fill_sequential(sim, -1.0, 1.0, 0.6)
+        assert score.tobytes() == table[-1, -1].tobytes()
+        diag, up = reference_moves(table, sim, -1.0, 1.0, 0.6)
+        assert np.array_equal(moves[0, 1:, 1:, 0], diag)
+        assert np.array_equal(moves[1, 1:, 1:, 0], up)
 
     def test_a_matrix_and_a_gap_per_lane(self):
         rng = np.random.default_rng(61)
         sims = random_sims(rng, self.SHAPES)
         gaps = rng.uniform(0.0, 5.0, len(sims))
-        tables = kernels.fill(sims, -1.0, 1.0, gaps)
+        moves, scores = kernels.fill(sims, -1.0, 1.0, gaps)
         for k, (sim, gap) in enumerate(zip(sims, gaps)):
-            n, m = sim.shape
-            alone = kernels.fill_sequential(sim, -1.0, 1.0, gap)
-            assert np.ascontiguousarray(tables[: n + 1, : m + 1, k]).tobytes() == alone.tobytes()
+            assert_lane_equals_alone(moves, scores, k, sim, -1.0, 1.0, gap)
 
     def test_lanes_that_do_not_broadcast(self):
         with pytest.raises(ValueError):
@@ -275,7 +301,7 @@ class TestNwAlignBatch:
     def test_gaps_spanning_several_batches(self, monkeypatch):
         rng = np.random.default_rng(59)
         sim = rng.random((40, 50))
-        per_batch = kernels.BATCH_CELLS // (41 * 51)
+        per_batch = lanes_per_run(40, 50)
         gaps = rng.uniform(0.0, 5.0, 2 * per_batch + 7).tolist()
         lanes = []
         fill = kernels.fill
@@ -325,23 +351,48 @@ class TestKeptCells:
         ]
 
     def test_wide_lane_runs_alone(self, monkeypatch):
-        # A lane over the cap is filled alone; the small lanes after it
-        # share runs capped at BATCH_CELLS cells.
+        # A lane over the byte cap is filled alone; the small lanes after it
+        # share one fill.
         rng = np.random.default_rng(71)
-        sims = [rng.random((300, 500))] + random_sims(rng, [(2, 3)] * 50)
-        tables = []
+        sims = [rng.random((500, 500))] + random_sims(rng, [(2, 3)] * 50)
+        assert kernels.fill_bytes(500, 500, 1, 1) > kernels.BATCH_BYTES
+        shapes = []
         fill = kernels.fill
 
         def recorded_fill(sims, mismatch, bonus, gaps):
-            table = fill(sims, mismatch, bonus, gaps)
-            tables.append(table.shape)
-            return table
+            moves, scores = fill(sims, mismatch, bonus, gaps)
+            shapes.append(moves.shape)
+            return moves, scores
 
         monkeypatch.setattr(kernels, "fill", recorded_fill)
         config = MiningConfig(threshold=0.0)
         kept = list(kept_cells(sims, [(0.0, 2.0)], config, "nw"))
-        assert tables == [(301, 501, 1), (3, 4, 50)]
+        assert shapes == [(2, 501, 501, 1), (2, 3, 4, 50)]
         assert kept == [nw_matches(sim, config) for sim in sims]
+
+    def test_groups_close_before_padding_past_their_cells(self):
+        # One wide lane and many tiny ones: the tiny lanes are not padded
+        # to the wide one's width, and are filled together.
+        shapes = [(1, 1000)] + [(1, 1)] * 1000
+        assert list(align._lane_groups(shapes, True)) == [[0], list(range(1, 1001))]
+        # Taken largest first, the wide lane leads wherever it stands.
+        assert list(align._lane_groups(shapes[::-1], True)) == [[1000], list(range(1000))]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(1, 300), st.integers(1, 300)), min_size=1, max_size=60),
+        st.booleans(),
+    )
+    def test_groups_bound_bytes_and_padding(self, shapes, own_matrices):
+        groups = list(align._lane_groups(shapes, own_matrices))
+        assert sorted(lane for group in groups for lane in group) == list(range(len(shapes)))
+        for group in groups:
+            lanes = [shapes[lane] for lane in group]
+            n, m = max(r for r, _ in lanes), max(c for _, c in lanes)
+            needed = sum((r + 1) * (c + 1) for r, c in lanes)
+            assert (n + 1) * (m + 1) * len(lanes) <= 2 * needed
+            size = kernels.fill_bytes(n, m, len(lanes), len(lanes) if own_matrices else 1)
+            assert size <= kernels.BATCH_BYTES or len(lanes) == 1
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="unknown engine"):
@@ -401,11 +452,58 @@ class TestTraceback:
         assert list(kept_cells([sim], [(0.0, gap)], config, "nw")) == [matched_cells(sim, expected)]
         # Each lane of a batch table is walked in place.
         reversed_sim = np.ascontiguousarray(sim[::-1, ::-1])
-        tables = kernels.fill([reversed_sim], mismatch, bonus, [other, gap])
-        assert align._matches(tables, 1, sim, mismatch, bonus, gap) == matched_cells(sim, expected)
-        assert align._matches(tables, 0, sim, mismatch, bonus, other) == matched_cells(
+        moves, _ = kernels.fill([reversed_sim], mismatch, bonus, [other, gap])
+        assert align._matches(moves, 1, sim) == matched_cells(sim, expected)
+        assert align._matches(moves, 0, sim) == matched_cells(
             sim, oracle_steps(sim, mismatch, bonus, other)
         )
+
+
+@st.composite
+def fill_instances(draw):
+    """Lanes of one fill: K matrices (tie-grid or random values, padded to
+    the largest shape) and T gap penalties, K and T broadcasting."""
+    count = draw(st.integers(1, 4))
+    k, t = draw(st.sampled_from([(count, 1), (1, count), (count, count)]))
+    sims = []
+    for _ in range(k):
+        n, m = draw(TIE_SHAPES)
+        grid = draw(st.one_of(st.sampled_from(TIE_GRIDS), st.none()))
+        value = st.floats(0.0, 1.0) if grid is None else st.sampled_from(grid)
+        values = draw(st.lists(value, min_size=n * m, max_size=n * m))
+        sims.append(np.array(values).reshape(n, m))
+    gaps = draw(st.lists(GAPS, min_size=t, max_size=t))
+    mismatch = draw(st.one_of(st.sampled_from([-1.0, 0.0, -100.0]), st.floats(-10.0, 0.0)))
+    bonus = draw(st.one_of(st.sampled_from([1.0, 0.0, 0.5, 2.0]), st.floats(-1.0, 2.0)))
+    return sims, gaps, mismatch, bonus
+
+
+class TestMoves:
+    """Every lane of ``kernels.fill`` holds the moves and final score that
+    the plain-loop table (``oracles.reference_dp_table``) gives, which are
+    the equalities the traceback tested on the table: a cell equals its
+    diagonal candidate, or else its up candidate."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fill_instances())
+    @example(([np.zeros((1, 6)), np.ones((6, 1))], [0.0], -100.0, 0.0))
+    @example(([np.full((3, 4), 0.5)], [0.0, 1 / 3, 2.0], -1.0, 1.0))
+    def test_moves_and_scores_equal_the_oracle(self, instance):
+        sims, gaps, mismatch, bonus = instance
+        moves, scores = kernels.fill(sims, mismatch, bonus, gaps)
+        lanes = max(len(sims), len(gaps))
+        n = max(sim.shape[0] for sim in sims)
+        m = max(sim.shape[1] for sim in sims)
+        assert moves.shape == (2, n + 1, m + 1, lanes) and scores.shape == (lanes,)
+        for lane in range(lanes):
+            sim, gap = sims[lane % len(sims)], gaps[lane % len(gaps)]
+            assert_lane_equals_oracle(moves, scores, lane, sim, mismatch, bonus, gap)
+            table = reference_dp_table(sim, mismatch, bonus, gap)
+            diag, up = reference_moves(table, sim, mismatch, bonus, gap)
+            value = table[1:, 1:]
+            cost = mismatch + sim * (bonus - mismatch)
+            assert np.array_equal(diag, value == cost + table[:-1, :-1])
+            assert np.array_equal(up[~diag], (value == table[:-1, 1:] - gap)[~diag])
 
 
 class TestWavefront:
@@ -1116,6 +1214,72 @@ class TestMining:
         )
         assert outcome.failures[0][1].startswith("pair bad: source sentence 1: untokenizable")
 
+    @staticmethod
+    def long_pair_corpus():
+        """Short pairs with two long ones (each above BLOCK_CELLS, so a
+        block of its own at any worker count) of different shapes."""
+        rng = np.random.default_rng(139)
+        pairs = [
+            make_mining_pair(rng, f"q{k}", int(rng.integers(1, 7)), int(rng.integers(0, 3)))[0]
+            for k in range(30)
+        ]
+        pairs[8] = make_mining_pair(rng, "long", true_pairs=44, target_noise=6)[0]
+        pairs[21] = make_mining_pair(rng, "other", true_pairs=46, target_noise=4)[0]
+        for pair in (pairs[8], pairs[21]):
+            assert len(pair.source.sentences) * len(pair.target.sentences) > BLOCK_CELLS
+        return pairs
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_scoring_fails_only_its_block(
+        self, toy_model, toy_lexicon, workers, monkeypatch
+    ):
+        pairs = self.long_pair_corpus()
+        unscored = pairs[21]
+        sources = list(unscored.source.sentences)
+        real = align.score_pairs
+
+        def failing(model, lexicon, profiled):
+            if any([sp.text for sp in side] == sources for side, _ in profiled):
+                raise ValueError("scoring failed")
+            return real(model, lexicon, profiled)
+
+        monkeypatch.setattr(align, "score_pairs", failing)
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
+        rows, failures = oracle_outcome(
+            toy_model, toy_lexicon, [p for p in pairs if p is not unscored], config, "nw"
+        )
+        assert failures == ()
+        assert outcome.rows == rows
+        assert outcome.failures == (("other", "pair other: scoring failed"),)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_alignment_fails_only_its_call(
+        self, toy_model, toy_lexicon, workers, monkeypatch
+    ):
+        # With the budget of the long pair's fill, its kept_cells call
+        # holds it alone; the pairs of the other calls are mined.
+        pairs = self.long_pair_corpus()
+        long = pairs[8]
+        shape = (len(long.source.sentences), len(long.target.sentences))
+        monkeypatch.setattr(kernels, "BATCH_BYTES", kernels.fill_bytes(*shape, 1, 1))
+        real = align.kept_cells
+
+        def failing(matrices, trials, config, engine):
+            if any(matrix.shape == shape for matrix in matrices):
+                raise ValueError("alignment failed")
+            return real(matrices, trials, config, engine)
+
+        monkeypatch.setattr(align, "kept_cells", failing)
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
+        rows, failures = oracle_outcome(
+            toy_model, toy_lexicon, [p for p in pairs if p is not long], config, "nw"
+        )
+        assert failures == ()
+        assert outcome.rows == rows
+        assert outcome.failures == (("long", "pair long: alignment failed"),)
+
     @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
     def test_one_pair_equals_the_oracle(self, toy_model, toy_lexicon, engine):
         rng = np.random.default_rng(137)
@@ -1153,26 +1317,34 @@ class TestMining:
         pairs += [pair(f"small-{k}", (words[k % 5],)) for k in range(1000)]
         shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
         assert len(list(pair_blocks(shapes))) == 1
-        record = tmp_path / "tables.txt"
+        record = tmp_path / "fills.txt"
         fill = kernels.fill
 
         def recorded_fill(sims, mismatch, bonus, gaps):
-            table = fill(sims, mismatch, bonus, gaps)
+            moves, scores = fill(sims, mismatch, bonus, gaps)
+            _, n, m, lanes = moves.shape
+            needed = sum(sim.size + sum(sim.shape) + 1 for sim in sims)
+            size = kernels.fill_bytes(n - 1, m - 1, lanes, len(sims))
             with open(record, "a", encoding="utf-8") as handle:  # also from pool workers
-                handle.write(f"{table.size}\n")
-            return table
+                handle.write(f"{n * m * lanes} {needed} {size}\n")
+            return moves, scores
 
         monkeypatch.setattr(kernels, "fill", recorded_fill)
         config = MiningConfig(threshold=0.3, workers=workers)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
-        sizes = [int(line) for line in record.read_text(encoding="utf-8").split()]
-        assert 0 < max(sizes) <= kernels.BATCH_CELLS
+        lines = record.read_text(encoding="utf-8").splitlines()
+        fills = [tuple(map(int, line.split())) for line in lines]
+        assert fills and all(size <= kernels.BATCH_BYTES for _, _, size in fills)
+        assert all(padded <= 2 * needed for padded, needed, _ in fills)
+        assert sum(needed for _, needed, _ in fills) == 2002 + 1000 * 4
         assert (outcome.rows, outcome.failures) == oracle_outcome(
             toy_model, toy_lexicon, pairs, config, "nw"
         )
         assert outcome.failures == () and len(outcome.rows) > 400
 
     def test_one_sweep_per_block(self, toy_model, toy_lexicon, monkeypatch):
+        # Blocks that fit in one fill's budget are aligned together, so
+        # their lanes share sweeps: at most one per block.
         rng = np.random.default_rng(127)
         pairs = [make_mining_pair(rng, f"s{k}", 3, 1)[0] for k in range(200)]
         shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
@@ -1181,13 +1353,14 @@ class TestMining:
         lanes = []
         real = kernels._sweep
 
-        def counting(dp, cost, gaps):
-            lanes.append(dp.shape[2])
-            real(dp, cost, gaps)
+        def counting(rows, moves, *rest):
+            lanes.append(moves.shape[2])
+            real(rows, moves, *rest)
 
         monkeypatch.setattr(kernels, "_sweep", counting)
         mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
-        assert lanes == [block.stop - block.start for block in blocks]
+        assert lanes == [len(group) for group in align._lane_groups(shapes, True)]
+        assert len(lanes) <= len(blocks)
 
     def test_unknown_engine_rejected(self, toy_model, toy_lexicon):
         with pytest.raises(ValueError, match="unknown engine"):

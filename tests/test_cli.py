@@ -79,28 +79,24 @@ class TestIngest:
         assert "1 paired, 1 skipped, 0 duplicates" in out
 
     def test_language_with_tab_is_an_error(self, tmp_path, capsys):
-        # pairs.tsv stores the language unescaped; a tab would split its row.
-        (tmp_path / "s.tsv").write_text("s1\tAlpha\tFirst text here.\n", encoding="utf-8")
-        (tmp_path / "t.tsv").write_text("t1\tAlfa\tInny tekst tutaj.\n", encoding="utf-8")
-        (tmp_path / "l.tsv").write_text("Alpha\tAlfa\n", encoding="utf-8")
-        code = main(
-            [
-                "ingest",
-                str(tmp_path / "s.tsv"),
-                str(tmp_path / "t.tsv"),
-                str(tmp_path / "l.tsv"),
-                str(tmp_path / "corpus"),
-                "--source-lang",
-                "x\ty",
-                "--target-lang",
-                "pl",
-            ]
-        )
-        assert code == 1
-        assert capsys.readouterr().err == (
-            f"error: {tmp_path / 's.tsv'}: line 1: document s1: lang 'x\\ty' "
-            "contains a tab or line break\n"
-        )
+        # pairs.tsv stores the language unescaped; a tab would split its
+        # row.  The option is named before any file is read: none exists.
+        for option in ("--source-lang", "--target-lang"):
+            langs = {"--source-lang": "eo", "--target-lang": "pl", option: "x\ty"}
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [
+                        "ingest",
+                        str(tmp_path / "s.tsv"),
+                        str(tmp_path / "t.tsv"),
+                        str(tmp_path / "l.tsv"),
+                        str(tmp_path / "corpus"),
+                        *(item for pair in langs.items() for item in pair),
+                    ]
+                )
+            assert excinfo.value.code == 2
+            err = capsys.readouterr().err
+            assert err.endswith(f"error: {option} 'x\\ty' contains a tab or line break\n")
         assert not (tmp_path / "corpus").exists()
 
     def test_document_without_sentences_names_its_line(self, tmp_path, capsys):

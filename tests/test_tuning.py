@@ -214,12 +214,10 @@ class TestTune:
         expected = oracles.reference_tune(
             toy_model, toy_lexicon, planted, budget, seed=21, base_config=config
         )
-        # Three tables of the largest sample per batch.
-        largest = max(
-            (len(s.pair.source.sentences) + 1) * (len(s.pair.target.sentences) + 1)
-            for s in planted
-        )
-        monkeypatch.setattr(kernels, "BATCH_CELLS", 3 * largest)
+        # Three lanes of the largest sample per fill.
+        n = max(len(s.pair.source.sentences) for s in planted)
+        m = max(len(s.pair.target.sentences) for s in planted)
+        monkeypatch.setattr(kernels, "BATCH_BYTES", kernels.fill_bytes(n, m, 3, 1))
         lanes = []
         fill = kernels.fill
 
