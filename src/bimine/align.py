@@ -53,13 +53,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .classifier import (
-    SentenceProfile,
-    SimilarityModel,
-    pair_blocks,
-    profile_sentence,
-    score_pairs,
-)
+from .classifier import SimilarityModel, encode_pair, pair_blocks, score_pairs
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
@@ -125,16 +119,6 @@ def _validate_scores(scores: np.ndarray) -> np.ndarray:
     return sim
 
 
-def _profiles(sentences: Sequence[str], side: str) -> list[SentenceProfile]:
-    result = []
-    for index, sentence in enumerate(sentences):
-        try:
-            result.append(profile_sentence(sentence))
-        except ValueError as exc:
-            raise ValueError(f"{side} sentence {index}: {exc}") from None
-    return result
-
-
 def build_score_matrix(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -144,7 +128,7 @@ def build_score_matrix(
     """Similarity of every source sentence against every target sentence."""
     if not source_sentences or not target_sentences:
         raise ValueError("both sentence sequences must be non-empty")
-    pair = (_profiles(source_sentences, "source"), _profiles(target_sentences, "target"))
+    pair = encode_pair(lexicon.compiled(), source_sentences, target_sentences)
     return score_pairs(model, lexicon, [pair])[0]
 
 
@@ -466,11 +450,6 @@ def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig, e
     _POOL_STATE["args"] = (model, lexicon, config, engine)
 
 
-def _profile_pair(pair: DocumentPair) -> tuple[list[SentenceProfile], list[SentenceProfile]]:
-    """Profiles of both sides of one pair, the per-pair step of mining."""
-    return _profiles(pair.source.sentences, "source"), _profiles(pair.target.sentences, "target")
-
-
 def _mine_pairs(
     model: SimilarityModel,
     lexicon: Lexicon,
@@ -482,17 +461,17 @@ def _mine_pairs(
 
     The one mining path of the serial run, of every pool worker and of
     ``mine_document_pair``.  Pairs are taken in the blocks of
-    ``classifier.pair_blocks``.  Each pair of a block is profiled on its
-    own; a pair that fails there leaves the block.  The rest of the block
-    is scored together (``classifier.score_pairs``).  The score matrices
-    of consecutive blocks are then aligned together by one ``kept_cells``
-    call, one lane per pair, down to each pair's matched cells at or
-    above the threshold; a call takes blocks while their lanes, each
-    alone, fit in ``kernels.BATCH_BYTES``, so that small lanes of
-    several blocks, or long pairs of one lane each, share fills.  Every
-    error message reads ``pair <id>: ...``.  A scoring error fails the
-    pairs left in its block; an alignment error fails the pairs of the
-    ``kept_cells`` call it happened in.
+    ``classifier.pair_blocks``.  Each pair of a block is tokenized on its
+    own (``classifier.encode_pair``); a pair that fails there leaves the
+    block.  The rest of the block is scored together (``score_pairs``).
+    The score matrices of consecutive blocks are then aligned together by
+    one ``kept_cells`` call, one lane per pair, down to each pair's
+    matched cells at or above the threshold; a call takes blocks while
+    their lanes, each alone, fit in ``kernels.BATCH_BYTES``, so that small
+    lanes of several blocks, or long pairs of one lane each, share fills.
+    Every error message reads ``pair <id>: ...``.  A scoring error fails
+    the pairs left in its block; an alignment error fails the pairs of
+    the ``kept_cells`` call it happened in.
     """
     outcomes: list = [None] * len(pairs)
     shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
@@ -514,10 +493,11 @@ def _mine_pairs(
     size = 0  # of the waiting lanes' fills, each alone
     for block in pair_blocks(shapes):
         kept: list[int] = []
-        profiled = []
+        encoded = []
         for k in range(block.start, block.stop):
+            source, target = pairs[k].source.sentences, pairs[k].target.sentences
             try:
-                profiled.append(_profile_pair(pairs[k]))
+                encoded.append(encode_pair(lexicon.compiled(), source, target))
             except ValueError as exc:
                 outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
             else:
@@ -525,7 +505,7 @@ def _mine_pairs(
         if not kept:
             continue
         try:
-            scored = score_pairs(model, lexicon, profiled)
+            scored = score_pairs(model, lexicon, encoded)
         except Exception as exc:  # the run continues past failing pairs
             for k in kept:
                 outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")

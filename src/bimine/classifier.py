@@ -8,16 +8,16 @@ into [0, 1] by a Platt-style sigmoid fit, so scores behave like the
 probability that the two sentences translate each other.
 
 Features are computed for many sentence pairs at once by one feature
-stage (``_features``): consecutive whole document pairs are grouped into
-blocks of at most ``BLOCK_CELLS`` cells (a larger pair is a block of its
-own), and each feature of a block is a few array passes against the
-lexicon compiled once into arrays (``Lexicon.compiled``), with work that
-follows each pair's own sentences and tokens.  ``score_pairs`` adds the
-margin and the sigmoid; ``training_features`` runs the stage over the
-training examples as 1x1 pairs.  ``extract_features`` and
+stage (``_features``) on token ids: ``encode`` tokenizes each sentence
+once into ids of the lexicon compiled into arrays (``Lexicon.compiled``).
+Consecutive whole document pairs are grouped into blocks of at most
+``BLOCK_CELLS`` cells (a larger pair is a block of its own), and each
+feature of a block is a few array passes against the lexicon, with work
+that follows each pair's own sentences and tokens.  ``score_pairs`` adds
+the margin and the sigmoid; ``training_features`` runs the stage over
+the training examples as 1x1 pairs.  ``extract_features`` and
 ``similarity`` are its one-cell cases.  Features and scores are
-bit-identical to the per-pair definition that ``tests/oracles.py``
-keeps.
+bit-identical to the per-pair definition that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,27 +60,46 @@ def _exp(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
 
 
-@dataclass(frozen=True)
-class SentenceProfile:
-    """Cached per-sentence data reused across many pair scorings."""
+class Encoded(NamedTuple):
+    """A run of sentences as token ids, in CSR form (``encode``):
+    sentence ``i`` has ``chars[i]`` characters and ``tokens[i]`` ids,
+    which follow the ids of the sentences before it.  Ids below
+    ``len(compiled.ids)`` are the lexicon's; other tokens get ids past
+    them, numbered by first occurrence in the run, so that equal strings
+    of one run, and only they, have equal ids."""
 
-    text: str
-    tokens: tuple[str, ...]
-
-
-def profile_sentence(sentence: str) -> SentenceProfile:
-    tokens = tokenize(sentence)
-    if not tokens:
-        raise ValueError(f"untokenizable sentence: {sentence!r}")
-    return SentenceProfile(text=sentence, tokens=tuple(tokens))
+    ids: np.ndarray
+    tokens: np.ndarray
+    chars: np.ndarray
 
 
-def _lengths(profiles: Sequence[SentenceProfile]) -> tuple[np.ndarray, np.ndarray]:
-    """Token and character counts of each profile."""
-    return (
-        np.array([len(p.tokens) for p in profiles]),
-        np.array([len(p.text) for p in profiles]),
-    )
+def encode(compiled: CompiledLexicon, sentences: Sequence[str]) -> Encoded:
+    """Each of ``sentences`` tokenized once, as ids of ``compiled``; a
+    sentence without tokens has a count of 0."""
+    ids = compiled.ids
+    words = [tokenize(sentence) for sentence in sentences]
+    flat = list(chain.from_iterable(words))
+    token_ids = np.fromiter(map(ids.get, flat, repeat(-1)), np.intp, len(flat))
+    outside: dict[str, int] = {}
+    for k in np.flatnonzero(token_ids < 0).tolist():
+        token_ids[k] = outside.setdefault(flat[k], len(ids) + len(outside))
+    tokens = np.fromiter(map(len, words), np.intp, len(words))
+    return Encoded(token_ids, tokens, np.fromiter(map(len, sentences), np.intp, len(sentences)))
+
+
+def encode_pair(
+    compiled: CompiledLexicon, sources: Sequence[str], targets: Sequence[str]
+) -> tuple[Encoded, int]:
+    """Both sides of a pair as one run of ``encode``, sources first, and
+    the number of sources.  The first sentence without tokens raises
+    ``ValueError("source sentence i: untokenizable sentence: '...'")``."""
+    sentences = [*sources, *targets]
+    encoded = encode(compiled, sentences)
+    if not encoded.tokens.all():
+        k = int(np.argmin(encoded.tokens))
+        side, i = ("source", k) if k < len(sources) else ("target", k - len(sources))
+        raise ValueError(f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}")
+    return encoded, len(sources)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -139,9 +158,6 @@ def _runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
         start = stop
 
 
-ProfilePair = tuple[Sequence[SentenceProfile], Sequence[SentenceProfile]]
-
-
 def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
     """Runs of consecutive whole pairs of at most ``BLOCK_CELLS`` cells in
     total, given each pair's (sources, targets) shape; a larger pair is a
@@ -150,13 +166,21 @@ def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
 
 
 def _features(
-    compiled: CompiledLexicon, pairs: Sequence[ProfilePair]
+    compiled: CompiledLexicon,
+    sentences: Encoded,
+    source: np.ndarray,
+    target: np.ndarray,
+    n: np.ndarray,
+    m: np.ndarray,
 ) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """The six features of every cell of a block of pairs, in row blocks.
 
-    Cells are numbered flat: pair after pair, each pair's sources x
-    targets row by row, so no pair is padded to another's width.  Yields
-    ``(cells, features)`` for runs of whole source sentences of at most
+    Pair ``k`` has ``n[k]`` sources and ``m[k]`` targets, which
+    ``source`` and ``target`` number in ``sentences``, pair after pair;
+    ids need be equal for equal tokens only within a pair.  Cells are
+    numbered flat: pair after pair, each pair's sources x targets row by
+    row, so no pair is padded to another's width.  Yields ``(cells,
+    features)`` for runs of whole source sentences of at most
     ``BLOCK_CELLS`` cells (or one longer sentence).  Each source sentence
     meets only its own pair's targets: the counts come from sorted joins
     on (pair, token) keys, whose hits are counted into cells with
@@ -164,35 +188,15 @@ def _features(
     positions in sentence order and ratios are single divisions, as in
     the one-pair definition.
     """
-    # Sentences of all pairs are numbered through the block, sources and
-    # targets apart.  Tokens get block ids 0..width-1 shared by both
-    # sides, so that equal strings compare equal.
-    sources = [sp for side, _ in pairs for sp in side]
-    targets = [tp for _, side in pairs for tp in side]
-    n = np.array([len(side) for side, _ in pairs])
-    m = np.array([len(side) for _, side in pairs])
-    source_tokens = [t for sp in sources for t in sp.tokens]
-    tokens = source_tokens + [t for tp in targets for t in tp.tokens]
-    ids = compiled.ids
-    lexicon_id = np.fromiter(map(ids.get, tokens, repeat(-1)), np.intp, len(tokens))
-    outside: dict[str, int] = {}  # tokens outside the lexicon get ids past it
-    for k in np.flatnonzero(lexicon_id < 0).tolist():
-        lexicon_id[k] = outside.setdefault(tokens[k], len(ids) + len(outside))
-    # Block ids number the block's distinct tokens in lexicon id order.
-    seen = np.zeros(len(ids) + len(outside), dtype=bool)
-    seen[lexicon_id] = True
-    block_ids = np.flatnonzero(seen)
-    token = (np.cumsum(seen) - 1)[lexicon_id]
-    source_token, target_token = token[: len(source_tokens)], token[len(source_tokens) :]
-    width = len(block_ids)
-    in_lexicon = int(np.searchsorted(block_ids, len(ids)))  # block ids of lexicon tokens
-    block_id = np.full(len(ids), width, dtype=np.intp)  # lexicon id -> block id
-    block_id[block_ids[:in_lexicon]] = np.arange(in_lexicon)
-    s_tokens, s_chars = _lengths(sources)
-    t_tokens, t_chars = _lengths(targets)
-    source_of = np.repeat(np.arange(len(sources)), s_tokens)  # per source position
-    pair_of_source = np.repeat(np.arange(len(pairs)), n)  # per source sentence
-    slot_of_target = np.arange(len(targets)) - np.repeat(_offsets(m), m)  # column in its pair
+    first_token = _offsets(sentences.tokens)
+    s_tokens, t_tokens = sentences.tokens[source], sentences.tokens[target]
+    s_chars, t_chars = sentences.chars[source], sentences.chars[target]
+    source_token = sentences.ids[_ranges(first_token[source], s_tokens)]
+    target_token = sentences.ids[_ranges(first_token[target], t_tokens)]
+    width = max(len(compiled.ids), int(sentences.ids.max()) + 1)  # keys: pair * width + id
+    source_of = np.repeat(np.arange(len(source)), s_tokens)  # per source position
+    pair_of_source = np.repeat(np.arange(len(n)), n)  # per source sentence
+    slot_of_target = np.arange(len(target)) - np.repeat(_offsets(m), m)  # column in its pair
     first_target = _offsets(m)  # per pair
     first_position = _offsets(s_tokens)  # per source sentence
 
@@ -200,18 +204,18 @@ def _features(
     # (pair, token) key and then sentence, with how often each occurs in
     # its sentence; a join on (pair, token) finds the run of types of
     # that key, one per target sentence of the pair that holds the token.
-    target_of = np.repeat(np.arange(len(targets)), t_tokens)
+    target_of = np.repeat(np.arange(len(target)), t_tokens)
     occurrences = np.sort(
-        (np.repeat(np.arange(len(pairs)), m)[target_of] * width + target_token) * len(targets)
+        (np.repeat(np.arange(len(n)), m)[target_of] * width + target_token) * len(target)
         + target_of
     )
     type_start = np.flatnonzero(_first_of_each(occurrences))
     type_count = np.diff(type_start, append=len(occurrences))
-    type_key, type_sentence = np.divmod(occurrences[type_start], len(targets))
+    type_key, type_sentence = np.divmod(occurrences[type_start], len(target))
     type_cell = slot_of_target[type_sentence]  # column of the type's sentence in its pair
     key_start = np.flatnonzero(_first_of_each(type_key))
     keys, key_start = type_key[key_start], np.append(key_start, len(type_key))
-    t_types = np.bincount(type_sentence, minlength=len(targets))
+    t_types = np.bincount(type_sentence, minlength=len(target))
 
     # Rows: the distinct (pair, token) keys of the source tokens.
     row_keys, row_of_position = np.unique(
@@ -224,20 +228,18 @@ def _features(
     # r over those in column j of its pair (max is exact in any order).
     # The hits are expanded in runs of at most 4 * BLOCK_CELLS, so memory
     # stays bounded however many target sentences share a token.
-    row_id = np.minimum(block_ids[row_token], len(ids))
+    row_id = np.minimum(row_token, len(compiled.ids))  # the empty row for outside tokens
     first = compiled.indptr[row_id]
     count = compiled.indptr[row_id + 1] - first
     entry = _ranges(first, count)
-    translation = block_id[compiled.targets[entry]]
-    present = translation < width
-    candidate_row = np.repeat(np.arange(len(row_keys)), count)[present]
-    translation = translation[present]
+    translation = compiled.targets[entry]
+    candidate_row = np.repeat(np.arange(len(row_keys)), count)
     low, hits = _lookup(keys, key_start, row_pair[candidate_row] * width + translation)
     found = hits > 0
     candidate_row, translation, low, hits = (
         v[found] for v in (candidate_row, translation, low, hits)
     )
-    prob = compiled.probs[entry][present][found]
+    prob = compiled.probs[entry][found]
     row_width = m[row_pair]
     row_start = _offsets(row_width)
     zero_row = int(row_start[-1] + row_width[-1])  # start of an all-zero row
@@ -318,29 +320,30 @@ def _features(
 
 
 def score_pairs(
-    model: "SimilarityModel", lexicon: Lexicon, pairs: Sequence[ProfilePair]
+    model: "SimilarityModel", lexicon: Lexicon, pairs: Sequence[tuple[Encoded, int]]
 ) -> list[np.ndarray]:
-    """Score matrix of each (source profiles, target profiles) pair.
+    """Score matrix of each pair, given as ``encode_pair`` returns it.
 
     Every cell equals ``score_from_margin(margin(features))`` of the
     pair's six features, bit for bit.  Pairs are scored together in the
     blocks of ``pair_blocks``, so a short pair costs a share of a few
-    array passes rather than passes of its own; the matrices of a block
-    are C-contiguous views of one array.  Both sides of every pair must
-    be non-empty.
+    array passes, not passes of its own; a block's matrices are
+    C-contiguous views of one array.  No side may be empty.
     """
     compiled = lexicon.compiled()
     pairs = list(pairs)
-    shapes = [(len(sources), len(targets)) for sources, targets in pairs]
+    shapes = [(n, len(encoded.tokens) - n) for encoded, n in pairs]
     matrices: list[np.ndarray] = []
     for block in pair_blocks(shapes):
-        scores = np.empty(sum(n * m for n, m in shapes[block]))
-        for cells, features in _features(compiled, pairs[block]):
+        sentences = Encoded(*map(np.concatenate, zip(*(encoded for encoded, _ in pairs[block]))))
+        n, m = np.array(shapes[block]).T
+        first = _offsets(n + m)
+        source, target = _ranges(first, n), _ranges(first + n, m)
+        scores = np.empty(int(np.dot(n, m)))
+        for cells, features in _features(compiled, sentences, source, target, n, m):
             scores[cells] = model.scores_from_margins(model.margin(features))
-        offset = 0
-        for n, m in shapes[block]:
-            matrices.append(scores[offset : offset + n * m].reshape(n, m))
-            offset += n * m
+        parts = np.split(scores, np.cumsum(n * m)[:-1])
+        matrices += [part.reshape(shape) for part, shape in zip(parts, shapes[block])]
     return matrices
 
 
@@ -355,9 +358,7 @@ def extract_features(
     covered source tokens, character-length ratio (capped at 4), and
     fraction of shared identical tokens.
     """
-    pair = ([profile_sentence(source_sentence)], [profile_sentence(target_sentence)])
-    ((_, features),) = _features(lexicon.compiled(), [pair])
-    return [float(feature[0]) for feature in features]
+    return training_features([(source_sentence, target_sentence)], [], lexicon)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -562,25 +563,42 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     return a, b
 
 
+def tokenizable_pairs(
+    pairs: Sequence[tuple[str, str]], lexicon: Lexicon
+) -> tuple[list[tuple[str, str]], tuple[list[str], Encoded]]:
+    """The pairs whose sides both have tokens, and the distinct sentences
+    of ``pairs`` with their one run of ``encode``, which
+    ``training_features`` takes: each sentence is tokenized once."""
+    distinct = list(dict.fromkeys(chain.from_iterable(pairs)))
+    encoded = encode(lexicon.compiled(), distinct)
+    tokens = dict(zip(distinct, encoded.tokens.tolist()))
+    return [(s, t) for s, t in pairs if tokens[s] and tokens[t]], (distinct, encoded)
+
+
 def training_features(
     positives: Sequence[tuple[str, str]],
     negatives: Sequence[tuple[str, str]],
     lexicon: Lexicon,
+    sentences: tuple[list[str], Encoded] | None = None,
 ) -> np.ndarray:
     """Feature rows of every training example, positives first.
 
-    Each example is a 1x1 pair of the block feature stage, and each
-    distinct sentence is profiled once.
+    Each example is a 1x1 pair of the block feature stage over the run of
+    ``tokenizable_pairs``: ``sentences``, which must hold every example's
+    sentences, or the examples' own.  An example sentence without tokens
+    raises ``ValueError``.
     """
     examples = [*positives, *negatives]
-    profiles = {
-        text: profile_sentence(text) for text in dict.fromkeys(chain.from_iterable(examples))
-    }
-    pairs = [([profiles[s]], [profiles[t]]) for s, t in examples]
-    compiled = lexicon.compiled()
-    x = np.empty((len(pairs), FEATURE_COUNT))
-    for block in pair_blocks([(1, 1)] * len(pairs)):
-        for cells, features in _features(compiled, pairs[block]):
+    distinct, encoded = sentences or tokenizable_pairs(examples, lexicon)[1]
+    index = dict(zip(distinct, range(len(distinct))))
+    numbers = np.array([(index[s], index[t]) for s, t in examples], dtype=np.intp).reshape(-1, 2)
+    if not encoded.tokens[numbers].all():
+        first = numbers.flat[np.argmin(encoded.tokens[numbers])]
+        raise ValueError(f"untokenizable sentence: {distinct[first]!r}")
+    x = np.empty((len(examples), FEATURE_COUNT))
+    for block in pair_blocks([(1, 1)] * len(examples)):
+        (source, target), ones = numbers[block].T, np.ones(block.stop - block.start, np.intp)
+        for cells, features in _features(lexicon.compiled(), encoded, source, target, ones, ones):
             x[block.start + cells.start : block.start + cells.stop] = np.column_stack(features)
     return x
 
@@ -708,5 +726,5 @@ def similarity(
 ) -> float:
     """Calibrated translation-likelihood score in [0, 1]: the one-cell
     case of ``score_pairs``."""
-    pair = ([profile_sentence(source_sentence)], [profile_sentence(target_sentence)])
+    pair = encode_pair(lexicon.compiled(), [source_sentence], [target_sentence])
     return float(score_pairs(model, lexicon, [pair])[0][0, 0])

@@ -17,6 +17,7 @@ from .classifier import (
     load_model,
     make_negative_pairs,
     save_model,
+    tokenizable_pairs,
     train_classifier,
     training_accuracy,
     training_features,
@@ -43,7 +44,6 @@ from .demos import (
 )
 from .lexicon import build_lexicon, merge_title_lexicon, read_lexicon, write_lexicon
 from .manifest import RunManifest, file_digest, write_manifest
-from .text import tokenize
 from .tuning import read_samples, tune
 
 # "nw-wavefront" named a retired anti-diagonal fill with the same output;
@@ -121,16 +121,16 @@ def _cmd_dict(args: argparse.Namespace) -> int:
 def _cmd_train(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     pairs = read_parallel(args.parallel_file)
+    lexicon = read_lexicon(args.lexicon_file)
     # The pairs that ``dict`` drops too: a side without tokens.
-    positives = [(s, t) for s, t in pairs if tokenize(s) and tokenize(t)]
+    positives, sentences = tokenizable_pairs(pairs, lexicon)
     skipped = len(pairs) - len(positives)
     if skipped:
         print(f"skipped {skipped} untokenizable training pairs", file=sys.stderr)
     if not positives:
         raise ValueError(f"{args.parallel_file}: no training pairs")
-    lexicon = read_lexicon(args.lexicon_file)
     negatives = make_negative_pairs(positives, args.seed)
-    features = training_features(positives, negatives, lexicon)
+    features = training_features(positives, negatives, lexicon, sentences)
     model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed, features)
     save_model(model, args.out_model)
     accuracy = training_accuracy(model, positives, negatives, lexicon, features)
@@ -196,9 +196,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.engine == "astar-unconstrained":
         raise UsageError("unconstrained engine is diagnostic-only; see the bench command")
-    pairs = load_corpus(args.corpus_dir)
-    model = load_model(args.model_file)
-    lexicon = read_lexicon(args.lexicon_file)
+    # Checked before any input is read, so a bad value fails at once.
     config = MiningConfig(
         threshold=args.threshold,
         gap_penalty=args.gap_penalty,
@@ -206,6 +204,9 @@ def _cmd_mine(args: argparse.Namespace) -> int:
         mismatch_cost=args.mismatch_cost,
         workers=args.workers,
     )
+    pairs = load_corpus(args.corpus_dir)
+    model = load_model(args.model_file)
+    lexicon = read_lexicon(args.lexicon_file)
     outcome = mine_corpus(model, lexicon, pairs, config, engine=_CLI_ENGINES[args.engine])
     write_bitext(args.out_file, outcome.rows)
     if args.verbose:

@@ -28,7 +28,8 @@ from bimine.align import (
     filter_by_threshold,
     run_engine,
 )
-from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS, profile_sentence
+from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS
+from bimine.text import tokenize
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
 
 
@@ -150,15 +151,17 @@ def reference_traceback(
 def extract_features(source_sentence, target_sentence, lexicon) -> list[float]:
     """Six-feature description of a sentence pair, token by token (the
     package's former per-pair extractor)."""
-    source = profile_sentence(source_sentence)
-    target = profile_sentence(target_sentence)
-    source_set, target_set = set(source.tokens), set(target.tokens)
-    token_ratio = min(len(source.tokens) / len(target.tokens), 4.0)
-    char_ratio = min(len(source.text) / len(target.text), 4.0)
+    source, target = tokenize(source_sentence), tokenize(target_sentence)
+    for sentence, tokens in ((source_sentence, source), (target_sentence, target)):
+        if not tokens:
+            raise ValueError(f"untokenizable sentence: {sentence!r}")
+    source_set, target_set = set(source), set(target)
+    token_ratio = min(len(source) / len(target), 4.0)
+    char_ratio = min(len(source_sentence) / len(target_sentence), 4.0)
 
     covered = 0
     best_prob_sum = 0.0
-    for s in source.tokens:
+    for s in source:
         best = 0.0
         for t, p in lexicon.translations(s).items():
             if t in target_set and p > best:
@@ -166,17 +169,17 @@ def extract_features(source_sentence, target_sentence, lexicon) -> list[float]:
         if best > 0.0:
             covered += 1
             best_prob_sum += best
-    source_coverage = covered / len(source.tokens)
+    source_coverage = covered / len(source)
     mean_best_prob = best_prob_sum / covered if covered else 0.0
 
     reach: set[str] = set()
     for s in source_set:
         reach.update(t for t, p in lexicon.translations(s).items() if p > 0.0)
     covered_target = 0
-    for t in target.tokens:
+    for t in target:
         if t in reach:
             covered_target += 1
-    target_coverage = covered_target / len(target.tokens)
+    target_coverage = covered_target / len(target)
 
     shared = len(source_set & target_set)
     overlap = shared / max(len(source_set), len(target_set))

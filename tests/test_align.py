@@ -3,6 +3,7 @@
 import os
 import time
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,12 +29,13 @@ from bimine.align import (
 from bimine.classifier import (
     BLOCK_CELLS,
     SimilarityModel,
+    encode_pair,
     pair_blocks,
-    profile_sentence,
     score_pairs,
 )
 from bimine.corpus import Document, DocumentPair
 from bimine.lexicon import Lexicon
+from bimine.text import tokenize
 from bimine.demos import (
     DEMO_CONFIG,
     SYMBOL_SOURCE,
@@ -44,7 +46,7 @@ from bimine.demos import (
     render_alignment,
 )
 
-from conftest import make_mining_pair
+from conftest import SOURCE_VOCAB, TARGET_VOCAB, make_mining_pair
 from oracles import (
     brute_force_best_score,
     extract_features,
@@ -925,21 +927,24 @@ def stub_pairs(draw):
     ]
 
 
-def profile_pairs(pairs):
-    return [
-        ([profile_sentence(s) for s in sources], [profile_sentence(t) for t in targets])
-        for sources, targets in pairs
-    ]
-
-
-def block_features(lexicon, profiled):
-    """Feature rows of every cell of every pair, from the block feature
-    stage, pair after pair and row by row."""
+def encode_pairs(lexicon, pairs):
     compiled = lexicon.compiled()
+    return [encode_pair(compiled, sources, targets) for sources, targets in pairs]
+
+
+def block_features(model, lexicon, encoded):
+    """Feature rows of every cell of every pair, as ``score_pairs`` takes
+    them from the block feature stage, pair after pair and row by row."""
     rows = []
-    for block in pair_blocks([(len(s), len(t)) for s, t in profiled]):
-        for _, features in classifier._features(compiled, profiled[block]):
+    real = classifier._features
+
+    def recording(*args):
+        for cells, features in real(*args):
             rows.append(np.column_stack(features))
+            yield cells, features
+
+    with mock.patch.object(classifier, "_features", recording):
+        score_pairs(model, lexicon, encoded)
     return np.concatenate(rows)
 
 
@@ -965,8 +970,7 @@ class TestScorePairs:
         ],
     )
     def test_generated_blocks(self, model, lexicon, pairs):
-        profiled = profile_pairs(pairs)
-        matrices = score_pairs(model, lexicon, profiled)
+        matrices = score_pairs(model, lexicon, encode_pairs(lexicon, pairs))
         assert len(matrices) == len(pairs)
         for (sources, targets), matrix in zip(pairs, matrices):
             expected = reference_score_matrix(model, lexicon, sources, targets)
@@ -976,15 +980,15 @@ class TestScorePairs:
     @settings(max_examples=20, deadline=None)
     @given(model=MODELS, lexicon=LEXICONS, pairs=st.one_of(stub_pairs(), sentence_pairs()))
     def test_generated_features_and_stub_blocks(self, model, lexicon, pairs):
-        profiled = profile_pairs(pairs)
+        encoded = encode_pairs(lexicon, pairs)
         expected = [
             extract_features(s, t, lexicon)
             for sources, targets in pairs
             for s in sources
             for t in targets
         ]
-        assert np.array_equal(block_features(lexicon, profiled), np.array(expected))
-        for (sources, targets), matrix in zip(pairs, score_pairs(model, lexicon, profiled)):
+        assert np.array_equal(block_features(model, lexicon, encoded), np.array(expected))
+        for (sources, targets), matrix in zip(pairs, score_pairs(model, lexicon, encoded)):
             assert np.array_equal(matrix, reference_score_matrix(model, lexicon, sources, targets))
 
     def test_join_hits_follow_each_pair(self, toy_model, toy_lexicon, monkeypatch):
@@ -1010,20 +1014,19 @@ class TestScorePairs:
         sources, targets = pair.source.sentences, pair.target.sentences
         pairs = [([sources[k % 8]], [targets[(k * 5) % 12]]) for k in range(600)]
         pairs.insert(300, ([sources[0]], list(targets) * 30))  # a wide pair among tiny ones
-        profiled = profile_pairs(pairs)
-        assert len(list(pair_blocks([(len(s), len(t)) for s, t in profiled]))) == 1
-        score_pairs(toy_model, toy_lexicon, profiled)
+        assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
+        score_pairs(toy_model, toy_lexicon, encode_pairs(toy_lexicon, pairs))
 
         def tokens(side):
-            return sum(len(p.tokens) for p in side)
+            return sum(len(tokenize(sentence)) for sentence in side)
 
         # The two counts (shared and reached tokens) join source sentences,
         # the best table source tokens, against their own pair's targets.
-        per_pair = sum(len(s) * tokens(t) for s, t in profiled)
+        per_pair = sum(len(s) * tokens(t) for s, t in pairs)
         assert len(counts) == 2 and 0 < max(counts) <= per_pair
-        assert 0 < sum(lookups) <= 2 * per_pair + sum(tokens(s) * tokens(t) for s, t in profiled)
+        assert 0 < sum(lookups) <= 2 * per_pair + sum(tokens(s) * tokens(t) for s, t in pairs)
         # Hits that crossed pairs would be bounded by the block instead.
-        assert per_pair * 100 < len(profiled) * sum(tokens(t) for _, t in profiled)
+        assert per_pair * 100 < len(pairs) * sum(tokens(t) for _, t in pairs)
 
     def test_block_of_many_pairs_in_several_row_blocks(self, toy_model, toy_lexicon):
         # 100 tall pairs and one wide one: 820 cells in one block, whose
@@ -1034,8 +1037,8 @@ class TestScorePairs:
         pairs = [(sources[k % 8 :] + sources[: k % 8], [targets[k % 20]]) for k in range(100)]
         pairs.insert(60, (sources[:1], targets))
         assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
-        profiled = profile_pairs(pairs)
-        for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, profiled)):
+        encoded = encode_pairs(toy_lexicon, pairs)
+        for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, encoded)):
             assert np.array_equal(matrix, reference_score_matrix(toy_model, toy_lexicon, s, t))
 
     def test_blocks_are_runs_of_whole_pairs(self):
@@ -1134,15 +1137,15 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"alive-{k}")[0] for k in range(7)]
         pairs.append(make_mining_pair(rng, "boom")[0])
         parent = os.getpid()
-        real = align._profile_pair
+        real = align.encode_pair
 
-        def dying(pair):
-            if pair.topic_id == "boom" and os.getpid() != parent:
+        def dying(compiled, sources, targets):
+            if sources == pairs[-1].source.sentences and os.getpid() != parent:
                 time.sleep(0.5)  # let the other worker's results arrive first
                 os._exit(1)
-            return real(pair)
+            return real(compiled, sources, targets)
 
-        monkeypatch.setattr(align, "_profile_pair", dying)
+        monkeypatch.setattr(align, "encode_pair", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         failed = dict(outcome.failures)
         assert failed["boom"] == "worker process died"
@@ -1158,14 +1161,14 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"pair-{k}")[0] for k in range(40)]
         chunk = len(pairs) // (2 * 4)  # mine_corpus's chunk size at two workers
         parent = os.getpid()
-        real = align._profile_pair
+        real = align.encode_pair
 
-        def dying(pair):
-            if pair.topic_id == "pair-2" and os.getpid() != parent:
+        def dying(compiled, sources, targets):
+            if sources == pairs[2].source.sentences and os.getpid() != parent:
                 os._exit(1)
-            return real(pair)
+            return real(compiled, sources, targets)
 
-        monkeypatch.setattr(align, "_profile_pair", dying)
+        monkeypatch.setattr(align, "encode_pair", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         assert outcome.failures == tuple(
             (pair.topic_id, "worker process died") for pair in pairs[:chunk]
@@ -1196,6 +1199,26 @@ class TestMining:
         ]
         # One pair above BLOCK_CELLS, scored in row blocks on its own.
         pairs[20] = make_mining_pair(rng, "large", true_pairs=44, target_noise=6)[0]
+        # Pairs that share a token outside the lexicon between their sides
+        # and have one only on the target side, two by two in several
+        # blocks and worker chunks.  Ids past the lexicon are numbered per
+        # pair, so neighbours in a block give the same id to different
+        # tokens ("zork" in one, "blip" in the next), and the target-only
+        # token's id lies past every source id of the block.
+        noise = ("zork", "blip", "quux", "fnord")
+        for k in range(9, 45, 4):
+            for j in (k, k + 1):
+                a, c = noise[j % 4], noise[(j + 1) % 4]
+                sources = (" ".join(SOURCE_VOCAB) + f" {a}",)
+                targets = (" ".join(TARGET_VOCAB) + f" {a} {c}",)
+                pairs.insert(
+                    j,
+                    DocumentPair(
+                        topic_id=f"outside-{j}",
+                        source=Document(id=f"o{j}s", lang="eo", title="o", sentences=sources),
+                        target=Document(id=f"o{j}t", lang="en", title="o", sentences=targets),
+                    ),
+                )
         bad = DocumentPair(
             topic_id="bad",
             source=Document(id="b1", lang="eo", title="bad", sentences=("domo", "...")),
@@ -1205,6 +1228,12 @@ class TestMining:
         shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
         (block,) = [b for b in pair_blocks(shapes) if b.start <= 7 < b.stop]
         assert block.start < 7 < block.stop - 1  # the failing pair sits inside a block
+        outside = [k for k, pair in enumerate(pairs) if pair.topic_id.startswith("outside")]
+        blocks = [b for b in pair_blocks(shapes) if any(b.start <= k < b.stop for k in outside)]
+        assert len(blocks) >= 2
+        assert all(sum(b.start <= k < b.stop for k in outside) >= 2 for b in blocks)
+        chunk = max(1, len(pairs) // (workers * 4))  # mine_corpus's chunk size
+        assert len({k // chunk for k in outside}) >= 2
         config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
 
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, config, engine=engine)
@@ -1235,13 +1264,14 @@ class TestMining:
     ):
         pairs = self.long_pair_corpus()
         unscored = pairs[21]
-        sources = list(unscored.source.sentences)
+        shape = (len(unscored.source.sentences), len(unscored.target.sentences))
+        assert [(len(p.source.sentences), len(p.target.sentences)) for p in pairs].count(shape) == 1
         real = align.score_pairs
 
-        def failing(model, lexicon, profiled):
-            if any([sp.text for sp in side] == sources for side, _ in profiled):
+        def failing(model, lexicon, encoded):
+            if any((n, len(run.tokens) - n) == shape for run, n in encoded):
                 raise ValueError("scoring failed")
-            return real(model, lexicon, profiled)
+            return real(model, lexicon, encoded)
 
         monkeypatch.setattr(align, "score_pairs", failing)
         config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from bimine.classifier import (
     FEATURE_COUNT,
     SimilarityModel,
+    encode,
+    encode_pair,
     extract_features,
     load_model,
     make_negative_pairs,
@@ -21,12 +23,72 @@ from bimine.classifier import (
     training_features,
 )
 from bimine.lexicon import Lexicon
+from bimine.text import tokenize
 
 from conftest import make_parallel_sentences
 from oracles import extract_features as reference_features
 from oracles import reference_pegasos
 
 EMPTY = Lexicon({})
+
+
+# Lexicon words on both sides and target-only ones, tokens outside the
+# lexicon, punctuation-only tokens, non-ASCII text (one that lowercases to
+# two characters) and tokens that punctuation or case turn into others.
+ENCODE_WORDS = (
+    "domo", "Kato", "house", "cat", "zork", "blip", "Ünï", "日本", "ça", "İst",
+    "...", "!?", "—", "(domo,", "'zork'", "CAT.", "",
+)
+ENCODE_LEXICON = Lexicon(
+    {"domo": {"house": 0.5, "ünï": 0.5}, "kato": {"cat": 1.0}, "ça": {"日本": 1.0, "x": 0.0}}
+)
+ENCODE_SENTENCES = st.lists(st.sampled_from(ENCODE_WORDS), max_size=6).map(" ".join)
+
+
+class TestEncode:
+    @settings(max_examples=200, deadline=None)
+    @given(sentences=st.lists(ENCODE_SENTENCES, max_size=12))
+    def test_ids_are_tokens_through_the_lexicon(self, sentences):
+        compiled = ENCODE_LEXICON.compiled()
+        ids = compiled.ids
+        encoded = encode(compiled, sentences)
+        tokens = [tokenize(sentence) for sentence in sentences]
+        assert encoded.tokens.tolist() == [len(t) for t in tokens]
+        assert encoded.chars.tolist() == [len(sentence) for sentence in sentences]
+        flat = [token for sentence in tokens for token in sentence]
+        assert len(encoded.ids) == len(flat)
+        outside: dict[str, int] = {}
+        for token, token_id in zip(flat, encoded.ids.tolist()):
+            if token in ids:
+                assert token_id == ids[token]
+            else:
+                assert token_id >= len(ids)
+                assert outside.setdefault(token, token_id) == token_id
+        # Ids past the lexicon are equal only for equal strings.
+        assert len(set(outside.values())) == len(outside)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sources=st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
+        targets=st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
+    )
+    def test_pair_names_its_first_untokenizable_sentence(self, sources, targets):
+        compiled = ENCODE_LEXICON.compiled()
+        sentences = sources + targets
+        empty = [k for k, sentence in enumerate(sentences) if not tokenize(sentence)]
+        if not empty:
+            encoded, n = encode_pair(compiled, sources, targets)
+            assert n == len(sources)
+            for got, expected in zip(encoded, encode(compiled, sentences)):
+                assert np.array_equal(got, expected)
+            return
+        k = empty[0]
+        side, i = ("source", k) if k < len(sources) else ("target", k - len(sources))
+        with pytest.raises(ValueError) as excinfo:
+            encode_pair(compiled, sources, targets)
+        assert str(excinfo.value) == (
+            f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}"
+        )
 
 
 class TestExtractFeatures:

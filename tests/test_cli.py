@@ -238,23 +238,30 @@ class TestTrain:
         assert f"{lexicon}: line 2: duplicate entry 'a' -> 'x' (first on line 1)" in err
         assert not (tmp_path / "m.json").exists()
 
-    def test_each_distinct_training_sentence_profiled_once(self, tmp_path, pipeline, monkeypatch):
-        import bimine.classifier
+    def test_each_distinct_training_sentence_tokenized_once(self, tmp_path, pipeline, monkeypatch):
+        import bimine
 
         calls = []
-        real = bimine.classifier.profile_sentence
+        real = bimine.text.tokenize
 
         def counting(sentence):
             calls.append(sentence)
             return real(sentence)
 
-        monkeypatch.setattr(bimine.classifier, "profile_sentence", counting)
-        parallel, lexicon = str(pipeline / "parallel.tsv"), str(pipeline / "lexicon.tsv")
-        assert main(["train", parallel, lexicon, str(tmp_path / "m.json")]) == 0
-        positives = read_parallel(pipeline / "parallel.tsv")
+        for name in ("cli", "classifier", "corpus", "lexicon", "text"):
+            module = getattr(bimine, name)
+            if getattr(module, "tokenize", None) is real:
+                monkeypatch.setattr(module, "tokenize", counting)
+        # A repeated pair and an untokenizable one among the pipeline's.
+        lines = (pipeline / "parallel.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        parallel = tmp_path / "parallel.tsv"
+        parallel.write_text("".join(lines + lines[:2] + ["!!!\tle chien\n"]), encoding="utf-8")
+        lexicon = str(pipeline / "lexicon.tsv")
+        assert main(["train", str(parallel), lexicon, str(tmp_path / "m.json")]) == 0
         # Negatives reuse the positives' sentences, and the accuracy pass
         # reuses the features.
-        assert sorted(calls) == sorted({sentence for pair in positives for sentence in pair})
+        pairs = read_parallel(parallel)
+        assert sorted(calls) == sorted({sentence for pair in pairs for sentence in pair})
 
     def test_untokenizable_pairs_skipped(self, tmp_path, pipeline, capsys):
         parallel, lexicon = pipeline / "parallel.tsv", str(pipeline / "lexicon.tsv")
@@ -430,6 +437,24 @@ class TestMine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "must be finite" in err
         assert not (pipeline / "mined_nan.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--threshold", "1.5", "threshold must lie in [0, 1]"),
+            ("--gap-penalty", "nan", "gap_penalty must be finite, got nan"),
+            ("--gap-penalty", "-1", "gap penalty must be >= 0"),
+        ],
+    )
+    def test_bad_parameter_is_reported_before_any_input(
+        self, tmp_path, capsys, option, value, message
+    ):
+        missing = tmp_path / "missing"
+        out = tmp_path / "mined.tsv"
+        args = [str(missing / "corpus"), str(missing / "m.json"), str(missing / "l.tsv"), str(out)]
+        assert main(["mine", *args, option, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_unconstrained_engine_is_usage_error(self, pipeline, capsys):
         with pytest.raises(SystemExit) as excinfo:
