@@ -132,8 +132,11 @@ def build_score_matrix(
     return score_pairs(model, lexicon, [pair])[0]
 
 
-def _matches(moves: np.ndarray, lane: int, sim: np.ndarray) -> list[tuple[float, int, int]]:
-    """The traceback's matched cells ``(score, i, j)`` of ``sim``, in order.
+def _matches(
+    moves: np.ndarray, lane: int, sim: np.ndarray, threshold: float
+) -> list[tuple[float, int, int]]:
+    """The traceback's matched cells ``(score, i, j)`` of ``sim`` whose
+    score reaches ``threshold``, in order.
 
     ``moves`` is a C-contiguous ``(2, N+1, M+1, L)`` array as
     ``kernels.fill`` returns it, and lane ``lane`` holds the moves of the
@@ -160,7 +163,9 @@ def _matches(moves: np.ndarray, lane: int, sim: np.ndarray) -> list[tuple[float,
     p = i = j = 0  # p: the cell of (i, j) in sim
     while i < n and j < m:
         if flat[k]:
-            matches.append((cells[p], i, j))
+            score = cells[p]
+            if score >= threshold:
+                matches.append((score, i, j))
             i += 1
             j += 1
             k -= diag
@@ -218,13 +223,14 @@ def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
     One fill (``kernels.fill``) of the reversed problem and the walk of
-    ``_matches`` over its moves; the steps of the ``Alignment`` are
-    rebuilt from the matches (``_steps``) and its score is the fill's.
+    ``_matches`` over its moves, keeping every match; the steps of the
+    ``Alignment`` are rebuilt from the matches (``_steps``) and its score
+    is the fill's.
     """
     sim = _validate_scores(scores)
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
     moves, final = kernels.fill([sim[::-1, ::-1]], mismatch, bonus, [gap])
-    matches = _matches(moves, 0, sim)
+    matches = _matches(moves, 0, sim, -math.inf)
     return Alignment(
         steps=tuple(_steps(matches, memoryview(moves[1, :, :, 0]))), score=float(final[0])
     )
@@ -396,10 +402,10 @@ def kept_cells(
     ``filter_by_threshold`` of ``run_engine`` with ``config`` but the
     trial's threshold and gap penalty.  With ``nw``, lanes are filled
     together (``kernels.fill``) in the groups of ``_lane_groups`` and
-    each lane's moves are walked in place for its matches only
-    (``_matches``), so memory stays bounded and no ``Alignment`` is
-    built.  Lanes are still yielded in order, each as soon as it and
-    every lane before it are walked.
+    each lane's moves are walked in place for its matches at or above
+    its threshold only (``_matches``), so memory stays bounded and no
+    ``Alignment`` is built.  Lanes are still yielded in order, each as
+    soon as it and every lane before it are walked.
     """
     sims = [_validate_scores(matrix) for matrix in matrices]
     thresholds = [float(threshold) for threshold, _ in trials]
@@ -427,9 +433,7 @@ def kept_cells(
             [gaps[lane] for lane in group] if t > 1 else gaps,
         )
         for slot, lane in enumerate(group):
-            cells = _matches(moves, slot, sims[lane % k])
-            threshold = thresholds[lane % t]
-            done[lane] = [cell for cell in cells if cell[0] >= threshold]
+            done[lane] = _matches(moves, slot, sims[lane % k], thresholds[lane % t])
         while ready in done:
             yield done.pop(ready)
             ready += 1
@@ -583,7 +587,6 @@ def mine_corpus(
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     workers = min(config.workers, max(len(pairs), 1))
-    lexicon.compiled()  # built here once, so that forked workers share it
     if workers <= 1:
         outcomes = _mine_pairs(model, lexicon, pairs, config, engine)
     else:

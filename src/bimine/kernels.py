@@ -17,8 +17,11 @@ its cells ``lo..hi`` are the slices ``lo-1..hi-1`` and ``lo..hi`` of
 row ``d-1`` and ``lo-1..hi-1`` of row ``d-2``.  The cost table and the
 moves are C-contiguous ``(n+1, m+1, ...)`` arrays; flattened, cell
 ``(i, j)`` sits at ``i*(m+1) + j``, so the cells of a diagonal are the
-basic slice ``[lo*m + d : hi*m + d + 1 : m]``.  A diagonal step is eight
-``out=`` ufunc calls on views -- no index arrays, no gathers, no copies.
+basic slice ``[lo*m + d : hi*m + d + 1 : m]``.  Row ``d-1`` minus the
+gap is taken once, over ``lo-1..hi``; its first and last ``hi-lo+1``
+values are the up and left candidates.  A diagonal step is six ``out=``
+ufunc calls on views over its interior cells (seven while it reaches
+the outer row or column) -- no index arrays, no gathers, no copies.
 
 A traceback only asks which candidate won at each cell, so ``fill``
 keeps no table: the values live on three rolling diagonal rows, and
@@ -43,7 +46,8 @@ so one matrix filled for T gaps keeps it one lane wide.
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -60,57 +64,71 @@ def backend_name() -> str:
 # however many lanes a caller asks for.
 BATCH_BYTES = 1 << 21
 
+# Cells of the buffer numpy takes for a ufunc call that broadcasts, as
+# the sweep's calls over a diagonal do (``np.getbufsize()``).
+UFUNC_BUFFER_CELLS = np.getbufsize()
+
 
 def fill_bytes(n: int, m: int, lanes: int, matrices: int) -> int:
     """Bytes ``fill`` allocates for ``lanes`` lanes of padded shape
     ``(n, m)`` read from ``matrices`` (1 or ``lanes``) cost lanes: two
     one-byte moves per cell per lane, an 8-byte cost per cell per matrix,
-    and five float64 rows of ``n + 1`` cells per lane (three diagonals
-    and two of scratch)."""
-    return (n + 1) * ((m + 1) * (2 * lanes + 8 * matrices) + 40 * lanes)
+    five float64 rows of ``n + 1`` cells per lane (three diagonals and
+    two of scratch), 48 bytes per lane of gaps, scores and end cells, and
+    the buffer numpy takes for a broadcasting ufunc call over a diagonal
+    (8 bytes per cell, up to ``UFUNC_BUFFER_CELLS``)."""
+    buffer = 8 * min(UFUNC_BUFFER_CELLS, (min(n, m) + 1) * lanes)
+    return (n + 1) * ((m + 1) * (2 * lanes + 8 * matrices) + 40 * lanes) + 48 * lanes + buffer
 
 
 def _sweep(
-    rows: Sequence[np.ndarray],
+    row: Callable[[int], np.ndarray],
     moves: np.ndarray,
     cost: np.ndarray,
     gaps: np.ndarray,
-    ends: dict[int, tuple[np.ndarray, np.ndarray]],
+    ends: dict[int, np.ndarray],
+    end_rows: np.ndarray,
     scores: np.ndarray,
 ) -> None:
-    # rows[d] is the (n+1, L) row of diagonal d, for d in 0..n+m; rows d,
-    # d-1 and d-2 must not overlap.  moves is (2, (n+1)*(m+1), L) bool
-    # (diagonal plane, then up plane), written at interior cells only;
-    # cost is the mapped cost, ((n+1)*(m+1), 1 or L), read at interior
-    # cells; gaps holds 1 or L penalties.  ends maps a diagonal to the
-    # (cell row, lane) indices of the lanes whose last cell is on it,
-    # whose values are copied into scores once it is filled.
-    n, lanes = rows[0].shape[0] - 1, rows[0].shape[1]
-    m = len(rows) - 1 - n
+    # row(d) is the (n+1, L) row of diagonal d, for d in 0..n+m; rows d,
+    # d-1 and d-2 must not overlap.  moves is (2, (n+1)*(m+1), L)
+    # bool (diagonal plane, then up plane), written at interior cells
+    # only; cost is the mapped cost, ((n+1)*(m+1), 1 or L), read at
+    # interior cells; gaps holds 1 or L penalties.  ends maps a diagonal
+    # to the lanes whose last cell is on it, in row end_rows[lane]; their
+    # values are copied into scores once it is filled.
+    prev = prev2 = row(0)
+    n, lanes = prev.shape[0] - 1, prev.shape[1]
+    m = moves.shape[1] // (n + 1) - 1
     take_diag, take_up = moves
     neg = -gaps
-    scratch = np.empty((2, min(n, m), lanes))
-    for d, row in enumerate(rows):
+    gapped = np.empty((min(n, m) + 1, lanes))
+    best = np.empty((min(n, m), lanes))
+    for d in range(n + m + 1):
+        cur = row(d)
         # The outer cells (0, d) and (d, 0) hold -gap * d.
         first, last = (0 if d <= m else d), (d if d <= n else 0)
         if first <= last:
-            np.multiply(neg, d, out=row[first : last + 1 : max(d, 1)])
+            np.multiply(neg, d, out=cur[first : last + 1 : max(d, 1)])
         lo, hi = max(1, d - m), min(n, d - 1)
         if lo <= hi:
-            prev, prev2 = rows[d - 1], rows[d - 2]
+            # Cells lo..hi read row d-1 at lo-1..hi minus the gap: its
+            # first hi-lo+1 values are their up candidates, its last
+            # hi-lo+1 their left candidates.
             cells = slice(lo * m + d, hi * m + d + 1, m)
-            up, left = scratch[:, : hi - lo + 1]
-            cell = row[lo : hi + 1]
-            np.subtract(prev[lo - 1 : hi], gaps, out=up)
-            np.subtract(prev[lo : hi + 1], gaps, out=left)
+            width = hi - lo + 1
+            np.subtract(prev[lo - 1 : hi + 1], gaps, out=gapped[: width + 1])
+            up, left, gap_best = gapped[:width], gapped[1 : width + 1], best[:width]
+            cell = cur[lo : hi + 1]
             np.greater_equal(up, left, out=take_up[cells])
-            np.maximum(up, left, out=up)
+            np.maximum(up, left, out=gap_best)
             np.add(prev2[lo - 1 : hi], cost[cells], out=cell)
-            np.greater_equal(cell, up, out=take_diag[cells])
-            np.maximum(cell, up, out=cell)
-        end = ends.get(d)
-        if end is not None:
-            scores[end[1]] = row[end]
+            np.greater_equal(cell, gap_best, out=take_diag[cells])
+            np.maximum(cell, gap_best, out=cell)
+        ending = ends.get(d)
+        if ending is not None:
+            scores[ending] = cur[end_rows[ending], ending]
+        prev2, prev = prev, cur
 
 
 def _fill(
@@ -124,8 +142,12 @@ def _fill(
     # array, every diagonal is kept in it instead of in three rows.
     gaps = np.asarray(gaps, dtype=np.float64)
     (lanes,) = np.broadcast_shapes((len(sims),), gaps.shape)
-    n = max(sim.shape[0] for sim in sims)
-    m = max(sim.shape[1] for sim in sims)
+    # One shape tuple at a time: a list of them would park each in
+    # CPython's tuple free list.
+    shapes = np.fromiter(chain.from_iterable(sim.shape for sim in sims), np.intp, 2 * len(sims))
+    shapes = np.broadcast_to(shapes.reshape(-1, 2), (lanes, 2))
+    n, m = shapes.max(axis=0).tolist()
+    ends = _ends(shapes)
     # The mapped cost, built in place (x + mismatch is the same IEEE sum
     # as mismatch + x) to add no full-size temporaries.
     cost = np.zeros((n + 1, m + 1, len(sims)))
@@ -133,30 +155,43 @@ def _fill(
         cost[1 : sim.shape[0] + 1, 1 : sim.shape[1] + 1, k] = sim
     np.multiply(cost, bonus - mismatch, out=cost)
     np.add(cost, mismatch, out=cost)
+    # Each diagonal's row is taken as the sweep reaches it, so no view
+    # outlives the two diagonals after it.
     if table is None:
         ring = np.empty((3, n + 1, lanes))
-        rows = [ring[d % 3] for d in range(n + m + 1)]
+
+        def row(d: int) -> np.ndarray:
+            return ring[d % 3]
+
     else:
         # Row d's cell i is table cell (i, d - i), at flat i*m + d.
         flat = table.reshape(-1, lanes)
-        rows = [flat[d::m][: n + 1] for d in range(n + m + 1)]
-    ends: dict[int, tuple[list[int], list[int]]] = {}
-    for lane in range(lanes):
-        rows_k, cols_k = sims[lane % len(sims)].shape
-        end = ends.setdefault(rows_k + cols_k, ([], []))
-        end[0].append(rows_k)
-        end[1].append(lane)
+
+        def row(d: int) -> np.ndarray:
+            return flat[d::m][: n + 1]
+
     moves = np.empty((2, n + 1, m + 1, lanes), dtype=bool)
     scores = np.empty(lanes)
     _sweep(
-        rows,
+        row,
         moves.reshape(2, -1, lanes),
         cost.reshape(-1, len(sims)),
         gaps,
-        {d: (np.array(i), np.array(lane)) for d, (i, lane) in ends.items()},
+        ends,
+        shapes[:, 0],
         scores,
     )
     return moves, scores
+
+
+def _ends(shapes: np.ndarray) -> dict[int, np.ndarray]:
+    """The lanes whose last cell ``(n_l, m_l)`` is on diagonal ``d``, for
+    each ``d`` that has one, given each lane's shape."""
+    last = shapes.sum(axis=1)
+    order = np.argsort(last, kind="stable")
+    diagonals, starts = np.unique(last[order], return_index=True)
+    stops = [*starts[1:].tolist(), len(order)]
+    return {d: order[a:b] for d, a, b in zip(diagonals.tolist(), starts.tolist(), stops)}
 
 
 def fill(

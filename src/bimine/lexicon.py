@@ -19,15 +19,14 @@ in that order.
 
 from __future__ import annotations
 
-import math
 import os
 from collections import defaultdict
-from itertools import chain
+from itertools import count, islice
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .corpus import read_rows
+from .corpus import decimals, read_columns
 from .text import tokenize
 
 # Entries below this probability are dropped after the final iteration.
@@ -38,12 +37,13 @@ class CompiledLexicon(NamedTuple):
     """A lexicon as arrays, for scoring many sentence pairs at once.
 
     ``ids`` numbers every token of the lexicon, source and target alike,
-    so equal strings on the two sides get equal ids.  Row ``x`` of the
-    CSR arrays, ``targets[indptr[x]:indptr[x + 1]]`` with ``probs`` at
-    the same positions, holds the translations of token ``x`` with
-    ``p > 0``.  A token that is only ever a target has an empty row, and
-    so has row ``len(ids)``, which stands for every token outside the
-    lexicon.
+    so equal strings on the two sides get equal ids: the source tokens
+    first, in row order, then the tokens that are only targets, in order
+    of first appearance among the rows' entries.  Row ``x`` of the CSR
+    arrays, ``targets[indptr[x]:indptr[x + 1]]`` with ``probs`` at the
+    same positions, holds the translations of token ``x`` with ``p > 0``.
+    A token that is only ever a target has an empty row, and so has row
+    ``len(ids)``, which stands for every token outside the lexicon.
     """
 
     ids: dict[str, int]
@@ -53,52 +53,127 @@ class CompiledLexicon(NamedTuple):
 
 
 class Lexicon:
-    """Immutable token translation table with per-source probabilities."""
+    """Immutable token translation table with per-source probabilities.
+
+    A lexicon is held only as arrays: those of ``compiled()``, whose rows
+    also keep their entries of probability 0 when there are any, in
+    their places.  ``prob``, ``translations``, ``items`` and ``==`` read
+    the rows back as strings.
+    """
 
     def __init__(self, table: Mapping[str, Mapping[str, float]]):
-        self._table = {s: dict(row) for s, row in table.items()}
-        self._compiled: CompiledLexicon | None = None
+        rows = table.values()
+        targets: defaultdict[str, int] = defaultdict(count().__next__)
+        self._arrange(
+            {s: row for row, s in enumerate(table)},
+            targets,
+            np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+            np.array([targets[t] for row in rows for t in row], dtype=np.intp),
+            np.array([p for row in rows for p in row.values()], dtype=np.float64),
+        )
+
+    @classmethod
+    def _from_entries(
+        cls,
+        sources: dict[str, int],
+        targets: dict[str, int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        probs: np.ndarray,
+    ) -> Lexicon:
+        lexicon = cls.__new__(cls)
+        lexicon._arrange(sources, targets, rows, cols, probs)
+        return lexicon
+
+    def _arrange(
+        self,
+        sources: dict[str, int],
+        targets: dict[str, int],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        probs: np.ndarray,
+    ) -> None:
+        # Entry e gives source rows[e] (numbered by ``sources``, in row
+        # order) the target cols[e] (numbered by ``targets``) with
+        # probs[e], each row's entries in the order given.  ``sources``
+        # becomes the ids.
+        order = np.argsort(rows, kind="stable")
+        rows, cols, probs = rows[order], cols[order], probs[order]
+        # A target that is also a source takes the source's id; the others
+        # take the next ids in order of first appearance in the rows.
+        names = list(targets)
+        ids_of = np.fromiter((sources.get(t, -1) for t in names), np.intp, len(names))
+        fresh = list(dict.fromkeys(cols[ids_of[cols] < 0].tolist()))
+        self._sources = len(sources)
+        ids = sources
+        ids.update(zip([names[t] for t in fresh], range(len(ids), len(ids) + len(fresh))))
+        ids_of[fresh] = np.arange(self._sources, len(ids))
+        indptr = np.zeros(len(ids) + 2, dtype=np.intp)
+        np.cumsum(np.bincount(rows, minlength=len(ids) + 1), out=indptr[1:])
+        self._arrays = CompiledLexicon(ids, indptr, ids_of[cols], probs)
+        self._names: list[str] | None = None
+        keep = probs > 0.0
+        if keep.all():
+            self._compiled = self._arrays
+        else:
+            kept = np.zeros_like(indptr)
+            np.cumsum(np.bincount(rows[keep], minlength=len(ids) + 1), out=kept[1:])
+            self._compiled = CompiledLexicon(ids, kept, self._arrays.targets[keep], probs[keep])
 
     def compiled(self) -> CompiledLexicon:
-        """The lexicon as arrays, built on first use and kept: the table
-        never changes, and mining workers forked after the first call
-        share it."""
-        if self._compiled is None:
-            table = self._table
-            # Source tokens take the first ids, in row order.
-            tokens = chain(table, chain.from_iterable(table.values()))
-            ids = {t: i for i, t in enumerate(dict.fromkeys(tokens))}
-            rows = np.repeat(np.arange(len(table)), [len(row) for row in table.values()])
-            targets = np.array([ids[t] for row in table.values() for t in row], dtype=np.intp)
-            probs = np.array([p for row in table.values() for p in row.values()], dtype=np.float64)
-            keep = probs > 0.0
-            indptr = np.zeros(len(ids) + 2, dtype=np.intp)
-            np.cumsum(np.bincount(rows[keep], minlength=len(ids) + 1), out=indptr[1:])
-            self._compiled = CompiledLexicon(ids, indptr, targets[keep], probs[keep])
+        """The lexicon as arrays: its own, less any entries of
+        probability 0.  Mining workers forked after it is built share
+        them."""
         return self._compiled
 
+    def _tokens(self) -> list[str]:
+        # Each id's token, listed on first use.
+        if self._names is None:
+            self._names = list(self._arrays.ids)
+        return self._names
+
     def prob(self, source_token: str, target_token: str) -> float:
-        row = self._table.get(source_token)
-        if row is None:
-            return 0.0
-        return row.get(target_token, 0.0)
+        return self.translations(source_token).get(target_token, 0.0)
 
     def translations(self, source_token: str) -> Mapping[str, float]:
-        return self._table.get(source_token, {})
+        ids, indptr, targets, probs = self._arrays
+        row = ids.get(source_token, self._sources)
+        if row >= self._sources:
+            return {}
+        span = slice(indptr[row], indptr[row + 1])
+        names = self._tokens()
+        return dict(zip(map(names.__getitem__, targets[span].tolist()), probs[span].tolist()))
 
     def source_tokens(self) -> Iterator[str]:
-        return iter(self._table)
+        return islice(self._arrays.ids, self._sources)
 
     def items(self) -> Iterator[tuple[str, str, float]]:
-        for s, row in self._table.items():
-            for t, p in row.items():
-                yield s, t, p
+        _, indptr, targets, probs = self._arrays
+        rows = np.repeat(np.arange(self._sources), np.diff(indptr[: self._sources + 1]))
+        names = self._tokens()
+        return zip(
+            map(names.__getitem__, rows.tolist()),
+            map(names.__getitem__, targets.tolist()),
+            probs.tolist(),
+        )
+
+    def _table(self) -> dict[str, dict[str, float]]:
+        # Each source token's row as a dict, in row order.
+        _, indptr, targets, probs = self._arrays
+        names = self._tokens()
+        translated = list(map(names.__getitem__, targets.tolist()))
+        values = probs.tolist()
+        bounds = indptr[: self._sources + 1].tolist()
+        return {
+            s: dict(zip(translated[a:b], values[a:b]))
+            for s, a, b in zip(names, bounds, bounds[1:])
+        }
 
     def __len__(self) -> int:
-        return sum(len(row) for row in self._table.values())
+        return len(self._arrays.probs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lexicon) and self._table == other._table
+        return isinstance(other, Lexicon) and self._table() == other._table()
 
 
 def build_lexicon(
@@ -116,13 +191,31 @@ def build_lexicon(
     Every co-occurrence (one source token position against one target
     token position of the same pair) is one element of a few flat
     arrays, so memory grows with the sum of ``|source| * |target|`` over
-    the training pairs.
+    the training pairs.  The lexicon's arrays are built once those are
+    gone.
     """
     if not parallel:
         raise ValueError("no training pairs")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    source_types, target_types, source, target, prob = _estimate(
+        parallel, iterations, prune_threshold
+    )
+    # Rows in order of first appearance, each row's entries in first-touch
+    # order; a source whose entries were all pruned has no row.
+    kept = np.bincount(source, minlength=len(source_types)) > 0
+    names = list(source_types)
+    sources = {names[k]: row for row, k in enumerate(np.flatnonzero(kept).tolist())}
+    rows = (np.cumsum(kept) - 1)[source]
+    return Lexicon._from_entries(sources, target_types, rows, target, prob)
 
+
+def _estimate(
+    parallel: Sequence[tuple[str, str]], iterations: int, prune_threshold: float
+) -> tuple[dict[str, int], dict[str, int], np.ndarray, np.ndarray, np.ndarray]:
+    """The EM of ``build_lexicon``: the source and target token ids, and
+    the (source id, target id, probability) of each kept entry, in order
+    of first touch."""
     source_types: dict[str, int] = {}
     target_types: dict[str, int] = {}
     source_ids: list[int] = []
@@ -175,14 +268,7 @@ def build_lexicon(
     if prune_threshold > 0.0:
         keep = prob >= prune_threshold
         pair_source, pair_target, prob = pair_source[keep], pair_target[keep], prob[keep]
-    source_names = list(source_types)
-    target_names = list(target_types)
-    # Rows in order of first appearance, each row's entries in first-touch order.
-    table: dict[str, dict[str, float]] = {}
-    rows = np.argsort(pair_source, kind="stable")
-    for s, t, p in zip(pair_source[rows].tolist(), pair_target[rows].tolist(), prob[rows].tolist()):
-        table.setdefault(source_names[s], {})[target_names[t]] = p
-    return Lexicon(table)
+    return source_types, target_types, pair_source, pair_target, prob
 
 
 def _number_by_first_touch(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -207,9 +293,7 @@ def merge_title_lexicon(lexicon: Lexicon, titles: Iterable[tuple[str, str]]) -> 
     inserted with probability ``max(existing, 0.5)`` and the source row
     is renormalized.  Multi-token titles are skipped and counted.
     """
-    table: dict[str, dict[str, float]] = {
-        s: dict(lexicon.translations(s)) for s in lexicon.source_tokens()
-    }
+    table = lexicon._table()
     skipped = 0
     for source_title, target_title in titles:
         source_tokens = tokenize(source_title)
@@ -239,27 +323,63 @@ def write_lexicon(lexicon: Lexicon, path: str | os.PathLike) -> None:
 
 def read_lexicon(path: str | os.PathLike) -> Lexicon:
     """Read ``write_lexicon``'s format, rejecting a malformed line, a
-    probability outside [0, 1] and a repeated (source, target) pair as
-    ``path: line N: ...``."""
-    table: dict[str, dict[str, float]] = defaultdict(dict)
-    for lineno, (source, target, prob_field) in read_rows(path, 3):
-        try:
-            prob = float(prob_field)
-        except ValueError:
-            prob = math.nan
-        if not 0.0 <= prob <= 1.0:  # also rejects nan
-            raise ValueError(
-                f"{path}: line {lineno}: probability must lie in [0, 1], got {prob_field!r}"
-            )
-        row = table[source]
-        if target in row:
-            # Only this message needs a line number, so none is kept and
-            # the file is read again up to the entry's first line.
-            rows = read_rows(path, 3)
-            first = next((n for n, entry in rows if entry[:2] == [source, target]), lineno)
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate entry {source!r} -> {target!r} "
-                f"(first on line {first})"
-            )
-        row[target] = prob
-    return Lexicon(table)
+    probability outside [0, 1] or not written as a plain number
+    (``corpus.decimal``) and a repeated (source, target) pair as
+    ``path: line N: ...``; of these, the first in the file is the one
+    reported.
+
+    The file is read a chunk of lines at a time (``corpus.read_columns``)
+    straight into the lexicon's arrays: a chunk's tokens are numbered and
+    its probabilities parsed a column at a time.
+    """
+    # Each token's number, given on first sight: a source token's is its row.
+    sources: defaultdict[str, int] = defaultdict(count().__next__)
+    targets: defaultdict[str, int] = defaultdict(count().__next__)
+    rows, cols = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+    probs = [np.empty(0)]
+    error = None
+    try:
+        for numbers, (source, target, prob_field) in read_columns(path, 3):
+            prob = decimals(prob_field)
+            bad = np.flatnonzero(~((prob >= 0.0) & (prob <= 1.0)))  # nan too
+            end = int(bad[0]) if len(bad) else len(prob)
+            rows.append(np.fromiter(map(sources.__getitem__, source[:end]), np.intp, end))
+            cols.append(np.fromiter(map(targets.__getitem__, target[:end]), np.intp, end))
+            probs.append(prob[:end])
+            if end < len(prob):
+                raise ValueError(
+                    f"{path}: line {numbers[end]}: probability must lie in [0, 1], "
+                    f"got {prob_field[end]!r}"
+                )
+    except ValueError as exc:
+        error = exc
+    row, col = np.concatenate(rows), np.concatenate(cols)
+    # A repeated entry on an earlier line than the error is reported first.
+    _reject_repeats(path, row * len(targets) + col)
+    if error is not None:
+        raise error
+    return Lexicon._from_entries(dict(sources), targets, row, col, np.concatenate(probs))
+
+
+def _reject_repeats(path: str | os.PathLike, keys: np.ndarray) -> None:
+    """Raise ``path: line N: duplicate entry ...`` for the first entry
+    whose key, one per (source, target) pair, repeats an earlier one's."""
+    order = np.argsort(keys, kind="stable")
+    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    if not len(repeats):
+        return
+    entry = int(repeats.min())
+    first = int(np.flatnonzero(keys == keys[entry])[0])
+    # Only this message needs line numbers, so none are kept and the
+    # file is read again, in the same chunks, up to the repeated entry.
+    entries = (
+        line
+        for numbers, (sources, targets, _) in read_columns(path, 3)
+        for line in zip(numbers, sources, targets)
+    )
+    lines = list(islice(entries, entry + 1))
+    (lineno, source, target), first_lineno = lines[entry], lines[first][0]
+    raise ValueError(
+        f"{path}: line {lineno}: duplicate entry {source!r} -> {target!r} "
+        f"(first on line {first_lineno})"
+    ) from None

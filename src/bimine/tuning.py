@@ -23,7 +23,7 @@ import numpy as np
 
 from .align import MiningConfig, build_score_matrix, kept_cells
 from .classifier import SimilarityModel
-from .corpus import DocumentPair, read_rows
+from .corpus import DocumentPair, integer, read_rows
 from .lexicon import Lexicon
 
 GAP_PENALTY_RANGE = (0.0, 5.0)
@@ -166,13 +166,12 @@ def read_reference(path: str | os.PathLike) -> dict[str, dict[tuple[int, int], i
     """
     reference: dict[str, dict[tuple[int, int], int]] = {}
     for lineno, (topic_id, source_index, target_index) in read_rows(path, 3):
-        try:
-            pair = (int(source_index), int(target_index))
-        except ValueError:
+        pair = (integer(source_index), integer(target_index))
+        if None in pair:
             raise ValueError(
                 f"{path}: line {lineno}: indices must be integers, got "
                 f"{source_index!r} and {target_index!r}"
-            ) from None
+            )
         if min(pair) < 0:
             raise ValueError(
                 f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"

@@ -2,6 +2,7 @@
 
 import os
 import time
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -269,6 +270,45 @@ class TestFillMany:
             kernels.fill([np.eye(2), np.eye(3)], -1.0, 1.0, [0.5, 1.0, 2.0])
 
 
+class TestFillBytes:
+    """``kernels.fill_bytes`` bounds what ``kernels.fill`` allocates, as
+    tracemalloc sees it (numpy reports its data buffers there too)."""
+
+    SLACK = 16 * 1024
+
+    @staticmethod
+    def traced_peak(sims, gaps):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kernels.fill(sims, -1.0, 1.0, gaps)
+            return tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize(
+        "shape", [(1, 1), (2, 2), (1, 1000), (1000, 1), (3, 300), (300, 3), (84, 70)]
+    )
+    @pytest.mark.parametrize("lanes", [1, 3, 120])
+    @pytest.mark.parametrize("own_matrices", [False, True])
+    def test_peak_within_fill_bytes(self, shape, lanes, own_matrices):
+        rng = np.random.default_rng(79)
+        matrices = lanes if own_matrices else 1
+        sims = [rng.random(shape) for _ in range(matrices)]
+        gaps = rng.uniform(0.0, 5.0, 1 if own_matrices else lanes)
+        peak = self.traced_peak(sims, gaps)
+        assert peak <= kernels.fill_bytes(*shape, lanes, matrices) + self.SLACK
+
+    @pytest.mark.parametrize("lanes", [120, 1000])
+    def test_padded_lanes_within_fill_bytes(self, lanes):
+        # A mining block: many small matrices of their own shapes, one gap.
+        rng = np.random.default_rng(83)
+        sims = random_sims(rng, [tuple(rng.integers(1, 12, 2)) for _ in range(lanes)])
+        n, m = max(sim.shape[0] for sim in sims), max(sim.shape[1] for sim in sims)
+        peak = self.traced_peak(sims, [0.6])
+        assert peak <= kernels.fill_bytes(n, m, lanes, lanes) + self.SLACK
+
+
 def nw_matches(sim, config):
     """Every matched cell (score, i, j) of ``nw_align``."""
     return filter_by_threshold(sim, nw_align(sim, config), 0.0)
@@ -351,6 +391,37 @@ class TestKeptCells:
             filter_by_threshold(sim, align.run_engine(sim, replace(config, gap_penalty=g), engine), t)
             for sim, (t, g) in zip(sims, trials)
         ]
+
+    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
+    def test_thresholds_equal_to_cell_values(self, engine):
+        # The walk keeps a cell whose score equals its lane's threshold,
+        # as ``filter_by_threshold`` does (``>=``).
+        rng = np.random.default_rng(73)
+        config = MiningConfig(gap_penalty=0.7)
+
+        def oracle(sim, threshold, gap):
+            alignment = align.run_engine(sim, replace(config, gap_penalty=gap), engine)
+            return filter_by_threshold(sim, alignment, threshold)
+
+        at_threshold = 0
+        # One matrix, a trial per value of its cells and gap penalty.
+        for sim in random_sims(rng, [(9, 11), (12, 7), (1, 6)]):
+            trials = [(v, g) for v in np.unique(sim).tolist() for g in (0.0, 0.3, 0.7, 2.0)]
+            kept = list(kept_cells([sim], trials, config, engine))
+            assert kept == [oracle(sim, t, g) for t, g in trials]
+            at_threshold += sum(
+                score == t for cells, (t, _) in zip(kept, trials) for score, _, _ in cells
+            )
+        # Many matrices, one trial whose threshold each of them holds.
+        shapes = [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(40)]
+        sims = random_sims(rng, shapes)
+        for sim in sims:
+            sim[rng.integers(sim.shape[0]), rng.integers(sim.shape[1])] = 0.5
+        for gap in (0.0, 0.7):
+            kept = list(kept_cells(sims, [(0.5, gap)], config, engine))
+            assert kept == [oracle(sim, 0.5, gap) for sim in sims]
+            at_threshold += sum(score == 0.5 for cells in kept for score, _, _ in cells)
+        assert at_threshold > 0
 
     def test_wide_lane_runs_alone(self, monkeypatch):
         # A lane over the byte cap is filled alone; the small lanes after it
@@ -455,8 +526,8 @@ class TestTraceback:
         # Each lane of a batch table is walked in place.
         reversed_sim = np.ascontiguousarray(sim[::-1, ::-1])
         moves, _ = kernels.fill([reversed_sim], mismatch, bonus, [other, gap])
-        assert align._matches(moves, 1, sim) == matched_cells(sim, expected)
-        assert align._matches(moves, 0, sim) == matched_cells(
+        assert align._matches(moves, 1, sim, -np.inf) == matched_cells(sim, expected)
+        assert align._matches(moves, 0, sim, -np.inf) == matched_cells(
             sim, oracle_steps(sim, mismatch, bonus, other)
         )
 

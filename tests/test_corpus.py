@@ -2,8 +2,13 @@
 
 import random
 import re
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import bimine.corpus
 
 from bimine.corpus import (
     Document,
@@ -15,6 +20,7 @@ from bimine.corpus import (
     pair_articles,
     read_bitext,
     read_links,
+    read_columns,
     read_parallel,
     read_rows,
     save_corpus,
@@ -236,6 +242,22 @@ class TestFiles:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: score"):
             read_bitext(path)
 
+    # Python's ``float`` reads each of these, and no writer emits one.
+    @pytest.mark.parametrize("score", ["0.2_5", " 0.5", "0.5 ", "\u00a00.5", "٠.٥", "0.５"])
+    def test_bitext_score_python_also_reads_names_line(self, tmp_path, score):
+        path = tmp_path / "bitext.tsv"
+        path.write_text(f"0.5\ts\tt\n{score}\ts\tt\n", encoding="utf-8")
+        message = f"{path}: line 2: score must be a finite number, got {score!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_bitext(path)
+
+    @pytest.mark.parametrize("score", ["-0.0", "5e-324", "1e+300", "0.1234", "-2.5"])
+    def test_bitext_reads_every_float_repr(self, tmp_path, score):
+        path = tmp_path / "bitext.tsv"
+        path.write_text(f"{score}\ts\tt\n", encoding="utf-8")
+        ((value, _, _),) = read_bitext(path)
+        assert repr(value) == repr(float(score))
+
     def write_corpus_rows(self, tmp_path, rows):
         source = make_doc("s1", "Alpha", "en", ("First one.",))
         target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
@@ -296,6 +318,17 @@ class TestFiles:
         with pytest.raises(
             ValueError, match=rf"^{re.escape(str(sentences))}: line 2: sentence index"
         ):
+            load_corpus(tmp_path)
+
+    # Python's ``int`` reads each of these as 1, and no writer emits one.
+    @pytest.mark.parametrize("index", ["0_1", " 1", "1 ", "\u00a01", "١", "１"])
+    def test_corpus_sentence_index_python_also_reads_names_line(self, tmp_path, index):
+        rows = ["src\t0\tA.", f"src\t{index}\tB.", "tgt\t0\tX."]
+        sentences = self.write_corpus_rows(tmp_path, rows)
+        message = (
+            f"{sentences}: line 2: sentence index must be a non-negative integer, got {index!r}"
+        )
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             load_corpus(tmp_path)
 
     def test_sentence_rows_without_a_pair_row_name_the_first(self, tmp_path):
@@ -460,3 +493,58 @@ class TestReadRows:
         path = tmp_path / "rows.tsv"
         path.write_text("\ufeffa\tb\n\n\nc\td\n", encoding="utf-8")
         assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+
+
+def _rows_and_error(chunks):
+    """The rows of ``chunks`` until it raises, and the error message."""
+    rows = []
+    try:
+        for chunk in chunks:
+            rows.extend(chunk)
+    except ValueError as exc:
+        return rows, str(exc)
+    return rows, None
+
+
+class TestReadColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Lines of one to four fields, blank lines and stray line breaks,
+        # so that a short line and a long one may balance in one chunk.
+        st.lists(
+            st.one_of(
+                st.lists(st.text(alphabet="aé", max_size=2), min_size=1, max_size=4).map(
+                    "\t".join
+                ),
+                st.sampled_from(["\r", "\r\n", "\n"]),
+            ),
+            max_size=12,
+        ).map("\n".join),
+        st.booleans(),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 5, 64, 1 << 14]),
+    )
+    # A short line and a long one with, together, the fields of two lines.
+    @example("a\tb\nc\td\te\tf", False, 3, 1 << 14)
+    def test_reads_the_rows_of_read_rows(self, tmp_path_factory, text, bom, count, chunk):
+        # Every line before an error is read, in chunks of any size.
+        path = tmp_path_factory.mktemp("columns") / "rows.tsv"
+        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
+        expected = _rows_and_error([row] for row in read_rows(path, count))
+        with mock.patch.object(bimine.corpus, "CHUNK_CHARS", chunk):
+            got = _rows_and_error(
+                [(lineno, fields) for lineno, *fields in zip(numbers, *columns, strict=True)]
+                for numbers, columns in read_columns(path, count)
+            )
+        assert got == expected
+
+    def test_bad_byte_far_into_the_file_names_its_line(self, tmp_path):
+        lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]
+        lines[3999] = b"source \xc3(\ttarget"
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+        with pytest.raises(ValueError) as excinfo:
+            list(read_columns(path, 2))
+        assert str(excinfo.value) == (
+            f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
+        )

@@ -2,12 +2,14 @@
 
 import re
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bimine.corpus
 import bimine.lexicon
 from bimine.lexicon import (
     PRUNE_THRESHOLD,
@@ -271,6 +273,21 @@ class TestLexiconReader:
             with pytest.raises(ValueError, match="line 1: probability"):
                 read_lexicon(path)
 
+    # Python's ``float`` reads each of these, and no writer emits one.
+    @pytest.mark.parametrize("value", ["0.2_5", " 0.5", "0.5 ", "\u00a00.5", "٠.٥", "0.５"])
+    def test_probability_python_also_reads_names_line(self, tmp_path, value):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"a\tx\t0.500000\nb\ty\t{value}\n", encoding="utf-8")
+        message = f"{path}: line 2: probability must lie in [0, 1], got {value!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_lexicon(path)
+
+    @pytest.mark.parametrize("value", ["-0.0", "5e-324", "1e-05", "0.0", "1.0", "0.999999"])
+    def test_every_float_repr_in_range_is_read_exactly(self, tmp_path, value):
+        path = tmp_path / "lex.tsv"
+        path.write_text(f"a\tx\t{value}\n", encoding="utf-8")
+        assert repr(read_lexicon(path).prob("a", "x")) == repr(float(value))
+
     def test_bounds_are_accepted(self, tmp_path):
         path = tmp_path / "lex.tsv"
         path.write_text("a\tx\t0.000000\na\ty\t1.000000\n", encoding="utf-8")
@@ -285,3 +302,117 @@ class TestLexiconReader:
             match=rf"^{re.escape(str(path))}: line 4: duplicate entry 'a' -> 'x' \(first on line 1\)$",
         ):
             read_lexicon(path)
+
+
+# Tokens as a lexicon file may hold them: no tab or line break, some
+# outside ASCII.
+_TOKEN = st.text(alphabet="abxé😀-", min_size=1, max_size=3)
+_PROBABILITY = st.one_of(st.sampled_from([0.0, 1.0, 5e-324, 0.5]), st.floats(0.0, 1.0))
+_BAD_PROBABILITY = st.sampled_from(["1.5", "-0.5", "nan", "inf", "0.2_5", " 0.5", "", "x"])
+
+
+@st.composite
+def lexicon_files(draw):
+    """A lexicon as the entry lines of a file in shuffled order, so that a
+    source's rows are split across lines, with zero probabilities and
+    tokens that are only targets; and the table those lines give, read in
+    file order (the rows of ``Lexicon(table)`` as the file lays them out)."""
+    sources = draw(st.lists(_TOKEN, max_size=6, unique=True))
+    only_targets = draw(st.lists(_TOKEN, min_size=1, max_size=4, unique=True))
+    row = st.lists(st.sampled_from(sources + only_targets), min_size=1, max_size=5, unique=True)
+    entries = [(s, t, draw(_PROBABILITY)) for s in sources for t in draw(row)]
+    lines = draw(st.permutations(entries))
+    table: dict = {}
+    for s, t, p in lines:
+        table.setdefault(s, {})[t] = p
+    return lines, table
+
+
+class TestLexiconReaderOracle:
+    """``read_lexicon`` against ``Lexicon(table)`` of the same entries, over
+    files written in every layout the row rules allow, in chunks of any size."""
+
+    def test_ids_follow_the_rows_not_the_lines(self, tmp_path):
+        # Targets that are not sources are numbered by the rows, each
+        # source's entries together, as ``Lexicon(table)`` numbers them.
+        path = tmp_path / "lex.tsv"
+        path.write_text("a\tz\t0.5\nb\ty\t1.0\na\tw\t0.5\n", encoding="utf-8")
+        table = {"a": {"z": 0.5, "w": 0.5}, "b": {"y": 1.0}}
+        assert list(read_lexicon(path).compiled().ids) == ["a", "b", "z", "w", "y"]
+        assert list(Lexicon(table).compiled().ids) == ["a", "b", "z", "w", "y"]
+
+    @staticmethod
+    def file_bytes(fields, newline, bom, blanks):
+        """The bytes of a file of ``fields`` rows with blank lines inserted
+        before the rows listed in ``blanks``, and each row's line number."""
+        lines, numbers = [], []
+        for k, row in enumerate(fields):
+            lines.extend([b""] * blanks.count(k))
+            lines.append("\t".join(row).encode("utf-8"))
+            numbers.append(len(lines))
+        raw = b"".join(line + newline for line in lines)
+        return (b"\xef\xbb\xbf" if bom else b"") + raw, numbers
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lexicon_files(),
+        st.sampled_from([b"\n", b"\r\n", b"\r"]),
+        st.booleans(),
+        st.lists(st.integers(0, 40), max_size=4),
+        st.sampled_from([1, 7, 64, 1 << 14]),
+        st.sampled_from([None, "width", "probability", "duplicate", "utf-8"]),
+        st.data(),
+    )
+    def test_reads_as_the_table_of_its_lines(
+        self, tmp_path_factory, file, newline, bom, blanks, chunk, error, data
+    ):
+        lines, table = file
+        fields = [[s, t, repr(p)] for s, t, p in lines]
+        message = None
+        if error is not None and fields:
+            k = data.draw(st.integers(0, len(fields) - 1))
+            if error == "width":
+                fields[k] = fields[k][:2] if data.draw(st.booleans()) else fields[k] + ["x"]
+            elif error == "probability":
+                fields[k][2] = data.draw(_BAD_PROBABILITY)
+            elif error == "duplicate":
+                repeat = data.draw(st.integers(k + 1, len(fields)))
+                fields.insert(repeat, [*fields[k][:2], "0.5"])
+        raw, numbers = self.file_bytes(fields, newline, bom, blanks)
+        if error == "utf-8" and fields:
+            k = data.draw(st.integers(0, len(fields) - 1))
+            start = sum(len(line) for line in raw.split(newline)[: numbers[k] - 1])
+            start += len(newline) * (numbers[k] - 1)
+            raw = raw[:start] + b"\xff" + raw[start:]
+            message = f"line {numbers[k]}: not UTF-8 (byte 0xff at column 1: invalid start byte)"
+        elif error is not None and fields:
+            if error == "width":
+                width = len(fields[k])
+                message = f"line {numbers[k]}: expected 3 tab-separated fields, got {width}"
+            elif error == "probability":
+                message = f"line {numbers[k]}: probability must lie in [0, 1], got {fields[k][2]!r}"
+            else:
+                s, t, _ = fields[k]
+                message = (
+                    f"line {numbers[repeat]}: duplicate entry {s!r} -> {t!r} "
+                    f"(first on line {numbers[k]})"
+                )
+        path = tmp_path_factory.mktemp("lex") / "lex.tsv"
+        path.write_bytes(raw)
+        with mock.patch.object(bimine.corpus, "CHUNK_CHARS", chunk):
+            if message is not None:
+                with pytest.raises(ValueError) as excinfo:
+                    read_lexicon(path)
+                assert str(excinfo.value) == f"{path}: {message}"
+                return
+            lexicon = read_lexicon(path)
+        expected = Lexicon(table)
+        assert lexicon == expected
+        assert list(lexicon.items()) == list(expected.items())
+        assert list(lexicon.source_tokens()) == list(expected.source_tokens())
+        assert len(lexicon) == len(expected) == len(lines)
+        got, want = lexicon.compiled(), expected.compiled()
+        assert list(got.ids.items()) == list(want.ids.items())
+        for name in ("indptr", "targets", "probs"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name

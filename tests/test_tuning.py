@@ -286,6 +286,15 @@ class TestReferenceFile:
         with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: line 2: indices"):
             read_reference(path)
 
+    # Python's ``int`` reads each of these, and no writer emits one.
+    @pytest.mark.parametrize("index", ["1_0", " 1", "1 ", "\u00a01", "١", "１"])
+    def test_index_python_also_reads_names_line(self, tmp_path, index):
+        path = tmp_path / "reference.tsv"
+        path.write_text(f"topicA\t0\t0\ntopicA\t{index}\t2\n", encoding="utf-8")
+        message = f"{path}: line 2: indices must be integers, got {index!r} and '2'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_reference(path)
+
     @pytest.mark.parametrize("row", ["topicA\t-1\t0", "topicA\t2\t-3"])
     def test_negative_index_names_line(self, tmp_path, row):
         path = tmp_path / "reference.tsv"
