@@ -35,7 +35,8 @@ order follows input order regardless of completion order, so results
 are identical for any worker count.  A worker that dies costs only the
 pairs of the chunk that killed it.  Within a worker (or the serial run)
 document pairs are mined in blocks of whole pairs (``_mine_pairs``): one
-scoring pass per block (``classifier.score_pairs``), then ``kept_cells``
+``classifier.score_pairs`` call per block, which tokenizes the block's
+sentences in one pass and scores them in another, then ``kept_cells``
 over the matrices of consecutive blocks.  ``mine_document_pair`` is its
 one-pair case.
 """
@@ -53,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .classifier import SimilarityModel, encode_pair, pair_blocks, score_pairs
+from .classifier import SimilarityModel, pair_blocks, score_pairs
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
@@ -128,8 +129,10 @@ def build_score_matrix(
     """Similarity of every source sentence against every target sentence."""
     if not source_sentences or not target_sentences:
         raise ValueError("both sentence sequences must be non-empty")
-    pair = encode_pair(lexicon.compiled(), source_sentences, target_sentences)
-    return score_pairs(model, lexicon, [pair])[0]
+    (matrix,) = score_pairs(model, lexicon, [(source_sentences, target_sentences)])
+    if isinstance(matrix, ValueError):
+        raise matrix
+    return matrix
 
 
 def _matches(
@@ -465,61 +468,51 @@ def _mine_pairs(
 
     The one mining path of the serial run, of every pool worker and of
     ``mine_document_pair``.  Pairs are taken in the blocks of
-    ``classifier.pair_blocks``.  Each pair of a block is tokenized on its
-    own (``classifier.encode_pair``); a pair that fails there leaves the
-    block.  The rest of the block is scored together (``score_pairs``).
-    The score matrices of consecutive blocks are then aligned together by
-    one ``kept_cells`` call, one lane per pair, down to each pair's
+    ``classifier.pair_blocks``, and each block is tokenized and scored
+    by one ``score_pairs`` call; a pair with a sentence without tokens
+    gets its error from that call and leaves the block.  The score
+    matrices of consecutive blocks are then aligned together by one
+    ``kept_cells`` call, one lane per pair, down to each pair's
     matched cells at or above the threshold; a call takes blocks while
     their lanes, each alone, fit in ``kernels.BATCH_BYTES``, so that small
     lanes of several blocks, or long pairs of one lane each, share fills.
     Every error message reads ``pair <id>: ...``.  A scoring error fails
-    the pairs left in its block; an alignment error fails the pairs of
+    the pairs of its block; an alignment error fails the pairs of
     the ``kept_cells`` call it happened in.
     """
     outcomes: list = [None] * len(pairs)
-    shapes = [(len(pair.source.sentences), len(pair.target.sentences)) for pair in pairs]
+    sentences = [(pair.source.sentences, pair.target.sentences) for pair in pairs]
+    shapes = [(len(sources), len(targets)) for sources, targets in sentences]
     trial = [(config.threshold, config.gap_penalty)]
-    waiting: list[int] = []  # pairs scored but not yet aligned
-    matrices: list[np.ndarray] = []
+    waiting: dict[int, np.ndarray] = {}  # score matrices of pairs not yet aligned
 
     def align_waiting() -> None:
         try:
-            for k, cells in zip(waiting, kept_cells(matrices, trial, config, engine)):
-                source, target = pairs[k].source.sentences, pairs[k].target.sentences
+            for k, cells in zip(waiting, kept_cells(list(waiting.values()), trial, config, engine)):
+                source, target = sentences[k]
                 outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
         except Exception as exc:  # the run continues past failing pairs
             for k in waiting:
                 outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
         waiting.clear()
-        matrices.clear()
 
     size = 0  # of the waiting lanes' fills, each alone
     for block in pair_blocks(shapes):
-        kept: list[int] = []
-        encoded = []
-        for k in range(block.start, block.stop):
-            source, target = pairs[k].source.sentences, pairs[k].target.sentences
-            try:
-                encoded.append(encode_pair(lexicon.compiled(), source, target))
-            except ValueError as exc:
-                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
-            else:
-                kept.append(k)
-        if not kept:
-            continue
         try:
-            scored = score_pairs(model, lexicon, encoded)
+            scored = score_pairs(model, lexicon, sentences[block])
         except Exception as exc:  # the run continues past failing pairs
-            for k in kept:
-                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
-            continue
+            scored = [exc] * (block.stop - block.start)
+        kept = {}
+        for k, matrix in zip(range(block.start, block.stop), scored):
+            if isinstance(matrix, Exception):
+                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {matrix}")
+            else:
+                kept[k] = matrix
         added = sum(kernels.fill_bytes(*shapes[k], 1, 1) for k in kept)
         if waiting and size + added > kernels.BATCH_BYTES:
             align_waiting()
             size = 0
-        waiting.extend(kept)
-        matrices.extend(scored)
+        waiting.update(kept)
         size += added
     align_waiting()
     return outcomes

@@ -11,13 +11,14 @@ Features are computed for many sentence pairs at once by one feature
 stage (``_features``) on token ids: ``encode`` tokenizes each sentence
 once into ids of the lexicon compiled into arrays (``Lexicon.compiled``).
 Consecutive whole document pairs are grouped into blocks of at most
-``BLOCK_CELLS`` cells (a larger pair is a block of its own), and each
-feature of a block is a few array passes against the lexicon, with work
-that follows each pair's own sentences and tokens.  ``score_pairs`` adds
-the margin and the sigmoid; ``training_features`` runs the stage over
-the training examples as 1x1 pairs.  ``extract_features`` and
-``similarity`` are its one-cell cases.  Features and scores are
-bit-identical to the per-pair definition that ``tests/oracles.py`` keeps.
+``BLOCK_CELLS`` cells (a larger pair is a block of its own); a block is
+encoded by one ``encode`` call, and each feature of a block is a few
+array passes against the lexicon, with work that follows each pair's
+own sentences and tokens.  ``score_pairs`` adds the margin and the
+sigmoid; ``training_features`` runs the stage over the training
+examples as 1x1 pairs.  ``extract_features`` and ``similarity`` are its
+one-cell cases.  Features and scores are bit-identical to the per-pair
+definition that ``tests/oracles.py`` keeps.
 """
 
 from __future__ import annotations
@@ -85,21 +86,6 @@ def encode(compiled: CompiledLexicon, sentences: Sequence[str]) -> Encoded:
         token_ids[k] = outside.setdefault(flat[k], len(ids) + len(outside))
     tokens = np.fromiter(map(len, words), np.intp, len(words))
     return Encoded(token_ids, tokens, np.fromiter(map(len, sentences), np.intp, len(sentences)))
-
-
-def encode_pair(
-    compiled: CompiledLexicon, sources: Sequence[str], targets: Sequence[str]
-) -> tuple[Encoded, int]:
-    """Both sides of a pair as one run of ``encode``, sources first, and
-    the number of sources.  The first sentence without tokens raises
-    ``ValueError("source sentence i: untokenizable sentence: '...'")``."""
-    sentences = [*sources, *targets]
-    encoded = encode(compiled, sentences)
-    if not encoded.tokens.all():
-        k = int(np.argmin(encoded.tokens))
-        side, i = ("source", k) if k < len(sources) else ("target", k - len(sources))
-        raise ValueError(f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}")
-    return encoded, len(sources)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -320,31 +306,48 @@ def _features(
 
 
 def score_pairs(
-    model: "SimilarityModel", lexicon: Lexicon, pairs: Sequence[tuple[Encoded, int]]
-) -> list[np.ndarray]:
-    """Score matrix of each pair, given as ``encode_pair`` returns it.
+    model: "SimilarityModel",
+    lexicon: Lexicon,
+    pairs: Sequence[tuple[Sequence[str], Sequence[str]]],
+) -> list[np.ndarray | ValueError]:
+    """Score matrix of each (source sentences, target sentences) pair, or
+    the ``ValueError`` of its first sentence without tokens, sources
+    first: ``source sentence i: untokenizable sentence: '...'``.
 
     Every cell equals ``score_from_margin(margin(features))`` of the
-    pair's six features, bit for bit.  Pairs are scored together in the
-    blocks of ``pair_blocks``, so a short pair costs a share of a few
-    array passes, not passes of its own; a block's matrices are
+    pair's six features, bit for bit.  Each block of ``pair_blocks`` is
+    encoded by one ``encode`` call, so ids past the lexicon are numbered
+    per block (``_features`` keys every join on pair and id), and its
+    pairs that tokenize are scored together; a block's matrices are
     C-contiguous views of one array.  No side may be empty.
     """
     compiled = lexicon.compiled()
-    pairs = list(pairs)
-    shapes = [(n, len(encoded.tokens) - n) for encoded, n in pairs]
-    matrices: list[np.ndarray] = []
+    shapes = [(len(sources), len(targets)) for sources, targets in pairs]
+    results: list[np.ndarray | ValueError] = []
     for block in pair_blocks(shapes):
-        sentences = Encoded(*map(np.concatenate, zip(*(encoded for encoded, _ in pairs[block]))))
+        sentences = [sentence for pair in pairs[block] for side in pair for sentence in side]
+        encoded = encode(compiled, sentences)
         n, m = np.array(shapes[block]).T
         first = _offsets(n + m)
-        source, target = _ranges(first, n), _ranges(first + n, m)
-        scores = np.empty(int(np.dot(n, m)))
-        for cells, features in _features(compiled, sentences, source, target, n, m):
-            scores[cells] = model.scores_from_margins(model.margin(features))
-        parts = np.split(scores, np.cumsum(n * m)[:-1])
-        matrices += [part.reshape(shape) for part, shape in zip(parts, shapes[block])]
-    return matrices
+        outcomes: list = [None] * len(n)
+        # Reversed, so that each pair keeps the error of its first sentence.
+        for k in reversed(np.flatnonzero(encoded.tokens == 0).tolist()):
+            p = bisect_right(first, k) - 1
+            i = k - first[p]
+            side, i = ("source", i) if i < n[p] else ("target", i - n[p])
+            error = f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}"
+            outcomes[p] = ValueError(error)
+        kept = [p for p, outcome in enumerate(outcomes) if outcome is None]
+        if kept:
+            n, m, first = n[kept], m[kept], first[kept]
+            source, target = _ranges(first, n), _ranges(first + n, m)
+            scores = np.empty(int(np.dot(n, m)))
+            for cells, features in _features(compiled, encoded, source, target, n, m):
+                scores[cells] = model.scores_from_margins(model.margin(features))
+            for p, part in zip(kept, np.split(scores, np.cumsum(n * m)[:-1])):
+                outcomes[p] = part.reshape(shapes[block.start + p])
+        results += outcomes
+    return results
 
 
 def extract_features(
@@ -726,5 +729,7 @@ def similarity(
 ) -> float:
     """Calibrated translation-likelihood score in [0, 1]: the one-cell
     case of ``score_pairs``."""
-    pair = encode_pair(lexicon.compiled(), [source_sentence], [target_sentence])
-    return float(score_pairs(model, lexicon, [pair])[0][0, 0])
+    (matrix,) = score_pairs(model, lexicon, [([source_sentence], [target_sentence])])
+    if isinstance(matrix, ValueError):
+        raise matrix
+    return float(matrix[0, 0])

@@ -111,20 +111,33 @@ def read_rows(path: str | os.PathLike, count: int) -> Iterator[tuple[int, list[s
     This and ``read_columns`` are the one place of the file format shared
     by every reader: the file is UTF-8, a leading byte order mark is
     dropped, blank lines are skipped, and a line that is not ``count``
-    fields wide or not UTF-8 is rejected as ``path: line N: ...``.
+    fields wide or not UTF-8 is rejected as ``path: line N: ...``.  Every
+    line before a bad one is yielded before its error is raised.
     """
+    for lineno, line in _lines(path):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise ValueError(_wrong_width(path, lineno, count, len(fields)))
+        yield lineno, fields
+
+
+def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    # Each line of ``path`` with its number and without its line break,
+    # in universal-newline mode; the first line that is not UTF-8 raises
+    # after every line before it.
+    lineno = 0
     with open(path, encoding="utf-8-sig") as handle:
         try:
             for lineno, line in enumerate(handle, 1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                fields = line.split("\t")
-                if len(fields) != count:
-                    raise ValueError(_wrong_width(path, lineno, count, len(fields)))
-                yield lineno, fields
+                yield lineno, line.rstrip("\n")
+            return
         except UnicodeDecodeError:
-            raise ValueError(_not_utf8(path)) from None
+            pass
+    body, error = _undecodable(path, lineno + 1)
+    yield from enumerate(body.split("\n"), lineno + 1)
+    raise ValueError(error)
 
 
 # Characters ``read_columns`` decodes at a time: enough lines that each
@@ -142,15 +155,13 @@ def read_columns(
     ``(line numbers, columns)``: ``columns[c][k]`` is field ``c`` of the
     line numbered ``line_numbers[k]``.
 
-    The rules and messages of ``read_rows`` hold.  Every line before one
-    of the wrong width is yielded before its error is raised; a line that
-    is not UTF-8 is reported when its chunk is decoded, as ``read_rows``
-    reports it when its block is, ahead of the lines before it there.  A
-    chunk holds the whole lines of about ``CHUNK_CHARS`` characters, so a
-    reader can parse a column at a time without holding the whole file.
+    The rules and messages of ``read_rows`` hold, and every line before a
+    bad one is yielded before its error is raised.  A chunk holds the
+    whole lines of about ``CHUNK_CHARS`` characters, so a reader can
+    parse a column at a time without holding the whole file.
     """
+    first = 1  # the line number of the next chunk's first line
     with open(path, encoding="utf-8-sig") as handle:
-        first = 1  # the line number of the next chunk's first line
         rest = ""  # a line begun but not yet ended
         try:
             while True:
@@ -169,7 +180,10 @@ def read_columns(
                 else:
                     rest = text
         except UnicodeDecodeError:
-            raise ValueError(_not_utf8(path)) from None
+            pass
+    body, error = _undecodable(path, first)
+    yield from _columns(path, body, first, count)
+    raise ValueError(error)
 
 
 def _columns(
@@ -258,23 +272,26 @@ def integer(field: str) -> int | None:
     return None
 
 
-def _not_utf8(path: str | os.PathLike) -> str:
-    """The error for the first line of ``path`` that is not UTF-8.
+def _undecodable(path: str | os.PathLike, first: int) -> tuple[str, str]:
+    """The text of lines ``first`` up to the first line of ``path`` that is
+    not UTF-8, joined by line feeds, and the error for that line.
 
     The text reader decodes ahead of the line it yields, so its error
-    does not locate the line; the file is scanned again in binary, with
-    the same line breaks, only when it fails.
+    locates neither the line nor the lines before it; the file is scanned
+    again in binary, with the same line breaks, only when it fails.
     """
     with open(path, "rb") as handle:
-        for lineno, raw in enumerate(handle.read().splitlines(), 1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return (
-                    f"{path}: line {lineno}: not UTF-8 (byte {raw[exc.start]:#04x} "
-                    f"at column {exc.start + 1}: {exc.reason})"
-                )
-    return f"{path}: changed while it was read"
+        lines = handle.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            body = b"\n".join(lines[first - 1 : lineno - 1])
+            return body.decode("utf-8-sig" if first == 1 else "utf-8"), (
+                f"{path}: line {lineno}: not UTF-8 (byte {raw[exc.start]:#04x} "
+                f"at column {exc.start + 1}: {exc.reason})"
+            )
+    return "", f"{path}: changed while it was read"
 
 
 def ingest_documents(path: str | os.PathLike, lang: str) -> list[Document]:

@@ -157,6 +157,31 @@ class Lexicon:
             probs.tolist(),
         )
 
+    def _with_rows(self, table: Mapping[str, Mapping[str, float]]) -> Lexicon:
+        # A lexicon whose rows of the source tokens of ``table`` are
+        # replaced by them; rows of new source tokens follow the others, in
+        # the order of ``table``.  The other rows' entries are kept as
+        # arrays, numbered by the ids (a token's target number is its id).
+        ids, indptr, targets, probs = self._arrays
+        sources = dict(islice(ids.items(), self._sources))
+        for s in table:
+            sources.setdefault(s, len(sources))
+        tokens = dict(ids)
+        rows = np.repeat(np.arange(self._sources), np.diff(indptr[: self._sources + 1]))
+        kept = np.ones(len(sources), dtype=bool)
+        kept[[sources[s] for s in table]] = False
+        kept = kept[rows]
+        new_rows = [sources[s] for s, row in table.items() for _ in row]
+        new_cols = [tokens.setdefault(t, len(tokens)) for row in table.values() for t in row]
+        new_probs = [p for row in table.values() for p in row.values()]
+        return Lexicon._from_entries(
+            sources,
+            tokens,
+            np.concatenate([rows[kept], np.array(new_rows, dtype=np.intp)]),
+            np.concatenate([targets[kept], np.array(new_cols, dtype=np.intp)]),
+            np.concatenate([probs[kept], np.array(new_probs, dtype=np.float64)]),
+        )
+
     def _table(self) -> dict[str, dict[str, float]]:
         # Each source token's row as a dict, in row order.
         _, indptr, targets, probs = self._arrays
@@ -291,9 +316,11 @@ def merge_title_lexicon(lexicon: Lexicon, titles: Iterable[tuple[str, str]]) -> 
 
     A title pair whose two sides each tokenize to exactly one token is
     inserted with probability ``max(existing, 0.5)`` and the source row
-    is renormalized.  Multi-token titles are skipped and counted.
+    is renormalized.  Multi-token titles are skipped and counted.  Only
+    the touched rows are read, as dicts (``translations``), and spliced
+    into the lexicon's arrays in place of their old entries.
     """
-    table = lexicon._table()
+    rows: dict[str, dict[str, float]] = {}  # the touched rows, by first touch
     skipped = 0
     for source_title, target_title in titles:
         source_tokens = tokenize(source_title)
@@ -302,11 +329,11 @@ def merge_title_lexicon(lexicon: Lexicon, titles: Iterable[tuple[str, str]]) -> 
             skipped += 1
             continue
         s, t = source_tokens[0], target_tokens[0]
-        row = table.setdefault(s, {})
+        row = rows[s] if s in rows else lexicon.translations(s)
         row[t] = max(row.get(t, 0.0), 0.5)
         total = sum(row.values())
-        table[s] = {token: p / total for token, p in row.items()}
-    return MergeResult(Lexicon(table), skipped)
+        rows[s] = {token: p / total for token, p in row.items()}
+    return MergeResult(lexicon._with_rows(rows), skipped)
 
 
 def write_lexicon(lexicon: Lexicon, path: str | os.PathLike) -> None:

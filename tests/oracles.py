@@ -29,6 +29,7 @@ from bimine.align import (
     run_engine,
 )
 from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS
+from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
 
@@ -377,3 +378,49 @@ def reference_segment_sentences(text: str) -> list[str]:
     if tail:
         sentences.append(tail)
     return sentences
+
+
+def reference_read_rows(path, count):
+    """``corpus.read_rows`` one line at a time from the file's bytes: each
+    line (split at LF, CRLF or CR) is decoded alone, so an error is raised
+    exactly when its line is reached."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines()
+    for lineno, raw in enumerate(lines, 1):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ValueError(
+                f"{path}: line {lineno}: not UTF-8 (byte {raw[exc.start]:#04x} "
+                f"at column {exc.start + 1}: {exc.reason})"
+            ) from None
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != count:
+            raise ValueError(
+                f"{path}: line {lineno}: expected {count} tab-separated fields, got {len(fields)}"
+            )
+        yield lineno, fields
+
+
+def reference_merge_title_lexicon(lexicon, titles):
+    """``lexicon.merge_title_lexicon`` on dict rows: every row of the
+    lexicon is copied into a dict, each single-token title pair updates
+    and renormalizes its row, and a new lexicon is built from all rows."""
+    table = {s: dict(lexicon.translations(s)) for s in lexicon.source_tokens()}
+    skipped = 0
+    for source_title, target_title in titles:
+        source_tokens = tokenize(source_title)
+        target_tokens = tokenize(target_title)
+        if len(source_tokens) != 1 or len(target_tokens) != 1:
+            skipped += 1
+            continue
+        s, t = source_tokens[0], target_tokens[0]
+        row = table.setdefault(s, {})
+        row[t] = max(row.get(t, 0.0), 0.5)
+        total = sum(row.values())
+        table[s] = {token: p / total for token, p in row.items()}
+    return Lexicon(table), skipped

@@ -30,7 +30,6 @@ from bimine.align import (
 from bimine.classifier import (
     BLOCK_CELLS,
     SimilarityModel,
-    encode_pair,
     pair_blocks,
     score_pairs,
 )
@@ -47,7 +46,7 @@ from bimine.demos import (
     render_alignment,
 )
 
-from conftest import SOURCE_VOCAB, TARGET_VOCAB, make_mining_pair
+from conftest import SOURCE_VOCAB, TARGET_VOCAB, make_mining_pair, make_parallel_sentences
 from oracles import (
     brute_force_best_score,
     extract_features,
@@ -998,12 +997,7 @@ def stub_pairs(draw):
     ]
 
 
-def encode_pairs(lexicon, pairs):
-    compiled = lexicon.compiled()
-    return [encode_pair(compiled, sources, targets) for sources, targets in pairs]
-
-
-def block_features(model, lexicon, encoded):
+def block_features(model, lexicon, pairs):
     """Feature rows of every cell of every pair, as ``score_pairs`` takes
     them from the block feature stage, pair after pair and row by row."""
     rows = []
@@ -1015,7 +1009,7 @@ def block_features(model, lexicon, encoded):
             yield cells, features
 
     with mock.patch.object(classifier, "_features", recording):
-        score_pairs(model, lexicon, encoded)
+        score_pairs(model, lexicon, pairs)
     return np.concatenate(rows)
 
 
@@ -1041,7 +1035,7 @@ class TestScorePairs:
         ],
     )
     def test_generated_blocks(self, model, lexicon, pairs):
-        matrices = score_pairs(model, lexicon, encode_pairs(lexicon, pairs))
+        matrices = score_pairs(model, lexicon, pairs)
         assert len(matrices) == len(pairs)
         for (sources, targets), matrix in zip(pairs, matrices):
             expected = reference_score_matrix(model, lexicon, sources, targets)
@@ -1051,15 +1045,14 @@ class TestScorePairs:
     @settings(max_examples=20, deadline=None)
     @given(model=MODELS, lexicon=LEXICONS, pairs=st.one_of(stub_pairs(), sentence_pairs()))
     def test_generated_features_and_stub_blocks(self, model, lexicon, pairs):
-        encoded = encode_pairs(lexicon, pairs)
         expected = [
             extract_features(s, t, lexicon)
             for sources, targets in pairs
             for s in sources
             for t in targets
         ]
-        assert np.array_equal(block_features(model, lexicon, encoded), np.array(expected))
-        for (sources, targets), matrix in zip(pairs, score_pairs(model, lexicon, encoded)):
+        assert np.array_equal(block_features(model, lexicon, pairs), np.array(expected))
+        for (sources, targets), matrix in zip(pairs, score_pairs(model, lexicon, pairs)):
             assert np.array_equal(matrix, reference_score_matrix(model, lexicon, sources, targets))
 
     def test_join_hits_follow_each_pair(self, toy_model, toy_lexicon, monkeypatch):
@@ -1086,7 +1079,7 @@ class TestScorePairs:
         pairs = [([sources[k % 8]], [targets[(k * 5) % 12]]) for k in range(600)]
         pairs.insert(300, ([sources[0]], list(targets) * 30))  # a wide pair among tiny ones
         assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
-        score_pairs(toy_model, toy_lexicon, encode_pairs(toy_lexicon, pairs))
+        score_pairs(toy_model, toy_lexicon, pairs)
 
         def tokens(side):
             return sum(len(tokenize(sentence)) for sentence in side)
@@ -1108,8 +1101,7 @@ class TestScorePairs:
         pairs = [(sources[k % 8 :] + sources[: k % 8], [targets[k % 20]]) for k in range(100)]
         pairs.insert(60, (sources[:1], targets))
         assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
-        encoded = encode_pairs(toy_lexicon, pairs)
-        for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, encoded)):
+        for (s, t), matrix in zip(pairs, score_pairs(toy_model, toy_lexicon, pairs)):
             assert np.array_equal(matrix, reference_score_matrix(toy_model, toy_lexicon, s, t))
 
     def test_blocks_are_runs_of_whole_pairs(self):
@@ -1208,15 +1200,17 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"alive-{k}")[0] for k in range(7)]
         pairs.append(make_mining_pair(rng, "boom")[0])
         parent = os.getpid()
-        real = align.encode_pair
+        real = align.score_pairs
 
-        def dying(compiled, sources, targets):
-            if sources == pairs[-1].source.sentences and os.getpid() != parent:
+        def dying(model, lexicon, block):
+            if (pairs[-1].source.sentences, pairs[-1].target.sentences) in block and (
+                os.getpid() != parent
+            ):
                 time.sleep(0.5)  # let the other worker's results arrive first
                 os._exit(1)
-            return real(compiled, sources, targets)
+            return real(model, lexicon, block)
 
-        monkeypatch.setattr(align, "encode_pair", dying)
+        monkeypatch.setattr(align, "score_pairs", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         failed = dict(outcome.failures)
         assert failed["boom"] == "worker process died"
@@ -1232,14 +1226,16 @@ class TestMining:
         pairs = [make_mining_pair(rng, f"pair-{k}")[0] for k in range(40)]
         chunk = len(pairs) // (2 * 4)  # mine_corpus's chunk size at two workers
         parent = os.getpid()
-        real = align.encode_pair
+        real = align.score_pairs
 
-        def dying(compiled, sources, targets):
-            if sources == pairs[2].source.sentences and os.getpid() != parent:
+        def dying(model, lexicon, block):
+            if (pairs[2].source.sentences, pairs[2].target.sentences) in block and (
+                os.getpid() != parent
+            ):
                 os._exit(1)
-            return real(compiled, sources, targets)
+            return real(model, lexicon, block)
 
-        monkeypatch.setattr(align, "encode_pair", dying)
+        monkeypatch.setattr(align, "score_pairs", dying)
         outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=2))
         assert outcome.failures == tuple(
             (pair.topic_id, "worker process died") for pair in pairs[:chunk]
@@ -1260,6 +1256,67 @@ class TestMining:
         narrow = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
         assert wide == narrow
 
+    @staticmethod
+    def pairs_of_shapes(rng, shapes, prefix):
+        """Document pairs of the given (sources, targets) shapes, their
+        sentences drawn from one pool of translated sentences."""
+        pool = make_parallel_sentences(rng, 200)
+        pairs = []
+        for k, (n, m) in enumerate(shapes):
+            picks = rng.integers(0, len(pool), n + m)
+            sources = tuple(pool[i][0] for i in picks[:n])
+            targets = tuple(pool[i][1] for i in picks[n:])
+            pairs.append(
+                DocumentPair(
+                    topic_id=f"{prefix}{k}",
+                    source=Document(id=f"{prefix}{k}s", lang="eo", title="t", sentences=sources),
+                    target=Document(id=f"{prefix}{k}t", lang="en", title="t", sentences=targets),
+                )
+            )
+        return pairs
+
+    def test_serial_mining_encodes_once_per_block(self, toy_model, toy_lexicon, monkeypatch):
+        # The shapes of pipeline-many-docs: 1200 pairs of 4 to 15
+        # sentences a side, the longer side alternating, in a seeded order.
+        sizes = np.linspace(4, 12, 1200).round().astype(int).tolist()
+        shapes = [
+            (s, round(s * 1.25)) if k % 2 == 0 else (round(s * 1.25), s)
+            for k, s in enumerate(sizes)
+        ]
+        rng = np.random.default_rng(149)
+        shapes = [shapes[k] for k in rng.permutation(len(shapes))]
+        pairs = self.pairs_of_shapes(rng, shapes, "doc")
+        calls = []
+        real = classifier.encode
+
+        def counting(compiled, sentences):
+            calls.append(len(sentences))
+            return real(compiled, sentences)
+
+        monkeypatch.setattr(classifier, "encode", counting)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
+        assert outcome.failures == () and len(outcome.rows) > 0
+        blocks = list(pair_blocks(shapes))
+        assert len(calls) == len(blocks) == 53
+        assert calls == [sum(n + m for n, m in shapes[block]) for block in blocks]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_stub_pairs_with_a_failing_pair_mid_block(self, toy_model, toy_lexicon, workers):
+        rng = np.random.default_rng(151)
+        pairs = self.pairs_of_shapes(rng, [(1, 1)] * 2000, "stub")
+        bad = pairs[1000]
+        pairs[1000] = replace(bad, target=replace(bad.target, sentences=("...",)))
+        (block,) = [b for b in pair_blocks([(1, 1)] * 2000) if b.start <= 1000 < b.stop]
+        assert block.start < 1000 < block.stop - 1
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
+        assert (outcome.rows, outcome.failures) == oracle_outcome(
+            toy_model, toy_lexicon, pairs, config, "nw"
+        )
+        assert outcome.failures == (
+            ("stub1000", "pair stub1000: target sentence 0: untokenizable sentence: '...'"),
+        )
+
     @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_rows_equal_per_pair_mining(self, toy_model, toy_lexicon, engine, workers):
@@ -1273,9 +1330,10 @@ class TestMining:
         # Pairs that share a token outside the lexicon between their sides
         # and have one only on the target side, two by two in several
         # blocks and worker chunks.  Ids past the lexicon are numbered per
-        # pair, so neighbours in a block give the same id to different
-        # tokens ("zork" in one, "blip" in the next), and the target-only
-        # token's id lies past every source id of the block.
+        # block, so neighbours in a block give the same token the same id
+        # ("quux" is the target-only token of one and on both sides of the
+        # next), which only the (pair, id) keys keep apart, and the
+        # target-only token's id lies past every source id of its pair.
         noise = ("zork", "blip", "quux", "fnord")
         for k in range(9, 45, 4):
             for j in (k, k + 1):
@@ -1339,10 +1397,10 @@ class TestMining:
         assert [(len(p.source.sentences), len(p.target.sentences)) for p in pairs].count(shape) == 1
         real = align.score_pairs
 
-        def failing(model, lexicon, encoded):
-            if any((n, len(run.tokens) - n) == shape for run, n in encoded):
+        def failing(model, lexicon, block):
+            if any((len(sources), len(targets)) == shape for sources, targets in block):
                 raise ValueError("scoring failed")
-            return real(model, lexicon, encoded)
+            return real(model, lexicon, block)
 
         monkeypatch.setattr(align, "score_pairs", failing)
         config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)

@@ -12,11 +12,11 @@ from bimine.classifier import (
     FEATURE_COUNT,
     SimilarityModel,
     encode,
-    encode_pair,
     extract_features,
     load_model,
     make_negative_pairs,
     save_model,
+    score_pairs,
     similarity,
     train_classifier,
     training_accuracy,
@@ -27,7 +27,7 @@ from bimine.text import tokenize
 
 from conftest import make_parallel_sentences
 from oracles import extract_features as reference_features
-from oracles import reference_pegasos
+from oracles import reference_pegasos, reference_score_matrix
 
 EMPTY = Lexicon({})
 
@@ -43,6 +43,14 @@ ENCODE_LEXICON = Lexicon(
     {"domo": {"house": 0.5, "ünï": 0.5}, "kato": {"cat": 1.0}, "ça": {"日本": 1.0, "x": 0.0}}
 )
 ENCODE_SENTENCES = st.lists(st.sampled_from(ENCODE_WORDS), max_size=6).map(" ".join)
+ENCODE_MODEL = SimilarityModel(
+    weights=(0.5, 2.0, 1.5, 1.0, -0.2, 0.8),
+    bias=-1.0,
+    sigmoid_a=-1.3,
+    sigmoid_b=0.1,
+    feature_means=(1.0, 0.5, 0.5, 0.4, 1.0, 0.1),
+    feature_scales=(0.5, 0.3, 0.3, 0.2, 0.5, 0.2),
+)
 
 
 class TestEncode:
@@ -69,26 +77,33 @@ class TestEncode:
 
     @settings(max_examples=200, deadline=None)
     @given(
-        sources=st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
-        targets=st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
-    )
-    def test_pair_names_its_first_untokenizable_sentence(self, sources, targets):
-        compiled = ENCODE_LEXICON.compiled()
-        sentences = sources + targets
-        empty = [k for k, sentence in enumerate(sentences) if not tokenize(sentence)]
-        if not empty:
-            encoded, n = encode_pair(compiled, sources, targets)
-            assert n == len(sources)
-            for got, expected in zip(encoded, encode(compiled, sentences)):
-                assert np.array_equal(got, expected)
-            return
-        k = empty[0]
-        side, i = ("source", k) if k < len(sources) else ("target", k - len(sources))
-        with pytest.raises(ValueError) as excinfo:
-            encode_pair(compiled, sources, targets)
-        assert str(excinfo.value) == (
-            f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}"
+        pairs=st.lists(
+            st.tuples(
+                st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
+                st.lists(ENCODE_SENTENCES, min_size=1, max_size=5),
+            ),
+            min_size=1,
+            max_size=4,
         )
+    )
+    def test_pair_names_its_first_untokenizable_sentence(self, pairs):
+        # The pairs form one block, encoded by one call: a pair with a
+        # sentence without tokens gets its error, and the others are scored.
+        results = score_pairs(ENCODE_MODEL, ENCODE_LEXICON, pairs)
+        assert len(results) == len(pairs)
+        for (sources, targets), result in zip(pairs, results):
+            sentences = sources + targets
+            empty = [k for k, sentence in enumerate(sentences) if not tokenize(sentence)]
+            if not empty:
+                expected = reference_score_matrix(ENCODE_MODEL, ENCODE_LEXICON, sources, targets)
+                assert np.array_equal(result, expected)
+                continue
+            k = empty[0]
+            side, i = ("source", k) if k < len(sources) else ("target", k - len(sources))
+            assert isinstance(result, ValueError)
+            assert str(result) == (
+                f"{side} sentence {i}: untokenizable sentence: {sentences[k]!r}"
+            )
 
 
 class TestExtractFeatures:
@@ -313,6 +328,11 @@ class TestScoring:
             scores = model.scores_from_margins(np.array(margins).reshape(-1, 1))
         assert scores.shape == (len(margins), 1)
         assert scores[:, 0].tolist() == expected
+
+    def test_similarity_raises_the_pairs_error(self, toy_model, toy_lexicon):
+        with pytest.raises(ValueError) as excinfo:
+            similarity(toy_model, "domo", "...", toy_lexicon)
+        assert str(excinfo.value) == "target sentence 0: untokenizable sentence: '...'"
 
     def test_positives_score_above_negatives(self, toy_model, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(70), 25)

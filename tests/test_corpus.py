@@ -30,6 +30,8 @@ from bimine.corpus import (
 from bimine.lexicon import read_lexicon
 from bimine.tuning import read_reference
 
+from oracles import reference_read_rows
+
 
 def write_docfile(path, records):
     with open(path, "w", encoding="utf-8") as handle:
@@ -431,8 +433,9 @@ READERS = {
 
 
 def _corrupt(lines, width, corruption):
-    """The bytes of ``lines`` with line 3 corrupted, and the message
-    expected from reading them (None: they read as the clean lines)."""
+    """The bytes of ``lines`` with line 3 corrupted (and line 2, in one
+    case), and the message expected from reading them (None: they read as
+    the clean lines)."""
     lines = [line.encode("utf-8") for line in lines]
     if corruption == "too few fields":
         lines[2] = lines[2].rsplit(b"\t", 1)[0]
@@ -446,6 +449,10 @@ def _corrupt(lines, width, corruption):
     elif corruption == "byte order mark":
         lines[0] = b"\xef\xbb\xbf" + lines[0]
         message = None
+    elif corruption == "short line before a bad byte":
+        lines[1] = lines[1].rsplit(b"\t", 1)[0]
+        lines[2] = b"\xff" + lines[2]
+        message = f"line 2: expected {width} tab-separated fields, got {width - 1}"
     else:
         lines[2] = b"\xff" + lines[2]
         message = "line 3: not UTF-8 (byte 0xff at column 1: invalid start byte)"
@@ -454,7 +461,14 @@ def _corrupt(lines, width, corruption):
 
 @pytest.mark.parametrize(
     "corruption",
-    ["too few fields", "too many fields", "blank line", "byte order mark", "bad byte"],
+    [
+        "too few fields",
+        "too many fields",
+        "blank line",
+        "byte order mark",
+        "bad byte",
+        "short line before a bad byte",
+    ],
 )
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_shares_the_row_rules(tmp_path, reader, corruption):
@@ -489,6 +503,34 @@ class TestReadRows:
             f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
         )
 
+    @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("reader", [read_rows, read_columns], ids=["rows", "columns"])
+    def test_short_line_before_a_bad_byte_is_reported_first(
+        self, tmp_path, reader, newline, bom
+    ):
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(bom + newline.join([b"a\tb\tc", b"x\ty", b"z\xff\tq\tr"]) + newline)
+        with pytest.raises(ValueError) as excinfo:
+            list(reader(path, 3))
+        assert str(excinfo.value) == f"{path}: line 2: expected 3 tab-separated fields, got 2"
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("reader", [read_rows, read_columns], ids=["rows", "columns"])
+    def test_every_line_before_a_bad_byte_is_yielded(self, tmp_path, reader, newline):
+        # Far into the file, the rows up to the bad line arrive in order.
+        lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]
+        lines[3999] = b"source \xc3(\ttarget"
+        lines[3990] = b""
+        path = tmp_path / "rows.tsv"
+        path.write_bytes(newline.join(lines) + newline)
+        rows, error = _rows_of(reader, path, 2)
+        assert [lineno for lineno, _ in rows] == [i for i in range(1, 4000) if i != 3991]
+        assert rows[-1] == (3999, ["source 3998", "target 3998"])
+        assert error == (
+            f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
+        )
+
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "rows.tsv"
         path.write_text("\ufeffa\tb\n\n\nc\td\n", encoding="utf-8")
@@ -504,6 +546,17 @@ def _rows_and_error(chunks):
     except ValueError as exc:
         return rows, str(exc)
     return rows, None
+
+
+def _rows_of(reader, path, count):
+    """The rows of ``read_rows`` or ``read_columns`` until it raises, and
+    the error message."""
+    if reader is read_rows:
+        return _rows_and_error([row] for row in read_rows(path, count))
+    return _rows_and_error(
+        [(lineno, fields) for lineno, *fields in zip(numbers, *columns, strict=True)]
+        for numbers, columns in read_columns(path, count)
+    )
 
 
 class TestReadColumns:
@@ -523,20 +576,24 @@ class TestReadColumns:
         st.booleans(),
         st.integers(1, 3),
         st.sampled_from([1, 2, 5, 64, 1 << 14]),
+        # Bytes that break UTF-8 alone or before the continuation of "é".
+        st.lists(st.tuples(st.integers(0, 200), st.sampled_from([b"\xff", b"\xc3"])), max_size=2),
     )
     # A short line and a long one with, together, the fields of two lines.
-    @example("a\tb\nc\td\te\tf", False, 3, 1 << 14)
-    def test_reads_the_rows_of_read_rows(self, tmp_path_factory, text, bom, count, chunk):
-        # Every line before an error is read, in chunks of any size.
+    @example("a\tb\nc\td\te\tf", False, 3, 1 << 14, [])
+    def test_reads_the_rows_of_read_rows(self, tmp_path_factory, text, bom, count, chunk, bad):
+        # Both readers read the rows of the line-at-a-time reference: every
+        # line before an error is read, in chunks of any size.
+        data = (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+        for at, byte in bad:
+            at = min(at, len(data))
+            data = data[:at] + byte + data[at:]
         path = tmp_path_factory.mktemp("columns") / "rows.tsv"
-        path.write_bytes((b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8"))
-        expected = _rows_and_error([row] for row in read_rows(path, count))
+        path.write_bytes(data)
+        expected = _rows_and_error([row] for row in reference_read_rows(path, count))
+        assert _rows_of(read_rows, path, count) == expected
         with mock.patch.object(bimine.corpus, "CHUNK_CHARS", chunk):
-            got = _rows_and_error(
-                [(lineno, fields) for lineno, *fields in zip(numbers, *columns, strict=True)]
-                for numbers, columns in read_columns(path, count)
-            )
-        assert got == expected
+            assert _rows_of(read_columns, path, count) == expected
 
     def test_bad_byte_far_into_the_file_names_its_line(self, tmp_path):
         lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]

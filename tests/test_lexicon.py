@@ -21,7 +21,7 @@ from bimine.lexicon import (
 )
 from bimine.text import tokenize
 
-from oracles import em_translation_oracle
+from oracles import em_translation_oracle, reference_merge_title_lexicon
 
 # Frozen from the EM oracle on [("a b","x y"), ("a","x")] at 10 iterations.
 TWO_PAIR_P_X_GIVEN_A = 0.99951171875
@@ -222,6 +222,45 @@ class TestMergeTitles:
     def test_existing_higher_probability_kept(self):
         merged, _ = merge_title_lexicon(Lexicon({"dog": {"pies": 0.8}}), [("Dog", "Pies")])
         assert merged.prob("dog", "pies") == 1.0  # 0.8 kept, row renormalized
+
+
+# Tokens that are sources, targets, both or new; titles of one token, of
+# two, or none; probabilities including 0 and 1.
+MERGE_TOKENS = ("dog", "cat", "pies", "kot", "ryba", "fish", "x")
+MERGE_ROWS = st.dictionaries(
+    st.sampled_from(MERGE_TOKENS),
+    st.dictionaries(
+        st.sampled_from(MERGE_TOKENS),
+        st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        max_size=4,
+    ),
+    max_size=5,
+)
+MERGE_TITLES = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(MERGE_TOKENS + ("...",)), max_size=2).map(" ".join),
+        st.lists(st.sampled_from(MERGE_TOKENS + ("...",)), max_size=2).map(" ".join),
+    ),
+    max_size=8,
+)
+
+
+class TestMergeTitlesProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(table=MERGE_ROWS, titles=MERGE_TITLES)
+    def test_equals_the_dict_based_merge(self, table, titles):
+        lexicon = Lexicon(table)
+        merged, skipped = merge_title_lexicon(lexicon, titles)
+        expected, expected_skipped = reference_merge_title_lexicon(lexicon, titles)
+        assert skipped == expected_skipped
+        assert merged == expected
+        # The same rows and entries in the same order, and the same arrays.
+        assert list(merged.items()) == list(expected.items())
+        ids, *arrays = merged.compiled()
+        expected_ids, *expected_arrays = expected.compiled()
+        assert list(ids.items()) == list(expected_ids.items())
+        assert all(map(np.array_equal, arrays, expected_arrays))
+        assert lexicon == Lexicon(table)  # the input is left as it was
 
 
 class TestLexiconFile:
