@@ -20,15 +20,16 @@ score minus gap penalties is found by one of two engines:
   requirement.
 
 ``run_engine`` is the one place an engine name (``ENGINES``) becomes
-an alignment.
+an alignment; ``bimine bench`` times the engines through it.
 
 Matches above a confidence threshold become mined sentence pairs.
-Mining and tuning align through one walker, ``kept_cells``: its lanes
-are the score matrices of document pairs with one (threshold, gap
-penalty) trial, or one matrix with many trials.  With ``nw`` it fills
-lanes of similar shape together in bounded groups (``kernels.fill``,
-which keeps only each cell's traceback moves) and walks each lane's
-moves for its matched cells, so no ``Alignment`` is built.
+Mining and tuning align through one walker, ``kept_cells``, by the
+dynamic program: its lanes are the score matrices of document pairs
+with one (threshold, gap penalty) trial, or one matrix with many
+trials.  It fills lanes of similar shape together in bounded groups
+(``kernels.fill``, which keeps only each cell's traceback moves) and
+walks each lane's moves for its matched cells, so no ``Alignment`` is
+built.
 
 Corpus mining fans document pairs out over worker processes; output
 order follows input order regardless of completion order, so results
@@ -47,7 +48,7 @@ import heapq
 import math
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from multiprocessing import get_context
 from typing import Iterator, Sequence
 
@@ -394,7 +395,6 @@ def kept_cells(
     matrices: Sequence[np.ndarray],
     trials: Sequence[tuple[float, float]],
     config: MiningConfig,
-    engine: str,
 ) -> Iterator[list[tuple[float, int, int]]]:
     """For each lane in order, the matched cells ``(score, i, j)`` of its
     alignment whose score reaches the lane's threshold.
@@ -402,13 +402,13 @@ def kept_cells(
     Lanes broadcast as numpy's do: K score matrices with one
     ``(threshold, gap penalty)`` trial (mined pairs), one matrix with T
     trials (tuning), or K of each.  A lane's cells equal
-    ``filter_by_threshold`` of ``run_engine`` with ``config`` but the
-    trial's threshold and gap penalty.  With ``nw``, lanes are filled
-    together (``kernels.fill``) in the groups of ``_lane_groups`` and
-    each lane's moves are walked in place for its matches at or above
-    its threshold only (``_matches``), so memory stays bounded and no
-    ``Alignment`` is built.  Lanes are still yielded in order, each as
-    soon as it and every lane before it are walked.
+    ``filter_by_threshold`` of ``nw_align`` with ``config`` but the
+    trial's threshold and gap penalty.  Lanes are filled together
+    (``kernels.fill``) in the groups of ``_lane_groups`` and each lane's
+    moves are walked in place for its matches at or above its threshold
+    only (``_matches``), so memory stays bounded and no ``Alignment`` is
+    built.  Lanes are still yielded in order, each as soon as it and
+    every lane before it are walked.
     """
     sims = [_validate_scores(matrix) for matrix in matrices]
     thresholds = [float(threshold) for threshold, _ in trials]
@@ -418,12 +418,6 @@ def kept_cells(
     (lanes,) = np.broadcast_shapes((len(sims),), (len(gaps),))
     # Lane l reads matrix l and trial l, or the only one given.
     k, t = len(sims), len(gaps)
-    if engine != "nw":
-        for lane in range(lanes):
-            sim, gap = sims[lane % k], gaps[lane % t]
-            alignment = run_engine(sim, replace(config, gap_penalty=gap), engine)
-            yield filter_by_threshold(sim, alignment, thresholds[lane % t])
-        return
     mismatch, bonus = config.mismatch_cost, config.match_bonus
     reversed_sims = [sim[::-1, ::-1] for sim in sims]
     done: dict[int, list[tuple[float, int, int]]] = {}
@@ -453,8 +447,8 @@ _POOL_STATE: dict = {}
 WORKER_DIED = "worker process died"
 
 
-def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig, engine: str) -> None:
-    _POOL_STATE["args"] = (model, lexicon, config, engine)
+def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig) -> None:
+    _POOL_STATE["args"] = (model, lexicon, config)
 
 
 def _mine_pairs(
@@ -462,7 +456,6 @@ def _mine_pairs(
     lexicon: Lexicon,
     pairs: Sequence[DocumentPair],
     config: MiningConfig,
-    engine: str,
 ) -> list[tuple[list[tuple[float, str, str]] | None, str | None]]:
     """Mined rows or an error message for each pair, in order.
 
@@ -488,7 +481,7 @@ def _mine_pairs(
 
     def align_waiting() -> None:
         try:
-            for k, cells in zip(waiting, kept_cells(list(waiting.values()), trial, config, engine)):
+            for k, cells in zip(waiting, kept_cells(list(waiting.values()), trial, config)):
                 source, target = sentences[k]
                 outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
         except Exception as exc:  # the run continues past failing pairs
@@ -523,20 +516,19 @@ def mine_document_pair(
     lexicon: Lexicon,
     pair: DocumentPair,
     config: MiningConfig,
-    engine: str = "nw",
 ) -> list[tuple[float, str, str]]:
     """Mined sentence pairs of one document pair, with similarity scores:
     the one-pair case of ``_mine_pairs``, raising its error as a
     ``ValueError``."""
-    ((rows, error),) = _mine_pairs(model, lexicon, [pair], config, engine)
+    ((rows, error),) = _mine_pairs(model, lexicon, [pair], config)
     if error is not None:
         raise ValueError(error)
     return rows
 
 
 def _pool_mine(chunk: list[DocumentPair]):
-    model, lexicon, config, engine = _POOL_STATE["args"]
-    return _mine_pairs(model, lexicon, chunk, config, engine)
+    model, lexicon, config = _POOL_STATE["args"]
+    return _mine_pairs(model, lexicon, chunk, config)
 
 
 def _pool_results(chunks: list[list[DocumentPair]], workers: int, initargs: tuple) -> list:
@@ -563,7 +555,6 @@ def mine_corpus(
     lexicon: Lexicon,
     pairs: Sequence[DocumentPair],
     config: MiningConfig,
-    engine: str = "nw",
 ) -> MiningOutcome:
     """Mine document pairs across ``config.workers`` worker processes.
 
@@ -577,16 +568,14 @@ def mine_corpus(
     ``worker process died``.  Parallelism comes from the pair-level
     fan-out only; every alignment runs on one thread.
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
     workers = min(config.workers, max(len(pairs), 1))
     if workers <= 1:
-        outcomes = _mine_pairs(model, lexicon, pairs, config, engine)
+        outcomes = _mine_pairs(model, lexicon, pairs, config)
     else:
         outcomes = []
         chunksize = max(1, len(pairs) // (workers * 4))
         chunks = [list(pairs[k : k + chunksize]) for k in range(0, len(pairs), chunksize)]
-        initargs = (model, lexicon, config, engine)
+        initargs = (model, lexicon, config)
         for chunk, result in zip(chunks, _pool_results(chunks, workers, initargs)):
             if result is None:
                 # Alone, a chunk that kills its worker takes no other pairs with it.

@@ -51,16 +51,23 @@ from .tuning import read_samples, tune
 _CLI_ENGINES = {"nw": "nw", "nw-wavefront": "nw", "astar": "astar_constrained"}
 
 
+def _engine_arg(parser: argparse.ArgumentParser) -> None:
+    # Mining and tuning always align by dynamic programming; A* is timed
+    # by ``bench`` only.
+    parser.add_argument(
+        "--engine",
+        choices=("nw", "nw-wavefront"),
+        default="nw",
+        help="alignment engine: nw (default) or nw-wavefront, an alias of nw",
+    )
+
+
 def _engine_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threshold", type=float, default=0.5)
     parser.add_argument("--gap-penalty", type=float, default=2.0)
     parser.add_argument("--match-bonus", type=float, default=1.0)
     parser.add_argument("--mismatch-cost", type=float, default=-1.0)
-    parser.add_argument(
-        "--engine",
-        choices=sorted(_CLI_ENGINES) + ["astar-unconstrained"],
-        default="nw",
-    )
+    _engine_arg(parser)
 
 
 def _manifest_for(args: argparse.Namespace, inputs: list[str], started: float) -> RunManifest:
@@ -155,7 +162,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
         samples,
         budget=args.budget,
         seed=args.seed,
-        engine=_CLI_ENGINES[args.engine],
         base_config=config,
     )
     report = {
@@ -194,8 +200,6 @@ def _cmd_tune(args: argparse.Namespace) -> int:
 
 def _cmd_mine(args: argparse.Namespace) -> int:
     started = time.perf_counter()
-    if args.engine == "astar-unconstrained":
-        raise UsageError("unconstrained engine is diagnostic-only; see the bench command")
     # Checked before any input is read, so a bad value fails at once.
     config = MiningConfig(
         threshold=args.threshold,
@@ -207,7 +211,7 @@ def _cmd_mine(args: argparse.Namespace) -> int:
     pairs = load_corpus(args.corpus_dir)
     model = load_model(args.model_file)
     lexicon = read_lexicon(args.lexicon_file)
-    outcome = mine_corpus(model, lexicon, pairs, config, engine=_CLI_ENGINES[args.engine])
+    outcome = mine_corpus(model, lexicon, pairs, config)
     write_bitext(args.out_file, outcome.rows)
     if args.verbose:
         counts: dict[str, int] = {}
@@ -355,9 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("lexicon_file")
     p_tune.add_argument("reference_file")
     p_tune.add_argument("--budget", type=int, default=100)
-    p_tune.add_argument(
-        "--engine", choices=sorted(_CLI_ENGINES), default="nw"
-    )
+    _engine_arg(p_tune)
     p_tune.add_argument("--out", default="tuning_report.json")
     p_tune.set_defaults(func=_cmd_tune)
 
@@ -394,6 +396,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--budget must be >= 1")
     if args.workers < 1:
         parser.error("--workers must be >= 1")
+    if args.seed < 0:
+        parser.error("--seed must be >= 0")
     if args.command == "ingest":
         # pairs.tsv stores a language unescaped, so it may hold no tab or
         # line break; checked here, before any file is read.

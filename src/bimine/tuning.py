@@ -8,9 +8,8 @@ first, so the result can never fall below them -- and keeps the
 candidate with the best mean agreement.  Only the gap penalty and the
 threshold change between trials, so each sample is scored once and
 realigned for all trials together, through the walker mining uses
-(``align.kept_cells``, one lane per trial): with ``nw``, bounded fills
-that keep only each cell's moves, each trial's walked for its matched
-cells only.
+(``align.kept_cells``, one lane per trial): bounded fills that keep
+only each cell's moves, each trial's walked for its matched cells only.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ def tune(
     samples: Sequence[TuningSample],
     budget: int,
     seed: int,
-    engine: str = "nw",
     base_config: MiningConfig | None = None,
 ) -> TuningResult:
     """Seeded random search over (threshold, gap_penalty).
@@ -106,11 +104,10 @@ def tune(
 
     All trials are drawn up front.  Each sample is then scored once and
     realigned for every trial by ``align.kept_cells``, one lane per
-    trial, the walker mining uses.  With the ``nw`` engine a sample's
-    trials share fills of at most ``kernels.BATCH_BYTES`` (all of them,
-    for samples of a few thousand cells), and each trial's moves are
-    walked in place for its matched cells only, so no ``Alignment`` is
-    built per trial.
+    trial, the walker mining uses.  A sample's trials share fills of at
+    most ``kernels.BATCH_BYTES`` (all of them, for samples of a few
+    thousand cells), and each trial's moves are walked in place for its
+    matched cells only, so no ``Alignment`` is built per trial.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -130,7 +127,7 @@ def tune(
     for s, sample in enumerate(samples):
         pair = sample.pair
         matrix = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-        for trial, cells in enumerate(kept_cells([matrix], trials, config, engine)):
+        for trial, cells in enumerate(kept_cells([matrix], trials, config)):
             candidate = [(i, j) for _, i, j in cells]
             per_trial[trial][s] = alignment_agreement(candidate, sample.reference)
 
@@ -193,9 +190,12 @@ def read_samples(path: str | os.PathLike, pairs: Sequence[DocumentPair]) -> list
     Besides the row errors of ``read_reference``, a topic that no pair
     has (at its first row), an index out of range and a row that breaks
     the monotone order once the rows are sorted are rejected as
-    ``path: line N: ...``.
+    ``path: line N: ...``, and a file without rows as ``path: no
+    reference rows``.
     """
     reference = read_reference(path)
+    if not reference:
+        raise ValueError(f"{path}: no reference rows")
     topics = {pair.topic_id for pair in pairs}
     for topic_id, rows in reference.items():
         if topic_id not in topics:

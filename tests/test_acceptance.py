@@ -217,7 +217,7 @@ def test_criterion_6_tuning_recovery(toy_model, toy_lexicon):
     samples = []
     for k in range(6):
         pair, _ = make_mining_pair(rng, f"planted-{k}", true_pairs=6, target_noise=2)
-        mined = reference_mine_pair(toy_model, toy_lexicon, pair, reference_config, engine="nw")
+        mined = reference_mine_pair(toy_model, toy_lexicon, pair, reference_config)
         samples.append(TuningSample(pair=pair, reference=tuple((i, j) for _, i, j in mined)))
     result = tune(toy_model, toy_lexicon, samples, budget=200, seed=42)
     report(

@@ -333,7 +333,7 @@ class TestNwAlignBatch:
             gaps = [0.0, *rng.uniform(0.0, 5.0, 6).tolist(), 1.0]
             thresholds = [0.0, *rng.uniform(0.0, 1.0, 6).tolist(), 1.0]
             trials = list(zip(thresholds, gaps))
-            kept = list(kept_cells([sim], trials, config, "nw"))
+            kept = list(kept_cells([sim], trials, config))
             assert kept == [
                 filter_by_threshold(sim, nw_align(sim, replace(config, gap_penalty=g)), t)
                 for t, g in trials
@@ -352,61 +352,57 @@ class TestNwAlignBatch:
             return fill(sims, mismatch, bonus, gaps)
 
         monkeypatch.setattr(kernels, "fill", recorded_fill)
-        kept = list(kept_cells([sim], trials_of(gaps), MiningConfig(), "nw"))
+        kept = list(kept_cells([sim], trials_of(gaps), MiningConfig()))
         assert lanes == [(1, per_batch), (1, per_batch), (1, 7)]
         assert len(kept) == len(gaps)
         for k in (0, per_batch - 1, per_batch, 2 * per_batch, len(gaps) - 1):
             assert kept[k] == nw_matches(sim, MiningConfig(gap_penalty=gaps[k]))
 
     def test_no_gaps_no_alignments(self):
-        assert list(kept_cells([np.eye(3)], [], MiningConfig(), "nw")) == []
+        assert list(kept_cells([np.eye(3)], [], MiningConfig())) == []
 
     @pytest.mark.parametrize("gap", [-0.5, float("nan"), float("inf")])
     def test_rejects_bad_gaps(self, gap):
         with pytest.raises(ValueError, match="gap penalties"):
-            list(kept_cells([np.eye(3)], trials_of([1.0, gap]), MiningConfig(), "nw"))
+            list(kept_cells([np.eye(3)], trials_of([1.0, gap]), MiningConfig()))
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
-            list(kept_cells([np.array([[0.5, 1.5]])], trials_of([1.0]), MiningConfig(), "nw"))
+            list(kept_cells([np.array([[0.5, 1.5]])], trials_of([1.0]), MiningConfig()))
 
 
 class TestKeptCells:
     """``align.kept_cells`` over several matrices, the lanes of a mining
-    block, for both engines."""
+    block."""
 
-    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
-    def test_each_lane_equals_its_own_engine_call(self, engine):
+    def test_each_lane_equals_its_own_engine_call(self):
         rng = np.random.default_rng(67)
         sims = random_sims(rng, [(int(rng.integers(1, 12)), int(rng.integers(1, 12))) for _ in range(30)])
         config = MiningConfig(threshold=0.4, gap_penalty=0.7)
-        per_matrix = list(kept_cells(sims, [(0.4, 0.7)], config, engine))
-        assert per_matrix == [
-            filter_by_threshold(sim, align.run_engine(sim, config, engine), 0.4) for sim in sims
-        ]
+        per_matrix = list(kept_cells(sims, [(0.4, 0.7)], config))
+        assert per_matrix == [filter_by_threshold(sim, nw_align(sim, config), 0.4) for sim in sims]
         trials = [(float(t), float(g)) for t, g in rng.uniform(0.0, 1.0, (len(sims), 2))]
-        per_lane = list(kept_cells(sims, trials, config, engine))
+        per_lane = list(kept_cells(sims, trials, config))
         assert per_lane == [
-            filter_by_threshold(sim, align.run_engine(sim, replace(config, gap_penalty=g), engine), t)
+            filter_by_threshold(sim, nw_align(sim, replace(config, gap_penalty=g)), t)
             for sim, (t, g) in zip(sims, trials)
         ]
 
-    @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
-    def test_thresholds_equal_to_cell_values(self, engine):
+    def test_thresholds_equal_to_cell_values(self):
         # The walk keeps a cell whose score equals its lane's threshold,
         # as ``filter_by_threshold`` does (``>=``).
         rng = np.random.default_rng(73)
         config = MiningConfig(gap_penalty=0.7)
 
         def oracle(sim, threshold, gap):
-            alignment = align.run_engine(sim, replace(config, gap_penalty=gap), engine)
+            alignment = nw_align(sim, replace(config, gap_penalty=gap))
             return filter_by_threshold(sim, alignment, threshold)
 
         at_threshold = 0
         # One matrix, a trial per value of its cells and gap penalty.
         for sim in random_sims(rng, [(9, 11), (12, 7), (1, 6)]):
             trials = [(v, g) for v in np.unique(sim).tolist() for g in (0.0, 0.3, 0.7, 2.0)]
-            kept = list(kept_cells([sim], trials, config, engine))
+            kept = list(kept_cells([sim], trials, config))
             assert kept == [oracle(sim, t, g) for t, g in trials]
             at_threshold += sum(
                 score == t for cells, (t, _) in zip(kept, trials) for score, _, _ in cells
@@ -417,7 +413,7 @@ class TestKeptCells:
         for sim in sims:
             sim[rng.integers(sim.shape[0]), rng.integers(sim.shape[1])] = 0.5
         for gap in (0.0, 0.7):
-            kept = list(kept_cells(sims, [(0.5, gap)], config, engine))
+            kept = list(kept_cells(sims, [(0.5, gap)], config))
             assert kept == [oracle(sim, 0.5, gap) for sim in sims]
             at_threshold += sum(score == 0.5 for cells in kept for score, _, _ in cells)
         assert at_threshold > 0
@@ -438,7 +434,7 @@ class TestKeptCells:
 
         monkeypatch.setattr(kernels, "fill", recorded_fill)
         config = MiningConfig(threshold=0.0)
-        kept = list(kept_cells(sims, [(0.0, 2.0)], config, "nw"))
+        kept = list(kept_cells(sims, [(0.0, 2.0)], config))
         assert shapes == [(2, 501, 501, 1), (2, 3, 4, 50)]
         assert kept == [nw_matches(sim, config) for sim in sims]
 
@@ -466,9 +462,10 @@ class TestKeptCells:
             size = kernels.fill_bytes(n, m, len(lanes), len(lanes) if own_matrices else 1)
             assert size <= kernels.BATCH_BYTES or len(lanes) == 1
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown engine"):
-            list(kept_cells([np.eye(2)], [(0.5, 1.0)], MiningConfig(), "bogus"))
+
+def test_run_engine_rejects_unknown_engine():
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        align.run_engine(np.eye(2), MiningConfig(), "bogus")
 
 
 TIE_GRIDS = ((0.0, 0.5, 1.0), (0.0, 1.0), tuple(k / 10 for k in range(11)))
@@ -521,7 +518,7 @@ class TestTraceback:
         config = MiningConfig(match_bonus=bonus, mismatch_cost=mismatch, gap_penalty=gap)
         expected = oracle_steps(sim, mismatch, bonus, gap)
         assert nw_align(sim, config).steps == tuple(expected)
-        assert list(kept_cells([sim], [(0.0, gap)], config, "nw")) == [matched_cells(sim, expected)]
+        assert list(kept_cells([sim], [(0.0, gap)], config)) == [matched_cells(sim, expected)]
         # Each lane of a batch table is walked in place.
         reversed_sim = np.ascontiguousarray(sim[::-1, ::-1])
         moves, _ = kernels.fill([reversed_sim], mismatch, bonus, [other, gap])
@@ -1120,9 +1117,10 @@ class TestScorePairs:
         assert list(pair_blocks([])) == []
 
 
-def oracle_outcome(model, lexicon, pairs, config, engine):
+def oracle_outcome(model, lexicon, pairs, config, engine="nw"):
     """Rows and failures of mining each pair alone with
-    ``oracles.reference_mine_pair``, in ``mine_corpus``'s form."""
+    ``oracles.reference_mine_pair`` and ``engine``, in ``mine_corpus``'s
+    form."""
     rows, failures = [], []
     for pair in pairs:
         try:
@@ -1139,9 +1137,7 @@ class TestMining:
     def test_true_pairs_mined_no_noise(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(59)
         pair, reference = make_mining_pair(rng, "alpha", true_pairs=6, target_noise=2)
-        rows = mine_document_pair(
-            toy_model, toy_lexicon, pair, MiningConfig(threshold=0.5), engine="nw"
-        )
+        rows = mine_document_pair(toy_model, toy_lexicon, pair, MiningConfig(threshold=0.5))
         expected = [
             (pair.source.sentences[i], pair.target.sentences[j]) for i, j in reference
         ]
@@ -1163,13 +1159,15 @@ class TestMining:
         assert rows[0][0] >= 0.5
 
     def test_engines_agree_on_mined_output(self, toy_model, toy_lexicon):
+        # A* checks the dynamic program's mined matches on its own.
         rng = np.random.default_rng(61)
         pair, _ = make_mining_pair(rng, "beta")
-        results = [
-            mine_document_pair(toy_model, toy_lexicon, pair, MiningConfig(), engine=e)
-            for e in ("nw", "astar_constrained")
-        ]
-        assert {r[1:] for r in results[0]} == {r[1:] for r in results[1]}
+        config = MiningConfig()
+        sources, targets = pair.source.sentences, pair.target.sentences
+        sim = build_score_matrix(toy_model, toy_lexicon, sources, targets)
+        (kept,) = kept_cells([sim], [(config.threshold, config.gap_penalty)], config)
+        assert kept
+        assert kept == filter_by_threshold(sim, astar_align(sim, config), config.threshold)
 
     def test_corpus_output_invariant_to_workers(self, toy_model, toy_lexicon):
         rng = np.random.default_rng(67)
@@ -1187,9 +1185,7 @@ class TestMining:
             source=Document(id="b1", lang="eo", title="bad", sentences=("...",)),
             target=Document(id="b2", lang="en", title="bad", sentences=("house",)),
         )
-        outcome = mine_corpus(
-            toy_model, toy_lexicon, [good, bad], MiningConfig(workers=1), engine="nw"
-        )
+        outcome = mine_corpus(toy_model, toy_lexicon, [good, bad], MiningConfig(workers=1))
         assert len(outcome.failures) == 1
         assert outcome.failures[0][0] == "bad"
         assert "untokenizable" in outcome.failures[0][1]
@@ -1320,6 +1316,8 @@ class TestMining:
     @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
     @pytest.mark.parametrize("workers", [1, 2])
     def test_block_rows_equal_per_pair_mining(self, toy_model, toy_lexicon, engine, workers):
+        # ``engine`` aligns the oracle only: mining always runs the dynamic
+        # program, which A* checks independently.
         rng = np.random.default_rng(113)
         pairs = [
             make_mining_pair(rng, f"p{k}", int(rng.integers(1, 7)), int(rng.integers(0, 3)))[0]
@@ -1365,7 +1363,7 @@ class TestMining:
         assert len({k // chunk for k in outside}) >= 2
         config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
 
-        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config, engine=engine)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
 
         assert (outcome.rows, outcome.failures) == oracle_outcome(
             toy_model, toy_lexicon, pairs, config, engine
@@ -1424,10 +1422,10 @@ class TestMining:
         monkeypatch.setattr(kernels, "BATCH_BYTES", kernels.fill_bytes(*shape, 1, 1))
         real = align.kept_cells
 
-        def failing(matrices, trials, config, engine):
+        def failing(matrices, trials, config):
             if any(matrix.shape == shape for matrix in matrices):
                 raise ValueError("alignment failed")
-            return real(matrices, trials, config, engine)
+            return real(matrices, trials, config)
 
         monkeypatch.setattr(align, "kept_cells", failing)
         config = MiningConfig(threshold=0.3, gap_penalty=0.6, workers=workers)
@@ -1441,12 +1439,13 @@ class TestMining:
 
     @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
     def test_one_pair_equals_the_oracle(self, toy_model, toy_lexicon, engine):
+        # ``engine`` aligns the oracle only, as above.
         rng = np.random.default_rng(137)
         config = MiningConfig(threshold=0.3, gap_penalty=0.6)
         for k in range(10):
             pair = make_mining_pair(rng, f"one-{k}", int(rng.integers(1, 9)), int(rng.integers(0, 4)))[0]
             expected, _ = oracle_outcome(toy_model, toy_lexicon, [pair], config, engine)
-            assert tuple(mine_document_pair(toy_model, toy_lexicon, pair, config, engine)) == expected
+            assert tuple(mine_document_pair(toy_model, toy_lexicon, pair, config)) == expected
         bad = DocumentPair(
             topic_id="bad",
             source=Document(id="b1", lang="eo", title="bad", sentences=("domo",)),
@@ -1454,7 +1453,7 @@ class TestMining:
         )
         _, ((_, message),) = oracle_outcome(toy_model, toy_lexicon, [bad], config, engine)
         with pytest.raises(ValueError) as excinfo:
-            mine_document_pair(toy_model, toy_lexicon, bad, config, engine)
+            mine_document_pair(toy_model, toy_lexicon, bad, config)
         assert str(excinfo.value) == message
         assert message.startswith("pair bad: target sentence 1: untokenizable")
 
@@ -1520,7 +1519,3 @@ class TestMining:
         mine_corpus(toy_model, toy_lexicon, pairs, MiningConfig(workers=1))
         assert lanes == [len(group) for group in align._lane_groups(shapes, True)]
         assert len(lanes) <= len(blocks)
-
-    def test_unknown_engine_rejected(self, toy_model, toy_lexicon):
-        with pytest.raises(ValueError, match="unknown engine"):
-            mine_corpus(toy_model, toy_lexicon, [], MiningConfig(), engine="bogus")

@@ -1,12 +1,14 @@
 """End-to-end command-line flows over a small synthetic corpus."""
 
 import json
+import shlex
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bimine.cli import main
+from bimine.cli import build_parser, main
 from bimine.corpus import load_corpus, read_parallel
 
 from conftest import build_corpus_files
@@ -336,11 +338,10 @@ class TestMine:
         ).read_bytes()
 
     def test_engines_agree(self, pipeline):
-        for engine in ("nw", "nw-wavefront", "astar"):
+        for engine in ("nw", "nw-wavefront"):
             assert self.run_mine(pipeline, f"mined_{engine}.tsv", "--engine", engine) == 0
         nw = (pipeline / "mined_nw.tsv").read_bytes()
         assert nw == (pipeline / "mined_nw-wavefront.tsv").read_bytes()
-        assert nw == (pipeline / "mined_astar.tsv").read_bytes()
 
     def test_sentence_rows_without_a_pair_row_are_an_error(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus"
@@ -456,12 +457,6 @@ class TestMine:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_unconstrained_engine_is_usage_error(self, pipeline, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            self.run_mine(pipeline, "mined_bad.tsv", "--engine", "astar-unconstrained")
-        assert excinfo.value.code == 2
-        assert "diagnostic-only" in capsys.readouterr().err
-
     def test_topic_without_sentences_names_its_pair_line(self, pipeline, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -537,9 +532,7 @@ class TestTune:
         lexicon = read_lexicon(pipeline / "lexicon.tsv")
         lines = []
         for pair in pairs:
-            mined = reference_mine_pair(
-                model, lexicon, pair, MiningConfig(threshold=threshold), engine="nw"
-            )
+            mined = reference_mine_pair(model, lexicon, pair, MiningConfig(threshold=threshold))
             for _, i, j in mined:
                 lines.append(f"{pair.topic_id}\t{i}\t{j}")
         (pipeline / "reference.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -566,6 +559,26 @@ class TestTune:
         assert report["agreement"] >= report["default_agreement"]
         assert report["trials"] == 20
         assert len(report["per_sample_agreement"]) == 4
+
+    def test_engines_agree(self, pipeline):
+        self.make_reference(pipeline)
+        names = ("corpus", "model.json", "lexicon.tsv", "reference.tsv")
+        args = ["tune", *(str(pipeline / name) for name in names), "--budget", "20"]
+        for engine in ("nw", "nw-wavefront"):
+            out = str(pipeline / f"tuning_{engine}.json")
+            assert main([*args, "--engine", engine, "--out", out]) == 0
+        nw = (pipeline / "tuning_nw.json").read_bytes()
+        assert nw == (pipeline / "tuning_nw-wavefront.json").read_bytes()
+
+    @pytest.mark.parametrize("rows", ["", "\n\n"], ids=["empty", "blank-lines"])
+    def test_reference_without_rows_names_its_path(self, pipeline, capsys, rows):
+        reference = pipeline / "empty_reference.tsv"
+        reference.write_text(rows, encoding="utf-8")
+        out = pipeline / "tuning_empty.json"
+        args = [str(pipeline / name) for name in ("corpus", "model.json", "lexicon.tsv")]
+        assert main(["tune", *args, str(reference), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {reference}: no reference rows\n"
+        assert not out.exists()
 
     def test_budget_one_is_defaults(self, pipeline, capsys):
         self.make_reference(pipeline)
@@ -669,6 +682,60 @@ class TestTune:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {reference}: {message}")
+
+
+class TestEngineFlag:
+    """``mine`` and ``tune`` align by dynamic programming only; A* is
+    timed by ``bench``."""
+
+    @pytest.mark.parametrize("engine", ["astar", "astar-unconstrained"])
+    @pytest.mark.parametrize("command", ["mine", "tune"])
+    def test_astar_is_a_usage_error(self, tmp_path, capsys, command, engine):
+        out = tmp_path / "out"
+        inputs = [str(tmp_path / name) for name in ("corpus", "m.json", "l.tsv")]
+        if command == "mine":
+            argv = ["mine", *inputs, str(out)]
+        else:
+            argv = ["tune", *inputs, str(tmp_path / "ref.tsv"), "--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--engine", engine])
+        assert excinfo.value.code == 2
+        assert f"invalid choice: '{engine}'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["train", "tune", "bench", "mine"])
+    def test_negative_seed_is_a_usage_error(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        inputs = {
+            "train": ["parallel.tsv", "lexicon.tsv"],
+            "tune": ["corpus", "model.json", "lexicon.tsv", "reference.tsv"],
+            "bench": [],
+            "mine": ["corpus", "model.json", "lexicon.tsv"],
+        }[command]
+        argv = [command, *(str(pipeline / name) for name in inputs)]
+        argv += [str(out)] if command in ("train", "mine") else ["--out", str(out)]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--seed", "-1"])
+        assert excinfo.value.code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_pipeline_commands_parse():
+    # Every ``bimine`` line of the README's Pipeline block, with its
+    # backslash continuations, is accepted by the parser.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Pipeline", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("bimine ")]
+    parser = build_parser()
+    for argv in commands:
+        parser.parse_args(argv)
+    assert {argv[0] for argv in commands} == {
+        "ingest", "dict", "train", "tune", "mine", "stats", "bench"
+    }
 
 
 class TestBench:
