@@ -9,9 +9,7 @@ score minus gap penalties is found by one of two engines:
 
 * ``nw_align``    -- dynamic programming: one table fill (a numpy
   anti-diagonal sweep, see ``kernels``) and a tie-ordered traceback
-  that walks the table and keeps only the matched cells (``_matches``).
-  The steps of the returned ``Alignment`` are rebuilt from the matches
-  (``_steps``);
+  that walks the table's moves and records every step (``_steps``);
 * ``astar_align`` -- one best-first search over the alignment grid
   with two move sets.  Constrained to right/down/diagonal moves it
   matches the dynamic program; unconstrained it may also step left at
@@ -37,8 +35,9 @@ are identical for any worker count.  A worker that dies costs only the
 pairs of the chunk that killed it.  Within a worker (or the serial run)
 document pairs are mined in blocks of whole pairs (``_mine_pairs``): one
 ``classifier.score_pairs`` call per block, which tokenizes the block's
-sentences in one pass and scores them in another, then ``kept_cells``
-over the matrices of consecutive blocks.  ``mine_document_pair`` is its
+sentences in one pass and scores them in another, then one
+``kept_cells`` call per run of consecutive blocks whose fills, each
+alone, fit in ``kernels.BATCH_BYTES``.  ``mine_document_pair`` is its
 one-pair case.
 """
 
@@ -55,7 +54,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import kernels
-from .classifier import SimilarityModel, pair_blocks, score_pairs
+from .classifier import SimilarityModel, pair_blocks, runs, score_pairs
 from .corpus import DocumentPair
 from .lexicon import Lexicon
 
@@ -185,34 +184,21 @@ def _matches(
     return matches
 
 
-def _steps(matches: Sequence[tuple[float, int, int]], up: memoryview) -> list[Step]:
-    """Every step of the walk of ``_matches``, rebuilt from its matches and
-    the up moves ``up`` (an ``(n+1, m+1)`` plane) of the lane it walked.
-
-    Up to each match the walk takes every source gap before any target
-    gap.  Write V(i, j) for the reversed table's score of the suffixes
-    from (i, j).  Were a target gap at (i, j) followed by a source gap at
-    (i, j+1) with i + 1 < n, then V(i, j) = (V(i+1, j+1) - gap) - gap,
-    each difference rounded, while the inner cell V(i+1, j) is at least
-    V(i+1, j+1) - gap.  Rounding x - gap is monotone in x, so
-    V(i+1, j) - gap >= V(i, j) and the source gap would already have won
-    at (i, j).  The other ways a target gap can precede a source gap -- a
-    source gap out of row n - 1, or the source gaps left once a target
-    gap reaches the last column -- leave no cell for a further match.
-    They occur only after the last match, where the table's outer row and
-    column hold ``-(gap * k)`` rather than repeated subtractions and ties
-    may round either way, so that stretch is replayed from the moves.
-    """
-    n, m = up.shape[0] - 1, up.shape[1] - 1
+def _steps(moves: np.ndarray) -> list[Step]:
+    """Every step of the walk of ``_matches`` over lane 0 of ``moves``, as
+    ``kernels.fill`` returns it for one ``(n, m)`` lane: a ``Match`` for
+    each diagonal move, a ``GapSource`` for each up move and a
+    ``GapTarget`` otherwise, then the gaps left once a side is used up."""
+    diag, up = memoryview(moves[0, :, :, 0]), memoryview(moves[1, :, :, 0])
+    n, m = diag.shape[0] - 1, diag.shape[1] - 1
     steps: list[Step] = []
     i = j = 0
-    for _, mi, mj in matches:
-        steps.extend(GapSource(k) for k in range(i, mi))
-        steps.extend(GapTarget(k) for k in range(j, mj))
-        steps.append(Match(mi, mj))
-        i, j = mi + 1, mj + 1
     while i < n and j < m:
-        if up[n - i, m - j]:
+        if diag[n - i, m - j]:
+            steps.append(Match(i, j))
+            i += 1
+            j += 1
+        elif up[n - i, m - j]:
             steps.append(GapSource(i))
             i += 1
         else:
@@ -226,18 +212,14 @@ def _steps(matches: Sequence[tuple[float, int, int]], up: memoryview) -> list[St
 def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     """Optimal monotone alignment by dynamic programming.
 
-    One fill (``kernels.fill``) of the reversed problem and the walk of
-    ``_matches`` over its moves, keeping every match; the steps of the
-    ``Alignment`` are rebuilt from the matches (``_steps``) and its score
-    is the fill's.
+    One fill (``kernels.fill``) of the reversed problem; the steps of the
+    ``Alignment`` are recorded by walking its moves as ``_matches`` does
+    (``_steps``), and its score is the fill's.
     """
     sim = _validate_scores(scores)
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
     moves, final = kernels.fill([sim[::-1, ::-1]], mismatch, bonus, [gap])
-    matches = _matches(moves, 0, sim, -math.inf)
-    return Alignment(
-        steps=tuple(_steps(matches, memoryview(moves[1, :, :, 0]))), score=float(final[0])
-    )
+    return Alignment(steps=tuple(_steps(moves)), score=float(final[0]))
 
 
 def nw_align_wavefront(scores: np.ndarray, config: MiningConfig, workers: int) -> Alignment:
@@ -463,51 +445,40 @@ def _mine_pairs(
     ``mine_document_pair``.  Pairs are taken in the blocks of
     ``classifier.pair_blocks``, and each block is tokenized and scored
     by one ``score_pairs`` call; a pair with a sentence without tokens
-    gets its error from that call and leaves the block.  The score
-    matrices of consecutive blocks are then aligned together by one
-    ``kept_cells`` call, one lane per pair, down to each pair's
-    matched cells at or above the threshold; a call takes blocks while
-    their lanes, each alone, fit in ``kernels.BATCH_BYTES``, so that small
-    lanes of several blocks, or long pairs of one lane each, share fills.
-    Every error message reads ``pair <id>: ...``.  A scoring error fails
-    the pairs of its block; an alignment error fails the pairs of
-    the ``kept_cells`` call it happened in.
+    gets its error from that call and leaves the block.  Each run of
+    blocks (``classifier.runs``) whose pairs' fills, each alone, fit in
+    ``kernels.BATCH_BYTES`` is aligned by one ``kept_cells`` call, one
+    lane per pair, down to each pair's matched cells at or above the
+    threshold, so small lanes of several blocks, or long pairs of one
+    lane each, share fills.  Every error message reads ``pair <id>:
+    ...``.  A scoring error fails the pairs of its block; an alignment
+    error fails the scored pairs of its run.
     """
     outcomes: list = [None] * len(pairs)
     sentences = [(pair.source.sentences, pair.target.sentences) for pair in pairs]
     shapes = [(len(sources), len(targets)) for sources, targets in sentences]
     trial = [(config.threshold, config.gap_penalty)]
-    waiting: dict[int, np.ndarray] = {}  # score matrices of pairs not yet aligned
-
-    def align_waiting() -> None:
+    blocks = list(pair_blocks(shapes))
+    block_bytes = [sum(kernels.fill_bytes(n, m, 1, 1) for n, m in shapes[b]) for b in blocks]
+    for run in runs(block_bytes, kernels.BATCH_BYTES):
+        scored: dict[int, np.ndarray] = {}  # score matrices of the run's pairs
+        for block in blocks[run]:
+            try:
+                matrices = score_pairs(model, lexicon, sentences[block])
+            except Exception as exc:  # mining continues past failing pairs
+                matrices = [exc] * (block.stop - block.start)
+            for k, matrix in zip(range(block.start, block.stop), matrices):
+                if isinstance(matrix, Exception):
+                    outcomes[k] = (None, f"pair {pairs[k].topic_id}: {matrix}")
+                else:
+                    scored[k] = matrix
         try:
-            for k, cells in zip(waiting, kept_cells(list(waiting.values()), trial, config)):
+            for k, cells in zip(scored, kept_cells(list(scored.values()), trial, config)):
                 source, target = sentences[k]
                 outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
-        except Exception as exc:  # the run continues past failing pairs
-            for k in waiting:
+        except Exception as exc:  # mining continues past failing pairs
+            for k in scored:
                 outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
-        waiting.clear()
-
-    size = 0  # of the waiting lanes' fills, each alone
-    for block in pair_blocks(shapes):
-        try:
-            scored = score_pairs(model, lexicon, sentences[block])
-        except Exception as exc:  # the run continues past failing pairs
-            scored = [exc] * (block.stop - block.start)
-        kept = {}
-        for k, matrix in zip(range(block.start, block.stop), scored):
-            if isinstance(matrix, Exception):
-                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {matrix}")
-            else:
-                kept[k] = matrix
-        added = sum(kernels.fill_bytes(*shapes[k], 1, 1) for k in kept)
-        if waiting and size + added > kernels.BATCH_BYTES:
-            align_waiting()
-            size = 0
-        waiting.update(kept)
-        size += added
-    align_waiting()
     return outcomes
 
 

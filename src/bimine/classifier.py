@@ -133,7 +133,7 @@ def _join(
     return np.repeat(np.arange(len(queries)), hits), _ranges(first, hits)
 
 
-def _runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
+def runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
     """Consecutive runs of items whose sizes total at most ``cap``; an
     item larger than ``cap`` is a run of its own."""
     ends = np.cumsum(sizes).tolist()
@@ -148,7 +148,7 @@ def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
     """Runs of consecutive whole pairs of at most ``BLOCK_CELLS`` cells in
     total, given each pair's (sources, targets) shape; a larger pair is a
     run of its own."""
-    return _runs([n * m for n, m in shapes], BLOCK_CELLS)
+    return runs([n * m for n, m in shapes], BLOCK_CELLS)
 
 
 def _features(
@@ -230,7 +230,7 @@ def _features(
     row_start = _offsets(row_width)
     zero_row = int(row_start[-1] + row_width[-1])  # start of an all-zero row
     best = np.zeros(zero_row + int(row_width.max()))
-    for run in _runs(hits, 4 * BLOCK_CELLS):
+    for run in runs(hits, 4 * BLOCK_CELLS):
         np.maximum.at(
             best,
             np.repeat(row_start[candidate_row[run]], hits[run])
@@ -243,7 +243,7 @@ def _features(
 
     cells_of = m[pair_of_source]  # per source sentence
     first_cell = _offsets(cells_of)
-    for run in _runs(cells_of, BLOCK_CELLS):
+    for run in runs(cells_of, BLOCK_CELLS):
         a, b = run.start, run.stop
         positions = slice(first_position[a], first_position[b - 1] + s_tokens[b - 1])
         sentence = source_of[positions] - a  # per position, in the run

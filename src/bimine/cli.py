@@ -136,6 +136,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
         print(f"skipped {skipped} untokenizable training pairs", file=sys.stderr)
     if not positives:
         raise ValueError(f"{args.parallel_file}: no training pairs")
+    if len(positives) < 2:
+        raise ValueError(f"{args.parallel_file}: need at least 2 training pairs, got 1")
     negatives = make_negative_pairs(positives, args.seed)
     features = training_features(positives, negatives, lexicon, sentences)
     model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed, features)
@@ -399,12 +401,16 @@ def main(argv: list[str] | None = None) -> int:
     if args.seed < 0:
         parser.error("--seed must be >= 0")
     if args.command == "ingest":
-        # pairs.tsv stores a language unescaped, so it may hold no tab or
-        # line break; checked here, before any file is read.
+        # A pair needs two languages, and pairs.tsv stores them unescaped,
+        # without tabs or line breaks; checked before any file is read.
         langs = (("--source-lang", args.source_lang), ("--target-lang", args.target_lang))
         for option, lang in langs:
+            if not lang:
+                parser.error(f"{option} is empty")
             if any(c in lang for c in "\t\n\r"):
                 parser.error(f"{option} {lang!r} contains a tab or line break")
+        if args.source_lang == args.target_lang:
+            parser.error(f"--source-lang and --target-lang are both {args.source_lang!r}")
     try:
         return args.func(args)
     except UsageError as exc:

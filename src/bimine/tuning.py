@@ -99,8 +99,8 @@ def tune(
     Trial 1 always evaluates ``base_config`` unchanged; the remaining
     ``budget - 1`` trials draw threshold uniformly from [0, 1] and the
     gap penalty uniformly from [0, 5].  The best mean agreement wins,
-    earliest trial on ties, so a longer budget with the same seed can
-    never return a worse result.
+    earliest trial on ties (``max`` keeps the first maximum), so a longer
+    budget with the same seed can never return a worse result.
 
     All trials are drawn up front.  Each sample is then scored once and
     realigned for every trial by ``align.kept_cells``, one lane per
@@ -131,25 +131,16 @@ def tune(
             candidate = [(i, j) for _, i, j in cells]
             per_trial[trial][s] = alignment_agreement(candidate, sample.reference)
 
-    best: tuple[float, int, float, float, tuple[float, ...]] | None = None
-    default_agreement = 0.0
-    for trial, (threshold, gap_penalty) in enumerate(trials):
-        agreements = tuple(per_trial[trial])
-        mean_agreement = sum(agreements) / len(agreements)
-        if trial == 0:
-            default_agreement = mean_agreement
-        if best is None or mean_agreement > best[0]:
-            best = (mean_agreement, trial, threshold, gap_penalty, agreements)
-
-    assert best is not None
-    mean_agreement, _, threshold, gap_penalty, agreements = best
+    means = [sum(agreements) / len(agreements) for agreements in per_trial]
+    best = max(range(len(trials)), key=means.__getitem__)  # the first of equal means
+    threshold, gap_penalty = trials[best]
     return TuningResult(
         threshold=threshold,
         gap_penalty=gap_penalty,
-        agreement=mean_agreement,
+        agreement=means[best],
         trials=budget,
-        per_sample=agreements,
-        default_agreement=default_agreement,
+        per_sample=tuple(per_trial[best]),
+        default_agreement=means[0],
     )
 
 

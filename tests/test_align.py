@@ -501,8 +501,8 @@ def matched_cells(sim, steps):
 
 
 class TestTraceback:
-    """The match-only walk and the steps rebuilt from it equal the
-    traceback that records every step (``oracles.reference_traceback``)."""
+    """The match-only walk and the steps ``nw_align`` records on the same
+    walk equal the traceback of the table (``oracles.reference_traceback``)."""
 
     @settings(max_examples=400, deadline=None)
     @given(tie_heavy_instances())
@@ -1436,6 +1436,48 @@ class TestMining:
         assert failures == ()
         assert outcome.rows == rows
         assert outcome.failures == (("long", "pair long: alignment failed"),)
+
+    def test_one_alignment_call_per_run_of_blocks(self, toy_model, toy_lexicon, monkeypatch):
+        # Blocks are aligned in the runs of classifier.runs over their
+        # pairs' fill bytes; an untokenizable pair counts toward its run's
+        # bytes but gives no matrix.
+        rng = np.random.default_rng(157)
+        pairs = [
+            make_mining_pair(rng, f"r{k}", int(rng.integers(8, 21)), int(rng.integers(0, 4)))[0]
+            for k in range(60)
+        ]
+        shapes = [(len(p.source.sentences), len(p.target.sentences)) for p in pairs]
+        blocks = list(pair_blocks(shapes))
+        assert any(b.start < 25 < b.stop - 1 for b in blocks)  # pair 25 sits inside a block
+        bad = pairs[25]
+        targets = bad.target.sentences
+        untokenizable = (targets[0], "...", *targets[2:])
+        pairs[25] = replace(bad, target=replace(bad.target, sentences=untokenizable))
+        block_bytes = [sum(kernels.fill_bytes(n, m, 1, 1) for n, m in shapes[b]) for b in blocks]
+        cap = sum(block_bytes) // 4
+        monkeypatch.setattr(kernels, "BATCH_BYTES", cap)
+        runs = list(classifier.runs(block_bytes, cap))
+        assert len(runs) >= 3 and any(run.stop - run.start >= 2 for run in runs)
+        expected = [  # the run's pairs, less the untokenizable one
+            sum(b.stop - b.start - (b.start <= 25 < b.stop) for b in blocks[run]) for run in runs
+        ]
+        calls = []
+        real = align.kept_cells
+
+        def counting(matrices, trials, config):
+            calls.append(len(matrices))
+            return real(matrices, trials, config)
+
+        monkeypatch.setattr(align, "kept_cells", counting)
+        config = MiningConfig(threshold=0.3, gap_penalty=0.6)
+        outcome = mine_corpus(toy_model, toy_lexicon, pairs, config)
+        assert calls == expected
+        assert (outcome.rows, outcome.failures) == oracle_outcome(
+            toy_model, toy_lexicon, pairs, config
+        )
+        assert outcome.failures == (
+            ("r25", "pair r25: target sentence 1: untokenizable sentence: '...'"),
+        )
 
     @pytest.mark.parametrize("engine", ["nw", "astar_constrained"])
     def test_one_pair_equals_the_oracle(self, toy_model, toy_lexicon, engine):

@@ -99,6 +99,26 @@ class TestIngest:
             assert excinfo.value.code == 2
             err = capsys.readouterr().err
             assert err.endswith(f"error: {option} 'x\\ty' contains a tab or line break\n")
+        # A pair needs two languages, each named.
+        for source_lang, target_lang, message in (
+            ("en", "en", "--source-lang and --target-lang are both 'en'"),
+            ("", "pl", "--source-lang is empty"),
+            ("eo", "", "--target-lang is empty"),
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(
+                    [
+                        "ingest",
+                        str(tmp_path / "s.tsv"),
+                        str(tmp_path / "t.tsv"),
+                        str(tmp_path / "l.tsv"),
+                        str(tmp_path / "corpus"),
+                        f"--source-lang={source_lang}",
+                        f"--target-lang={target_lang}",
+                    ]
+                )
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().err.endswith(f"error: {message}\n")
         assert not (tmp_path / "corpus").exists()
 
     def test_document_without_sentences_names_its_line(self, tmp_path, capsys):
@@ -227,6 +247,18 @@ class TestTrain:
         )
         assert code == 1
         assert "no training pairs" in capsys.readouterr().err
+
+    def test_one_usable_pair_names_its_file(self, tmp_path, pipeline, capsys):
+        lines = (pipeline / "parallel.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        parallel = tmp_path / "one.tsv"
+        parallel.write_text("".join(lines[:1] + ["!!!\tle chien\n"]), encoding="utf-8")
+        lexicon = str(pipeline / "lexicon.tsv")
+        assert main(["train", str(parallel), lexicon, str(tmp_path / "m.json")]) == 1
+        assert capsys.readouterr().err == (
+            "skipped 1 untokenizable training pairs\n"
+            f"error: {parallel}: need at least 2 training pairs, got 1\n"
+        )
+        assert not (tmp_path / "m.json").exists()
 
     def test_duplicate_lexicon_entry_fails(self, tmp_path, pipeline, capsys):
         lexicon = tmp_path / "dup.tsv"
