@@ -405,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
         # without tabs or line breaks; checked before any file is read.
         langs = (("--source-lang", args.source_lang), ("--target-lang", args.target_lang))
         for option, lang in langs:
-            if not lang:
+            if not lang.strip():
                 parser.error(f"{option} is empty")
             if any(c in lang for c in "\t\n\r"):
                 parser.error(f"{option} {lang!r} contains a tab or line break")

@@ -6,9 +6,9 @@ line (``id<TAB>title<TAB>text`` with tabs/newlines escaped), a link
 table carries one ``source_title<TAB>target_title`` pair per line, and
 a paired corpus directory holds the resolved article pairs plus their
 segmented sentences.  Every reader of these files, and of the lexicon
-and reference files, takes its rows from ``read_rows`` (or, a chunk of
-lines at a time, from ``read_columns``), which hold the rules they
-share: encoding, blank lines, width and error location.  Numbers in
+and reference files, takes its rows a chunk of lines at a time from
+``read_columns``, which holds the rules they share: encoding, blank
+lines, width and error location.  Numbers in
 these files are read by ``decimal``, ``decimals`` and ``integer``, which
 take only what ``repr`` writes.
 """
@@ -44,6 +44,8 @@ class Document:
             raise ValueError(f"document id {self.id!r} contains a tab or line break")
         if any(c in self.lang for c in "\t\n\r"):
             raise ValueError(f"document {self.id}: lang {self.lang!r} contains a tab or line break")
+        if not self.lang.strip():
+            raise ValueError(f"document {self.id}: lang is blank")
         if "\r" in self.title:
             raise ValueError(f"document {self.id}: title contains a carriage return")
         if not self.sentences:
@@ -104,42 +106,6 @@ def unescape_field(text: str) -> str:
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP[m.group(1)], text)
 
 
-def read_rows(path: str | os.PathLike, count: int) -> Iterator[tuple[int, list[str]]]:
-    """Yield ``(line number, fields)`` for each non-blank line of a
-    tab-separated file.
-
-    This and ``read_columns`` are the one place of the file format shared
-    by every reader: the file is UTF-8, a leading byte order mark is
-    dropped, blank lines are skipped, and a line that is not ``count``
-    fields wide or not UTF-8 is rejected as ``path: line N: ...``.  Every
-    line before a bad one is yielded before its error is raised.
-    """
-    for lineno, line in _lines(path):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != count:
-            raise ValueError(_wrong_width(path, lineno, count, len(fields)))
-        yield lineno, fields
-
-
-def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    # Each line of ``path`` with its number and without its line break,
-    # in universal-newline mode; the first line that is not UTF-8 raises
-    # after every line before it.
-    lineno = 0
-    with open(path, encoding="utf-8-sig") as handle:
-        try:
-            for lineno, line in enumerate(handle, 1):
-                yield lineno, line.rstrip("\n")
-            return
-        except UnicodeDecodeError:
-            pass
-    body, error = _undecodable(path, lineno + 1)
-    yield from enumerate(body.split("\n"), lineno + 1)
-    raise ValueError(error)
-
-
 # Characters ``read_columns`` decodes at a time: enough lines that each
 # column operation covers hundreds of fields, few enough that a chunk's
 # fields stay small beside what a reader builds from them.  Of 4k to
@@ -151,14 +117,15 @@ CHUNK_CHARS = 1 << 14
 def read_columns(
     path: str | os.PathLike, count: int
 ) -> Iterator[tuple[Sequence[int], list[list[str]]]]:
-    """Yield the non-blank lines of a tab-separated file in chunks, as
-    ``(line numbers, columns)``: ``columns[c][k]`` is field ``c`` of the
-    line numbered ``line_numbers[k]``.
+    """Yield the non-blank lines of a tab-separated file in chunks of the
+    whole lines of about ``CHUNK_CHARS`` characters, as ``(line numbers,
+    columns)``: ``columns[c][k]`` is field ``c`` of line ``numbers[k]``.
 
-    The rules and messages of ``read_rows`` hold, and every line before a
-    bad one is yielded before its error is raised.  A chunk holds the
-    whole lines of about ``CHUNK_CHARS`` characters, so a reader can
-    parse a column at a time without holding the whole file.
+    These are the rules of the format every reader shares: the file is
+    UTF-8 with any leading byte order mark dropped, LF, CRLF and CR end a
+    line, blank lines are skipped but counted, and a line that is not
+    ``count`` fields wide or not UTF-8 is rejected as ``path: line N:
+    ...``, once every line before it has been yielded.
     """
     first = 1  # the line number of the next chunk's first line
     with open(path, encoding="utf-8-sig") as handle:
@@ -302,20 +269,21 @@ def ingest_documents(path: str | os.PathLike, lang: str) -> list[Document]:
     """
     documents: list[Document] = []
     first_line: dict[str, int] = {}  # document id -> line it first appears on
-    for lineno, (doc_id, title, raw) in read_rows(path, 3):
-        if doc_id in first_line:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate document id {doc_id!r} "
-                f"(first on line {first_line[doc_id]})"
-            )
-        first_line[doc_id] = lineno
-        sentences = tuple(segment_sentences(clean_markup(unescape_field(raw))))
-        try:
-            documents.append(
-                Document(id=doc_id, lang=lang, title=title.strip(), sentences=sentences)
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    for numbers, columns in read_columns(path, 3):
+        for lineno, doc_id, title, raw in zip(numbers, *columns):
+            if doc_id in first_line:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate document id {doc_id!r} "
+                    f"(first on line {first_line[doc_id]})"
+                )
+            first_line[doc_id] = lineno
+            sentences = tuple(segment_sentences(clean_markup(unescape_field(raw))))
+            try:
+                documents.append(
+                    Document(id=doc_id, lang=lang, title=title.strip(), sentences=sentences)
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     return documents
 
 
@@ -374,14 +342,14 @@ def corpus_stats(bitext: Sequence[tuple[object, str, str]]) -> CorpusStats:
 
 def read_links(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read a link or title table of ``source<TAB>target`` rows."""
-    return [(source, target) for _, (source, target) in read_rows(path, 2)]
+    return [row for _, columns in read_columns(path, 2) for row in zip(*columns)]
 
 
 def read_parallel(path: str | os.PathLike) -> list[tuple[str, str]]:
     """Read a training corpus of ``source<TAB>target`` sentence pairs."""
     # Not a call of ``read_links``: ``perfbench/tracing.py`` counts the
     # bytes each of the two reads, and would count a nested call twice.
-    return [(source, target) for _, (source, target) in read_rows(path, 2)]
+    return [row for _, columns in read_columns(path, 2) for row in zip(*columns)]
 
 
 def write_bitext(path: str | os.PathLike, rows: Iterable[tuple[float, str, str]]) -> None:
@@ -392,13 +360,15 @@ def write_bitext(path: str | os.PathLike, rows: Iterable[tuple[float, str, str]]
 
 def read_bitext(path: str | os.PathLike) -> list[tuple[float, str, str]]:
     rows = []
-    for lineno, (score_field, source_sentence, target_sentence) in read_rows(path, 3):
-        score = decimal(score_field)
-        if not math.isfinite(score):
+    for numbers, (score_fields, sources, targets) in read_columns(path, 3):
+        scores = decimals(score_fields)
+        bad = np.flatnonzero(~np.isfinite(scores))
+        if len(bad):
             raise ValueError(
-                f"{path}: line {lineno}: score must be a finite number, got {score_field!r}"
+                f"{path}: line {numbers[bad[0]]}: score must be a finite number, "
+                f"got {score_fields[bad[0]]!r}"
             )
-        rows.append((score, source_sentence, target_sentence))
+        rows.extend(zip(scores.tolist(), sources, targets))
     return rows
 
 
@@ -449,26 +419,27 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
     # (topic, side) -> sentence index -> (line number, sentence)
     sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
-    for lineno, (topic_id, side, index, sentence) in read_rows(sentences_path, 4):
-        if side not in ("src", "tgt"):
-            raise ValueError(
-                f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
-            )
-        position = integer(index)
-        if position is None or position < 0:
-            raise ValueError(
-                f"{sentences_path}: line {lineno}: sentence index must be a "
-                f"non-negative integer, got {index!r}"
-            )
-        if not sentence.strip():
-            raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
-        rows = sentences.setdefault((unescape_field(topic_id), side), {})
-        if position in rows:
-            raise ValueError(
-                f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
-                f"(first on line {rows[position][0]})"
-            )
-        rows[position] = (lineno, sentence)
+    for numbers, columns in read_columns(sentences_path, 4):
+        for lineno, topic_id, side, index, sentence in zip(numbers, *columns):
+            if side not in ("src", "tgt"):
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
+                )
+            position = integer(index)
+            if position is None or position < 0:
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: sentence index must be a "
+                    f"non-negative integer, got {index!r}"
+                )
+            if not sentence.strip():
+                raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
+            rows = sentences.setdefault((unescape_field(topic_id), side), {})
+            if position in rows:
+                raise ValueError(
+                    f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
+                    f"(first on line {rows[position][0]})"
+                )
+            rows[position] = (lineno, sentence)
     for (topic_id, side), rows in sentences.items():
         for expected, position in enumerate(sorted(rows)):
             if position != expected:
@@ -483,30 +454,31 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
 
     pairs: list[DocumentPair] = []
     first_line: dict[str, int] = {}  # topic -> the pair row it first appears on
-    for lineno, fields in read_rows(pairs_path, 7):
-        topic_id = unescape_field(fields[0])
-        if topic_id in first_line:
-            raise ValueError(
-                f"{pairs_path}: line {lineno}: duplicate topic {topic_id!r} "
-                f"(first on line {first_line[topic_id]})"
-            )
-        first_line[topic_id] = lineno
-        try:
-            source = Document(
-                id=fields[1],
-                lang=fields[2],
-                title=unescape_field(fields[3]),
-                sentences=doc_sentences(topic_id, "src"),
-            )
-            target = Document(
-                id=fields[4],
-                lang=fields[5],
-                title=unescape_field(fields[6]),
-                sentences=doc_sentences(topic_id, "tgt"),
-            )
-            pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
-        except ValueError as exc:
-            raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
+    for numbers, columns in read_columns(pairs_path, 7):
+        for lineno, *fields in zip(numbers, *columns):
+            topic_id = unescape_field(fields[0])
+            if topic_id in first_line:
+                raise ValueError(
+                    f"{pairs_path}: line {lineno}: duplicate topic {topic_id!r} "
+                    f"(first on line {first_line[topic_id]})"
+                )
+            first_line[topic_id] = lineno
+            try:
+                source = Document(
+                    id=fields[1],
+                    lang=fields[2],
+                    title=unescape_field(fields[3]),
+                    sentences=doc_sentences(topic_id, "src"),
+                )
+                target = Document(
+                    id=fields[4],
+                    lang=fields[5],
+                    title=unescape_field(fields[6]),
+                    sentences=doc_sentences(topic_id, "tgt"),
+                )
+                pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
+            except ValueError as exc:
+                raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
     orphans = [
         (min(lineno for lineno, _ in rows.values()), topic_id)
         for (topic_id, _), rows in sentences.items()

@@ -22,7 +22,7 @@ import numpy as np
 
 from .align import MiningConfig, build_score_matrix, kept_cells
 from .classifier import SimilarityModel
-from .corpus import DocumentPair, integer, read_rows
+from .corpus import DocumentPair, integer, read_columns
 from .lexicon import Lexicon
 
 GAP_PENALTY_RANGE = (0.0, 5.0)
@@ -126,7 +126,12 @@ def tune(
     per_trial = [[0.0] * len(samples) for _ in trials]
     for s, sample in enumerate(samples):
         pair = sample.pair
-        matrix = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
+        try:
+            matrix = build_score_matrix(
+                model, lexicon, pair.source.sentences, pair.target.sentences
+            )
+        except ValueError as exc:  # named as mining names a pair it cannot score
+            raise ValueError(f"pair {pair.topic_id}: {exc}") from None
         for trial, cells in enumerate(kept_cells([matrix], trials, config)):
             candidate = [(i, j) for _, i, j in cells]
             per_trial[trial][s] = alignment_agreement(candidate, sample.reference)
@@ -153,24 +158,25 @@ def read_reference(path: str | os.PathLike) -> dict[str, dict[tuple[int, int], i
     row are rejected as ``path: line N: ...``.
     """
     reference: dict[str, dict[tuple[int, int], int]] = {}
-    for lineno, (topic_id, source_index, target_index) in read_rows(path, 3):
-        pair = (integer(source_index), integer(target_index))
-        if None in pair:
-            raise ValueError(
-                f"{path}: line {lineno}: indices must be integers, got "
-                f"{source_index!r} and {target_index!r}"
-            )
-        if min(pair) < 0:
-            raise ValueError(
-                f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
-            )
-        rows = reference.setdefault(topic_id, {})
-        if pair in rows:
-            raise ValueError(
-                f"{path}: line {lineno}: duplicate reference pair {topic_id!r} "
-                f"{pair[0]} {pair[1]} (first on line {rows[pair]})"
-            )
-        rows[pair] = lineno
+    for numbers, columns in read_columns(path, 3):
+        for lineno, topic_id, source_index, target_index in zip(numbers, *columns):
+            pair = (integer(source_index), integer(target_index))
+            if None in pair:
+                raise ValueError(
+                    f"{path}: line {lineno}: indices must be integers, got "
+                    f"{source_index!r} and {target_index!r}"
+                )
+            if min(pair) < 0:
+                raise ValueError(
+                    f"{path}: line {lineno}: negative index {min(pair)} (indices are 0-based)"
+                )
+            rows = reference.setdefault(topic_id, {})
+            if pair in rows:
+                raise ValueError(
+                    f"{path}: line {lineno}: duplicate reference pair {topic_id!r} "
+                    f"{pair[0]} {pair[1]} (first on line {rows[pair]})"
+                )
+            rows[pair] = lineno
     return reference
 
 

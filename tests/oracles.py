@@ -381,9 +381,10 @@ def reference_segment_sentences(text: str) -> list[str]:
 
 
 def reference_read_rows(path, count):
-    """``corpus.read_rows`` one line at a time from the file's bytes: each
-    line (split at LF, CRLF or CR) is decoded alone, so an error is raised
-    exactly when its line is reached."""
+    """``corpus.read_columns`` one line at a time, as ``(line number,
+    fields)`` rows, from the file's bytes: each line (split at LF, CRLF or
+    CR) is decoded alone, so an error is raised exactly when its line is
+    reached."""
     with open(path, "rb") as handle:
         lines = handle.read().splitlines()
     for lineno, raw in enumerate(lines, 1):

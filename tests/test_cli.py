@@ -2,6 +2,7 @@
 
 import json
 import shlex
+import shutil
 import time
 from pathlib import Path
 
@@ -103,6 +104,7 @@ class TestIngest:
         for source_lang, target_lang, message in (
             ("en", "en", "--source-lang and --target-lang are both 'en'"),
             ("", "pl", "--source-lang is empty"),
+            (" ", "pl", "--source-lang is empty"),
             ("eo", "", "--target-lang is empty"),
         ):
             with pytest.raises(SystemExit) as excinfo:
@@ -714,6 +716,26 @@ class TestTune:
         )
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error: {reference}: {message}")
+
+    def test_untokenizable_sample_names_its_pair(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline / "corpus", corpus)
+        sentences = corpus / "sentences.tsv"
+        # The first source sentence of a sample, made one without tokens.
+        rows = [
+            "Topic 1\tsrc\t0\t!!!" if row.startswith("Topic 1\tsrc\t0\t") else row
+            for row in sentences.read_text(encoding="utf-8").splitlines()
+        ]
+        sentences.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+        reference = tmp_path / "reference.tsv"
+        reference.write_text("Topic 1\t0\t0\n", encoding="utf-8")
+        out = tmp_path / "tuning.json"
+        inputs = [str(pipeline / name) for name in ("model.json", "lexicon.tsv")]
+        assert main(["tune", str(corpus), *inputs, str(reference), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: pair Topic 1: source sentence 0: untokenizable sentence: '!!!'\n"
+        )
+        assert not out.exists()
 
 
 class TestEngineFlag:

@@ -22,7 +22,6 @@ from bimine.corpus import (
     read_links,
     read_columns,
     read_parallel,
-    read_rows,
     save_corpus,
     unescape_field,
     write_bitext,
@@ -383,6 +382,18 @@ class TestFiles:
             load_corpus(tmp_path)
         assert str(excinfo.value) == f"{pairs}: line 1: pair Alpha: both sides have language 'en'"
 
+    @pytest.mark.parametrize("lang", ["", " "])
+    def test_blank_language_pair_row_names_its_line(self, tmp_path, lang):
+        source = make_doc("s1", "Alpha", "en", ("First one.",))
+        target = make_doc("t1", "Alfa", "pl", ("Pierwsze.",))
+        save_corpus(pair_articles([source], [target], [("Alpha", "Alfa")]).pairs, tmp_path)
+        pairs = tmp_path / "pairs.tsv"
+        row = pairs.read_text(encoding="utf-8").replace("\ten\t", f"\t{lang}\t")
+        pairs.write_text(row, encoding="utf-8")
+        with pytest.raises(ValueError) as excinfo:
+            load_corpus(tmp_path)
+        assert str(excinfo.value) == f"{pairs}: line 1: document s1: lang is blank"
+
 
 SIDES = ("src", "tgt")
 
@@ -459,17 +470,17 @@ def _corrupt(lines, width, corruption):
     return b"".join(line + b"\n" for line in lines), message
 
 
-@pytest.mark.parametrize(
-    "corruption",
-    [
-        "too few fields",
-        "too many fields",
-        "blank line",
-        "byte order mark",
-        "bad byte",
-        "short line before a bad byte",
-    ],
-)
+CORRUPTIONS = [
+    "too few fields",
+    "too many fields",
+    "blank line",
+    "byte order mark",
+    "bad byte",
+    "short line before a bad byte",
+]
+
+
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_every_reader_shares_the_row_rules(tmp_path, reader, corruption):
     files, corrupted, width, read = READERS[reader]
@@ -488,7 +499,18 @@ def test_every_reader_shares_the_row_rules(tmp_path, reader, corruption):
         assert str(excinfo.value) == f"{bad_dir / corrupted}: {message}"
 
 
+@pytest.mark.parametrize("corruption", CORRUPTIONS)
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_every_reader_shares_the_row_rules_across_chunks(tmp_path, reader, corruption):
+    # Chunks shorter than a line: every line ends a chunk, or spans several.
+    with mock.patch.object(bimine.corpus, "CHUNK_CHARS", 7):
+        test_every_reader_shares_the_row_rules(tmp_path, reader, corruption)
+
+
 class TestReadRows:
+    """The row rules of ``read_columns`` at every line break and in front of
+    an undecodable line."""
+
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
     def test_bad_byte_far_into_the_file_names_its_line(self, tmp_path, newline):
         # The text reader decodes some kilobytes ahead, so the error must
@@ -498,14 +520,14 @@ class TestReadRows:
         path = tmp_path / "rows.tsv"
         path.write_bytes(newline.join(lines) + newline)
         with pytest.raises(ValueError) as excinfo:
-            list(read_rows(path, 2))
+            list(read_columns(path, 2))
         assert str(excinfo.value) == (
             f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
         )
 
     @pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    @pytest.mark.parametrize("reader", [read_rows, read_columns], ids=["rows", "columns"])
+    @pytest.mark.parametrize("reader", [read_columns], ids=["columns"])
     def test_short_line_before_a_bad_byte_is_reported_first(
         self, tmp_path, reader, newline, bom
     ):
@@ -516,7 +538,7 @@ class TestReadRows:
         assert str(excinfo.value) == f"{path}: line 2: expected 3 tab-separated fields, got 2"
 
     @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
-    @pytest.mark.parametrize("reader", [read_rows, read_columns], ids=["rows", "columns"])
+    @pytest.mark.parametrize("reader", [read_columns], ids=["columns"])
     def test_every_line_before_a_bad_byte_is_yielded(self, tmp_path, reader, newline):
         # Far into the file, the rows up to the bad line arrive in order.
         lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]
@@ -534,7 +556,7 @@ class TestReadRows:
     def test_line_numbers_count_blank_lines(self, tmp_path):
         path = tmp_path / "rows.tsv"
         path.write_text("\ufeffa\tb\n\n\nc\td\n", encoding="utf-8")
-        assert list(read_rows(path, 2)) == [(1, ["a", "b"]), (4, ["c", "d"])]
+        assert _rows_of(read_columns, path, 2) == ([(1, ["a", "b"]), (4, ["c", "d"])], None)
 
 
 def _rows_and_error(chunks):
@@ -549,13 +571,11 @@ def _rows_and_error(chunks):
 
 
 def _rows_of(reader, path, count):
-    """The rows of ``read_rows`` or ``read_columns`` until it raises, and
-    the error message."""
-    if reader is read_rows:
-        return _rows_and_error([row] for row in read_rows(path, count))
+    """The rows of ``reader`` (``read_columns``) until it raises, and the
+    error message."""
     return _rows_and_error(
         [(lineno, fields) for lineno, *fields in zip(numbers, *columns, strict=True)]
-        for numbers, columns in read_columns(path, count)
+        for numbers, columns in reader(path, count)
     )
 
 
@@ -581,9 +601,11 @@ class TestReadColumns:
     )
     # A short line and a long one with, together, the fields of two lines.
     @example("a\tb\nc\td\te\tf", False, 3, 1 << 14, [])
-    def test_reads_the_rows_of_read_rows(self, tmp_path_factory, text, bom, count, chunk, bad):
-        # Both readers read the rows of the line-at-a-time reference: every
-        # line before an error is read, in chunks of any size.
+    def test_reads_the_rows_of_the_reference(
+        self, tmp_path_factory, text, bom, count, chunk, bad
+    ):
+        # The rows of the line-at-a-time reference: every line before an
+        # error is read, in chunks of any size.
         data = (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
         for at, byte in bad:
             at = min(at, len(data))
@@ -591,17 +613,19 @@ class TestReadColumns:
         path = tmp_path_factory.mktemp("columns") / "rows.tsv"
         path.write_bytes(data)
         expected = _rows_and_error([row] for row in reference_read_rows(path, count))
-        assert _rows_of(read_rows, path, count) == expected
         with mock.patch.object(bimine.corpus, "CHUNK_CHARS", chunk):
             assert _rows_of(read_columns, path, count) == expected
 
     def test_bad_byte_far_into_the_file_names_its_line(self, tmp_path):
+        # Chunks shorter than a line: the error is placed by the line count
+        # carried from chunk to chunk.
         lines = [f"source {i}\ttarget {i}".encode() for i in range(5000)]
         lines[3999] = b"source \xc3(\ttarget"
         path = tmp_path / "rows.tsv"
         path.write_bytes(b"\r\n".join(lines) + b"\r\n")
         with pytest.raises(ValueError) as excinfo:
-            list(read_columns(path, 2))
+            with mock.patch.object(bimine.corpus, "CHUNK_CHARS", 7):
+                list(read_columns(path, 2))
         assert str(excinfo.value) == (
             f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
         )
