@@ -245,13 +245,13 @@ def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = Tr
     bonus = config.match_bonus
     mismatch = config.mismatch_cost
     gap = config.gap_penalty
-    h_bonus = max(bonus, 0.0)
+    h_bonus = max(bonus, mismatch, 0.0)  # the most one step can collect
     depth_cap = 2 * (n + m)
 
     def h(i: int, j: int) -> float:
         if constrained:
             # Optimistic completion: fewest possible remaining steps, each
-            # collecting the full match bonus.
+            # collecting the most a mapped cell can reach.
             return max(n - i, m - j) * h_bonus
         # Every remaining row may still be matched; columns beyond what
         # diagonal moves can absorb must be paid for as gaps.
@@ -377,7 +377,7 @@ def kept_cells(
     matrices: Sequence[np.ndarray],
     trials: Sequence[tuple[float, float]],
     config: MiningConfig,
-) -> Iterator[list[tuple[float, int, int]]]:
+) -> list[list[tuple[float, int, int]]]:
     """For each lane in order, the matched cells ``(score, i, j)`` of its
     alignment whose score reaches the lane's threshold.
 
@@ -389,8 +389,7 @@ def kept_cells(
     (``kernels.fill``) in the groups of ``_lane_groups`` and each lane's
     moves are walked in place for its matches at or above its threshold
     only (``_matches``), so memory stays bounded and no ``Alignment`` is
-    built.  Lanes are still yielded in order, each as soon as it and
-    every lane before it are walked.
+    built.
     """
     sims = [_validate_scores(matrix) for matrix in matrices]
     thresholds = [float(threshold) for threshold, _ in trials]
@@ -402,8 +401,7 @@ def kept_cells(
     k, t = len(sims), len(gaps)
     mismatch, bonus = config.mismatch_cost, config.match_bonus
     reversed_sims = [sim[::-1, ::-1] for sim in sims]
-    done: dict[int, list[tuple[float, int, int]]] = {}
-    ready = 0  # the next lane to yield
+    cells: list = [None] * lanes
     for group in _lane_groups([sims[lane % k].shape for lane in range(lanes)], k > 1):
         moves, _ = kernels.fill(
             [reversed_sims[lane] for lane in group] if k > 1 else reversed_sims,
@@ -412,10 +410,8 @@ def kept_cells(
             [gaps[lane] for lane in group] if t > 1 else gaps,
         )
         for slot, lane in enumerate(group):
-            done[lane] = _matches(moves, slot, sims[lane % k], thresholds[lane % t])
-        while ready in done:
-            yield done.pop(ready)
-            ready += 1
+            cells[lane] = _matches(moves, slot, sims[lane % k], thresholds[lane % t])
+    return cells
 
 
 @dataclass(frozen=True)

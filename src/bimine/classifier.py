@@ -16,9 +16,14 @@ encoded by one ``encode`` call, and each feature of a block is a few
 array passes against the lexicon, with work that follows each pair's
 own sentences and tokens.  ``score_pairs`` adds the margin and the
 sigmoid; ``training_features`` runs the stage over the training
-examples as 1x1 pairs.  ``extract_features`` and ``similarity`` are its
-one-cell cases.  Features and scores are bit-identical to the per-pair
-definition that ``tests/oracles.py`` keeps.
+examples as 1x1 pairs of one encoded run (``tokenizable_pairs``).
+``extract_features`` and ``similarity`` are its one-cell cases.
+Features and scores are bit-identical to the per-pair definition that
+``tests/oracles.py`` keeps.
+
+Training is a function of arrays: ``train_classifier(x, y, epochs,
+seed)`` and ``training_accuracy(model, x, y)`` take the feature rows
+``x`` and their +-1 labels ``y``.
 """
 
 from __future__ import annotations
@@ -361,7 +366,9 @@ def extract_features(
     covered source tokens, character-length ratio (capped at 4), and
     fraction of shared identical tokens.
     """
-    return training_features([(source_sentence, target_sentence)], [], lexicon)[0].tolist()
+    pair = [(source_sentence, target_sentence)]
+    _, distinct, encoded = tokenizable_pairs(pair, lexicon)
+    return training_features(pair, lexicon, distinct, encoded)[0].tolist()
 
 
 @dataclass(frozen=True)
@@ -491,10 +498,8 @@ def make_negative_pairs(
     negatives = []
     for i in range(n):
         j = int(perm[i])
-        if j == i:
+        if j == i:  # then perm[(i + 1) % n] != i, as perm is a permutation
             j = int(perm[(i + 1) % n])
-            if j == i:  # two fixed points in a row cannot happen for n >= 2
-                j = (i + 1) % n
         negatives.append((positives[i][0], positives[j][1]))
     return negatives
 
@@ -568,31 +573,29 @@ def _fit_platt(margins: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
 def tokenizable_pairs(
     pairs: Sequence[tuple[str, str]], lexicon: Lexicon
-) -> tuple[list[tuple[str, str]], tuple[list[str], Encoded]]:
-    """The pairs whose sides both have tokens, and the distinct sentences
-    of ``pairs`` with their one run of ``encode``, which
+) -> tuple[list[tuple[str, str]], list[str], Encoded]:
+    """The pairs whose sides both have tokens, then the distinct sentences
+    of ``pairs`` and their one run of ``encode``, which
     ``training_features`` takes: each sentence is tokenized once."""
     distinct = list(dict.fromkeys(chain.from_iterable(pairs)))
     encoded = encode(lexicon.compiled(), distinct)
     tokens = dict(zip(distinct, encoded.tokens.tolist()))
-    return [(s, t) for s, t in pairs if tokens[s] and tokens[t]], (distinct, encoded)
+    return [(s, t) for s, t in pairs if tokens[s] and tokens[t]], distinct, encoded
 
 
 def training_features(
-    positives: Sequence[tuple[str, str]],
-    negatives: Sequence[tuple[str, str]],
+    examples: Sequence[tuple[str, str]],
     lexicon: Lexicon,
-    sentences: tuple[list[str], Encoded] | None = None,
+    distinct: Sequence[str],
+    encoded: Encoded,
 ) -> np.ndarray:
-    """Feature rows of every training example, positives first.
+    """Feature rows of ``examples``, in order.
 
-    Each example is a 1x1 pair of the block feature stage over the run of
-    ``tokenizable_pairs``: ``sentences``, which must hold every example's
-    sentences, or the examples' own.  An example sentence without tokens
-    raises ``ValueError``.
+    Each example is a 1x1 pair of the block feature stage over one run of
+    sentences: ``distinct`` and their ``encoded`` ids, as
+    ``tokenizable_pairs`` returns them, which must hold every example's
+    sentences.  An example sentence without tokens raises ``ValueError``.
     """
-    examples = [*positives, *negatives]
-    distinct, encoded = sentences or tokenizable_pairs(examples, lexicon)[1]
     index = dict(zip(distinct, range(len(distinct))))
     numbers = np.array([(index[s], index[t]) for s, t in examples], dtype=np.intp).reshape(-1, 2)
     if not encoded.tokens[numbers].all():
@@ -656,31 +659,18 @@ def _pegasos(xs: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> tuple[np.
     return w, bias
 
 
-def train_classifier(
-    positives: Sequence[tuple[str, str]],
-    negatives: Sequence[tuple[str, str]],
-    lexicon: Lexicon,
-    epochs: int,
-    seed: int,
-    features: np.ndarray | None = None,
-) -> SimilarityModel:
-    """Train the standardized linear classifier and its calibration.
+def train_classifier(x: np.ndarray, y: np.ndarray, epochs: int, seed: int) -> SimilarityModel:
+    """Train the standardized linear classifier and its calibration on
+    feature rows ``x`` (``training_features``) with labels ``y``: +1 for a
+    translation pair, -1 for a mismatched one.
 
     Deterministic given (data, epochs, seed): example order per epoch
     comes from a seeded generator, and every numeric step is fixed.
-    ``features`` may pass in ``training_features`` of the same examples,
-    so that a caller who also wants ``training_accuracy`` extracts them
-    once.
     """
-    if not positives or not negatives:
-        raise ValueError("need non-empty positive and negative training sets")
-    if len(positives) + len(negatives) < 2:
-        raise ValueError("need at least 2 training examples")
+    if not (np.any(y > 0) and np.any(y < 0)):
+        raise ValueError("need positive and negative training examples")
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-
-    x = training_features(positives, negatives, lexicon) if features is None else features
-    y = np.asarray([1.0] * len(positives) + [-1.0] * len(negatives), dtype=np.float64)
 
     means = x.mean(axis=0)
     scales = x.std(axis=0)
@@ -705,23 +695,11 @@ def train_classifier(
     )
 
 
-def training_accuracy(
-    model: SimilarityModel,
-    positives: Sequence[tuple[str, str]],
-    negatives: Sequence[tuple[str, str]],
-    lexicon: Lexicon,
-    features: np.ndarray | None = None,
-) -> float:
-    """Fraction of examples on the correct side of the hyperplane.
-
-    ``features``, if given, are the examples' ``training_features``.
-    """
-    x = training_features(positives, negatives, lexicon) if features is None else features
+def training_accuracy(model: SimilarityModel, x: np.ndarray, y: np.ndarray) -> float:
+    """Fraction of feature rows ``x`` on the side of the hyperplane that
+    their label in ``y`` names: margin > 0 for +1, <= 0 for -1."""
     margins = model.margin(x.T)
-    correct = np.count_nonzero(margins[: len(positives)] > 0) + np.count_nonzero(
-        margins[len(positives) :] <= 0
-    )
-    return int(correct) / (len(positives) + len(negatives))
+    return np.count_nonzero(np.where(y > 0, margins > 0, margins <= 0)) / len(y)
 
 
 def similarity(

@@ -130,7 +130,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
     pairs = read_parallel(args.parallel_file)
     lexicon = read_lexicon(args.lexicon_file)
     # The pairs that ``dict`` drops too: a side without tokens.
-    positives, sentences = tokenizable_pairs(pairs, lexicon)
+    positives, distinct, encoded = tokenizable_pairs(pairs, lexicon)
     skipped = len(pairs) - len(positives)
     if skipped:
         print(f"skipped {skipped} untokenizable training pairs", file=sys.stderr)
@@ -139,10 +139,11 @@ def _cmd_train(args: argparse.Namespace) -> int:
     if len(positives) < 2:
         raise ValueError(f"{args.parallel_file}: need at least 2 training pairs, got 1")
     negatives = make_negative_pairs(positives, args.seed)
-    features = training_features(positives, negatives, lexicon, sentences)
-    model = train_classifier(positives, negatives, lexicon, args.epochs, args.seed, features)
+    x = training_features(positives + negatives, lexicon, distinct, encoded)
+    y = np.repeat([1.0, -1.0], [len(positives), len(negatives)])
+    model = train_classifier(x, y, args.epochs, args.seed)
     save_model(model, args.out_model)
-    accuracy = training_accuracy(model, positives, negatives, lexicon, features)
+    accuracy = training_accuracy(model, x, y)
     write_manifest(
         args.out_model + ".manifest.json",
         _manifest_for(args, [args.parallel_file, args.lexicon_file], started),

@@ -6,7 +6,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from bimine.classifier import make_negative_pairs, train_classifier
+from bimine.classifier import (
+    make_negative_pairs,
+    tokenizable_pairs,
+    train_classifier,
+    training_features,
+)
 from bimine.corpus import Document, DocumentPair
 from bimine.lexicon import build_lexicon
 
@@ -114,6 +119,15 @@ def build_corpus_files(root, rng: np.random.Generator, doc_pairs: int = 4, sente
     (root / "parallel.tsv").write_text("\n".join(parallel) + "\n", encoding="utf-8")
 
 
+def training_set(positives, negatives, lexicon) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of the positives then the negatives, and their +-1
+    labels, built as ``bimine train`` builds them."""
+    examples = positives + negatives
+    _, distinct, encoded = tokenizable_pairs(examples, lexicon)
+    x = training_features(examples, lexicon, distinct, encoded)
+    return x, np.repeat([1.0, -1.0], [len(positives), len(negatives)])
+
+
 @pytest.fixture(scope="session")
 def toy_corpus() -> list[tuple[str, str]]:
     return make_parallel_sentences(np.random.default_rng(1234), 60)
@@ -129,4 +143,4 @@ def toy_model(toy_lexicon):
     rng = np.random.default_rng(4321)
     positives = make_parallel_sentences(rng, 80)
     negatives = make_negative_pairs(positives, 99)
-    return train_classifier(positives, negatives, toy_lexicon, epochs=12, seed=7)
+    return train_classifier(*training_set(positives, negatives, toy_lexicon), epochs=12, seed=7)

@@ -625,6 +625,21 @@ class TestAstar:
                 nw_align(sim, config).score, abs=1e-9
             )
 
+    def test_constrained_score_when_a_mismatch_pays_more(self):
+        # With mismatch_cost above match_bonus a mapped cell can exceed the
+        # match bonus, and the heuristic must still bound every step.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            sim = rng.random((int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+            config = MiningConfig(
+                gap_penalty=float(rng.uniform(0, 3)),
+                match_bonus=float(rng.uniform(-2, 1)),
+                mismatch_cost=float(rng.uniform(0, 3)),
+            )
+            assert astar_align(sim, config, constrained=True).score == pytest.approx(
+                nw_align(sim, config).score, abs=1e-9
+            )
+
     def test_unconstrained_beats_monotone_when_revisits_pay(self):
         sim = exact_match_matrix(SYMBOL_SOURCE, SYMBOL_TARGET)
         free = astar_align(sim, DEMO_CONFIG, constrained=False)

@@ -18,6 +18,7 @@ from bimine.classifier import (
     save_model,
     score_pairs,
     similarity,
+    tokenizable_pairs,
     train_classifier,
     training_accuracy,
     training_features,
@@ -25,7 +26,7 @@ from bimine.classifier import (
 from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 
-from conftest import make_parallel_sentences
+from conftest import make_parallel_sentences, training_set
 from oracles import extract_features as reference_features
 from oracles import reference_pegasos, reference_score_matrix
 
@@ -178,12 +179,14 @@ class TestTraining:
     def test_separable_toy_set_reaches_full_accuracy(self, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(50), 40)
         negatives = make_negative_pairs(positives, 51)
-        model = train_classifier(positives, negatives, toy_lexicon, epochs=10, seed=3)
-        assert training_accuracy(model, positives, negatives, toy_lexicon) == 1.0
+        x, y = training_set(positives, negatives, toy_lexicon)
+        model = train_classifier(x, y, epochs=10, seed=3)
+        assert training_accuracy(model, x, y) == 1.0
 
     def test_single_positive_and_negative_ordering(self):
         lexicon = Lexicon({"a": {"x": 1.0}, "q": {"q": 1.0}})
-        model = train_classifier([("a", "x")] * 2, [("a", "q")] * 2, lexicon, epochs=5, seed=1)
+        x, y = training_set([("a", "x")] * 2, [("a", "q")] * 2, lexicon)
+        model = train_classifier(x, y, epochs=5, seed=1)
         assert similarity(model, "a", "x", lexicon) > similarity(model, "a", "q", lexicon)
 
     def test_deterministic_model_bytes(self, tmp_path, toy_lexicon):
@@ -191,7 +194,9 @@ class TestTraining:
         negatives = make_negative_pairs(positives, 61)
         paths = []
         for run in range(2):
-            model = train_classifier(positives, negatives, toy_lexicon, epochs=6, seed=17)
+            model = train_classifier(
+                *training_set(positives, negatives, toy_lexicon), epochs=6, seed=17
+            )
             path = tmp_path / f"model{run}.json"
             save_model(model, path)
             paths.append(path.read_bytes())
@@ -200,31 +205,36 @@ class TestTraining:
     def test_sigmoid_a_is_negative(self, toy_model):
         assert toy_model.sigmoid_a < 0.0
 
-    def test_empty_side_is_an_error(self, toy_lexicon):
-        with pytest.raises(ValueError):
-            train_classifier([], [("a", "b")], toy_lexicon, epochs=1, seed=0)
+    def test_empty_side_is_an_error(self):
+        x = np.arange(2.0 * FEATURE_COUNT).reshape(2, FEATURE_COUNT)
+        for label in (1.0, -1.0):
+            with pytest.raises(ValueError, match="need positive and negative"):
+                train_classifier(x, np.full(2, label), epochs=1, seed=0)
 
     def test_passed_features_give_the_same_model_and_accuracy(self, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(62), 30)
         positives.append(("domo zork", "plonk"))  # one example on the wrong side
         negatives = make_negative_pairs(positives, 63)
-        features = training_features(positives, negatives, toy_lexicon)
-        assert features.shape == (len(positives) + len(negatives), FEATURE_COUNT)
-        assert features.tolist() == [
-            reference_features(s, t, toy_lexicon) for s, t in positives + negatives
-        ]
-        model = train_classifier(positives, negatives, toy_lexicon, epochs=4, seed=5)
-        assert train_classifier(positives, negatives, toy_lexicon, 4, 5, features) == model
+        examples = positives + negatives
+        # As in ``bimine train``, the run also holds sentences of a pair
+        # that was skipped for having no tokens.
+        _, distinct, encoded = tokenizable_pairs([("!!!", "plonk zork"), *examples], toy_lexicon)
+        x = training_features(examples, toy_lexicon, distinct, encoded)
+        y = np.repeat([1.0, -1.0], [len(positives), len(negatives)])
+        assert x.shape == (len(examples), FEATURE_COUNT)
+        reference = [reference_features(s, t, toy_lexicon) for s, t in examples]
+        assert x.tolist() == reference
+        model = train_classifier(x, y, epochs=4, seed=5)
+        assert train_classifier(np.array(reference), y, 4, 5) == model
         # The per-example count that the accuracy pass replaces.
         correct = sum(
             (model.margin(reference_features(s, t, toy_lexicon)) > 0) == label
-            for examples, label in ((positives, True), (negatives, False))
-            for s, t in examples
+            for side, label in ((positives, True), (negatives, False))
+            for s, t in side
         )
-        expected = correct / (len(positives) + len(negatives))
+        expected = correct / len(examples)
         assert expected < 1.0
-        assert training_accuracy(model, positives, negatives, toy_lexicon, features) == expected
-        assert training_accuracy(model, positives, negatives, toy_lexicon) == expected
+        assert training_accuracy(model, x, y) == expected
 
 
 @st.composite
@@ -253,9 +263,7 @@ class TestPegasos:
     def test_equals_reference_loop(self, data, epochs, seed):
         positives, negatives, x = data
         y = np.array([1.0] * positives + [-1.0] * negatives)
-        model = train_classifier(
-            [("a", "x")] * positives, [("a", "y")] * negatives, EMPTY, epochs, seed, x
-        )
+        model = train_classifier(x, y, epochs, seed)
         weights, bias, means, scales = reference_pegasos(x, y, epochs, seed)
         assert np.array_equal(model.weights, weights)
         assert model.bias == bias
