@@ -238,7 +238,9 @@ def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = Tr
     one target sentence can appear against several source sentences.  The
     mode also picks the heuristic.  A depth cap of ``2 * (N + M)`` bounds
     the search; a constrained path, which advances on every move, never
-    reaches it.
+    reaches it.  A move is taken only if the goal stays within the cap
+    from where it lands, so a cell's best score never rests on a path
+    that cannot finish and the search always reaches the goal.
     """
     sim = _validate_scores(scores)
     n, m = sim.shape
@@ -267,8 +269,6 @@ def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = Tr
             continue
         if i == n and j == m:
             return Alignment(steps=tuple(_reconstruct(parent, (n, m))), score=g)
-        if depth >= depth_cap:
-            continue
         moves: list[tuple[int, int, float, Step | None]] = []
         if i < n and j < m:
             moves.append((i + 1, j + 1, g + _mapped(sim, i, j, mismatch, bonus), Match(i, j)))
@@ -279,14 +279,14 @@ def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = Tr
         if not constrained and j > 0:
             moves.append((i, j - 1, g, None))  # free backtrack into earlier columns
         for ni, nj, ng, step in moves:
+            if depth + 1 + (n - ni) + (m - nj) > depth_cap:
+                continue  # the goal is out of reach within the cap
             if ng > g_best.get((ni, nj), -np.inf):
                 g_best[(ni, nj)] = ng
                 parent[(ni, nj)] = (i, j, step)
                 counter += 1
                 heapq.heappush(heap, (-(ng + h(ni, nj)), counter, ni, nj, ng, depth + 1))
-    if constrained:
-        raise RuntimeError("search exhausted without reaching the goal")
-    raise RuntimeError("unconstrained search diverged")
+    raise RuntimeError("search exhausted without reaching the goal")
 
 
 def _mapped(sim: np.ndarray, i: int, j: int, mismatch: float, bonus: float) -> float:

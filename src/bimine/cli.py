@@ -1,4 +1,10 @@
-"""Command-line pipeline: ingest, dict, train, tune, mine, stats, bench."""
+"""Command-line pipeline: ingest, dict, train, tune, mine, stats, bench.
+
+Each ``_cmd_*`` does its command's work and returns ``(exit code,
+manifest path, input paths)``.  ``main`` times the whole command, its
+last print included, and writes its run manifest (``manifest``) once it
+returns; a command that raises writes none.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +29,7 @@ from .classifier import (
     training_features,
 )
 from .corpus import (
+    corpus_files,
     corpus_stats,
     ingest_documents,
     load_corpus,
@@ -85,8 +92,7 @@ def _manifest_for(args: argparse.Namespace, inputs: list[str], started: float) -
     )
 
 
-def _cmd_ingest(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_ingest(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     source_docs = ingest_documents(args.source_file, args.source_lang)
     target_docs = ingest_documents(args.target_file, args.target_lang)
     links = read_links(args.links_file)
@@ -98,19 +104,15 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
                 f"paired {pair.topic_id!r}: {len(pair.source.sentences)} source / "
                 f"{len(pair.target.sentences)} target sentences"
             )
-    manifest = _manifest_for(
-        args, [args.source_file, args.target_file, args.links_file], started
-    )
-    write_manifest(os.path.join(args.out_dir, "manifest.json"), manifest)
     print(
         f"{len(result.pairs)} paired, {result.skipped} skipped, "
         f"{result.duplicates} duplicates"
     )
-    return 0
+    inputs = [args.source_file, args.target_file, args.links_file]
+    return 0, os.path.join(args.out_dir, "manifest.json"), inputs
 
 
-def _cmd_dict(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_dict(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     parallel = read_parallel(args.parallel_file)
     lexicon = build_lexicon(parallel, args.iterations)
     inputs = [args.parallel_file]
@@ -120,13 +122,11 @@ def _cmd_dict(args: argparse.Namespace) -> int:
         inputs.append(args.titles)
         print(f"merged {len(titles) - skipped} title pairs, skipped {skipped}")
     write_lexicon(lexicon, args.out_file)
-    write_manifest(args.out_file + ".manifest.json", _manifest_for(args, inputs, started))
     print(f"{len(lexicon)} lexicon entries written to {args.out_file}")
-    return 0
+    return 0, args.out_file + ".manifest.json", inputs
 
 
-def _cmd_train(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_train(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     pairs = read_parallel(args.parallel_file)
     lexicon = read_lexicon(args.lexicon_file)
     # The pairs that ``dict`` drops too: a side without tokens.
@@ -144,29 +144,16 @@ def _cmd_train(args: argparse.Namespace) -> int:
     model = train_classifier(x, y, args.epochs, args.seed)
     save_model(model, args.out_model)
     accuracy = training_accuracy(model, x, y)
-    write_manifest(
-        args.out_model + ".manifest.json",
-        _manifest_for(args, [args.parallel_file, args.lexicon_file], started),
-    )
     print(f"training accuracy: {100.0 * accuracy:.1f}%")
-    return 0
+    return 0, args.out_model + ".manifest.json", [args.parallel_file, args.lexicon_file]
 
 
-def _cmd_tune(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_tune(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     pairs = load_corpus(args.corpus_dir)
     model = load_model(args.model_file)
     lexicon = read_lexicon(args.lexicon_file)
     samples = read_samples(args.reference_file, pairs)
-    config = MiningConfig(workers=args.workers)
-    result = tune(
-        model,
-        lexicon,
-        samples,
-        budget=args.budget,
-        seed=args.seed,
-        base_config=config,
-    )
+    result = tune(model, lexicon, samples, budget=args.budget, seed=args.seed)
     report = {
         "threshold": result.threshold,
         "gap_penalty": result.gap_penalty,
@@ -178,31 +165,17 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    write_manifest(
-        args.out + ".manifest.json",
-        _manifest_for(
-            args,
-            [
-                os.path.join(args.corpus_dir, "pairs.tsv"),
-                os.path.join(args.corpus_dir, "sentences.tsv"),
-                args.model_file,
-                args.lexicon_file,
-                args.reference_file,
-            ],
-            started,
-        ),
-    )
     improvement = result.agreement - result.default_agreement
     print(
         f"threshold={result.threshold:.4f} gap_penalty={result.gap_penalty:.4f} "
         f"agreement={result.agreement:.2f}%"
     )
     print(f"improvement over defaults: {improvement:.2f}%")
-    return 0
+    inputs = [*corpus_files(args.corpus_dir), args.model_file, args.lexicon_file]
+    return 0, args.out + ".manifest.json", [*inputs, args.reference_file]
 
 
-def _cmd_mine(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_mine(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     # Checked before any input is read, so a bad value fails at once.
     config = MiningConfig(
         threshold=args.threshold,
@@ -223,30 +196,16 @@ def _cmd_mine(args: argparse.Namespace) -> int:
             counts[bucket] = counts.get(bucket, 0) + 1
         for bucket in sorted(counts):
             print(f"score {bucket}x: {counts[bucket]} pairs")
-    write_manifest(
-        args.out_file + ".manifest.json",
-        _manifest_for(
-            args,
-            [
-                os.path.join(args.corpus_dir, "pairs.tsv"),
-                os.path.join(args.corpus_dir, "sentences.tsv"),
-                args.model_file,
-                args.lexicon_file,
-            ],
-            started,
-        ),
-    )
     print(f"{len(outcome.rows)} sentence pairs mined from {len(pairs)} document pairs")
+    for topic_id, error in outcome.failures:
+        print(f"failed: {topic_id}: {error}", file=sys.stderr)
     if outcome.failures:
-        for topic_id, error in outcome.failures:
-            print(f"failed: {topic_id}: {error}", file=sys.stderr)
         print(f"{len(outcome.failures)} document pairs failed", file=sys.stderr)
-        return 1
-    return 0
+    inputs = [*corpus_files(args.corpus_dir), args.model_file, args.lexicon_file]
+    return int(bool(outcome.failures)), args.out_file + ".manifest.json", inputs
 
 
-def _cmd_stats(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_stats(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     stats = corpus_stats(read_bitext(args.bitext_file))
     rows = [
         ("bi-sentences", stats.pair_count),
@@ -256,12 +215,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value}")
-    write_manifest(args.manifest_out, _manifest_for(args, [args.bitext_file], started))
-    return 0
+    return 0, args.manifest_out, [args.bitext_file]
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
+def _cmd_bench(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part]
     except ValueError as exc:
@@ -293,7 +250,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         writer = csv.DictWriter(handle, fieldnames=["size", "engine", "ms"])
         writer.writeheader()
         writer.writerows(records)
-    write_manifest(args.out + ".manifest.json", _manifest_for(args, [], started))
     print(f"benchmark written to {args.out} ({len(records)} rows)")
 
     for label, source, target in (
@@ -308,7 +264,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             print(f"{label} / {mode} (score {alignment.score:g}):")
             print(f"  target: {target_line}")
             print(f"  source: {source_line}")
-    return 0
+    return 0, args.out + ".manifest.json", []
 
 
 class UsageError(Exception):
@@ -412,8 +368,11 @@ def main(argv: list[str] | None = None) -> int:
                 parser.error(f"{option} {lang!r} contains a tab or line break")
         if args.source_lang == args.target_lang:
             parser.error(f"--source-lang and --target-lang are both {args.source_lang!r}")
+    started = time.perf_counter()
     try:
-        return args.func(args)
+        code, manifest_path, inputs = args.func(args)
+        write_manifest(manifest_path, _manifest_for(args, inputs, started))
+        return code
     except UsageError as exc:
         parser.error(str(exc))
         return 2  # unreachable; parser.error raises SystemExit

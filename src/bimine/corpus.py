@@ -372,14 +372,18 @@ def read_bitext(path: str | os.PathLike) -> list[tuple[float, str, str]]:
     return rows
 
 
-_PAIRS_FILE = "pairs.tsv"
-_SENTENCES_FILE = "sentences.tsv"
+def corpus_files(corpus_dir: str | os.PathLike) -> list[str]:
+    """The two files of a paired corpus directory, ``[pairs.tsv path,
+    sentences.tsv path]``: what ``save_corpus`` writes, ``load_corpus``
+    reads and the run manifests of ``tune`` and ``mine`` digest."""
+    return [os.path.join(corpus_dir, "pairs.tsv"), os.path.join(corpus_dir, "sentences.tsv")]
 
 
 def save_corpus(pairs: Sequence[DocumentPair], out_dir: str | os.PathLike) -> None:
     """Write a paired corpus directory (pairs.tsv + sentences.tsv)."""
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, _PAIRS_FILE), "w", encoding="utf-8") as handle:
+    pairs_path, sentences_path = corpus_files(out_dir)
+    with open(pairs_path, "w", encoding="utf-8") as handle:
         for pair in pairs:
             handle.write(
                 "\t".join(
@@ -395,7 +399,7 @@ def save_corpus(pairs: Sequence[DocumentPair], out_dir: str | os.PathLike) -> No
                 )
                 + "\n"
             )
-    with open(os.path.join(out_dir, _SENTENCES_FILE), "w", encoding="utf-8") as handle:
+    with open(sentences_path, "w", encoding="utf-8") as handle:
         for pair in pairs:
             topic = escape_field(pair.topic_id)
             for side, doc in (("src", pair.source), ("tgt", pair.target)):
@@ -415,8 +419,7 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     row whose documents fail their checks, such as a topic without
     sentence rows or two sides of one language.
     """
-    pairs_path = os.path.join(corpus_dir, _PAIRS_FILE)
-    sentences_path = os.path.join(corpus_dir, _SENTENCES_FILE)
+    pairs_path, sentences_path = corpus_files(corpus_dir)
     # (topic, side) -> sentence index -> (line number, sentence)
     sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
     for numbers, columns in read_columns(sentences_path, 4):

@@ -6,8 +6,9 @@ produced.  Tuning then draws random (threshold, penalty) candidates
 from a seeded generator -- always evaluating the configured defaults
 first, so the result can never fall below them -- and keeps the
 candidate with the best mean agreement.  Only the gap penalty and the
-threshold change between trials, so each sample is scored once and
-realigned for all trials together, through the walker mining uses
+threshold change between trials, so the samples are scored once, in
+one ``classifier.score_pairs`` call, and each is realigned for all
+trials together, through the walker mining uses
 (``align.kept_cells``, one lane per trial): bounded fills that keep
 only each cell's moves, each trial's walked for its matched cells only.
 """
@@ -20,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .align import MiningConfig, build_score_matrix, kept_cells
-from .classifier import SimilarityModel
+from .align import MiningConfig, kept_cells
+from .classifier import SimilarityModel, score_pairs
 from .corpus import DocumentPair, integer, read_columns
 from .lexicon import Lexicon
 
@@ -102,12 +103,15 @@ def tune(
     earliest trial on ties (``max`` keeps the first maximum), so a longer
     budget with the same seed can never return a worse result.
 
-    All trials are drawn up front.  Each sample is then scored once and
-    realigned for every trial by ``align.kept_cells``, one lane per
-    trial, the walker mining uses.  A sample's trials share fills of at
-    most ``kernels.BATCH_BYTES`` (all of them, for samples of a few
+    All trials are drawn up front.  Every sample is then scored by one
+    ``classifier.score_pairs`` call, as mining scores its blocks, and
+    each is realigned for every trial by ``align.kept_cells``, one lane
+    per trial, the walker mining uses.  A sample's trials share fills of
+    at most ``kernels.BATCH_BYTES`` (all of them, for samples of a few
     thousand cells), and each trial's moves are walked in place for its
-    matched cells only, so no ``Alignment`` is built per trial.
+    matched cells only, so no ``Alignment`` is built per trial.  The
+    first sample, in sample order, with a sentence without tokens fails
+    the search as ``pair <id>: ...``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -122,16 +126,12 @@ def tune(
         trials.append((threshold, float(rng.uniform(*GAP_PENALTY_RANGE))))
 
     # The similarity matrix of a sample does not depend on the searched
-    # parameters, so score each sample once and realign per trial.
+    # parameters, so score every sample once and realign per trial.
+    pairs = [(sample.pair.source.sentences, sample.pair.target.sentences) for sample in samples]
     per_trial = [[0.0] * len(samples) for _ in trials]
-    for s, sample in enumerate(samples):
-        pair = sample.pair
-        try:
-            matrix = build_score_matrix(
-                model, lexicon, pair.source.sentences, pair.target.sentences
-            )
-        except ValueError as exc:  # named as mining names a pair it cannot score
-            raise ValueError(f"pair {pair.topic_id}: {exc}") from None
+    for s, (sample, matrix) in enumerate(zip(samples, score_pairs(model, lexicon, pairs))):
+        if isinstance(matrix, ValueError):  # named as mining names a pair it cannot score
+            raise ValueError(f"pair {sample.pair.topic_id}: {matrix}")
         for trial, cells in enumerate(kept_cells([matrix], trials, config)):
             candidate = [(i, j) for _, i, j in cells]
             per_trial[trial][s] = alignment_agreement(candidate, sample.reference)

@@ -1,5 +1,7 @@
 """End-to-end command-line flows over a small synthetic corpus."""
 
+import builtins
+import hashlib
 import json
 import shlex
 import shutil
@@ -831,6 +833,117 @@ class TestBench:
         assert excinfo.value.code == 2
         assert "engines must name at least one engine" in capsys.readouterr().err
         assert not out.exists()
+
+
+def digests(paths) -> dict[str, str]:
+    return {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
+
+
+def manifest_case(case: str, root: Path, out: Path) -> tuple[list[str], Path, list[str]]:
+    """``(argv, manifest path, input paths)`` of one command run on the
+    pipeline's files in ``root``, writing into ``out``; ``tune`` reads
+    ``out/reference.tsv`` and ``stats`` reads ``out/bitext.tsv``."""
+    docs = [str(root / name) for name in ("source_docs.tsv", "target_docs.tsv", "links.tsv")]
+    parallel, lexicon, model = (str(root / name) for name in ("parallel.tsv", "lexicon.tsv", "model.json"))
+    corpus = [str(root / "corpus" / name) for name in ("pairs.tsv", "sentences.tsv")]
+    reference, bitext = str(out / "reference.tsv"), str(out / "bitext.tsv")
+    return {
+        "ingest": (
+            ["ingest", *docs, str(out / "corpus"), "--source-lang", "eo", "--target-lang", "en"],
+            out / "corpus" / "manifest.json",
+            docs,
+        ),
+        "dict": (["dict", parallel, str(out / "l.tsv")], out / "l.tsv.manifest.json", [parallel]),
+        "dict --titles": (
+            ["dict", parallel, str(out / "l.tsv"), "--titles", docs[2]],
+            out / "l.tsv.manifest.json",
+            [parallel, docs[2]],
+        ),
+        "train": (
+            ["train", parallel, lexicon, str(out / "m.json"), "--epochs", "10"],
+            out / "m.json.manifest.json",
+            [parallel, lexicon],
+        ),
+        "tune": (
+            ["tune", str(root / "corpus"), model, lexicon, reference, "--budget", "5",
+             "--out", str(out / "t.json")],
+            out / "t.json.manifest.json",
+            [*corpus, model, lexicon, reference],
+        ),
+        "mine": (
+            ["mine", str(root / "corpus"), model, lexicon, str(out / "mined.tsv")],
+            out / "mined.tsv.manifest.json",
+            [*corpus, model, lexicon],
+        ),
+        "stats": (
+            ["stats", bitext, "--manifest-out", str(out / "s.json")], out / "s.json", [bitext]
+        ),
+        "bench": (["bench", "--sizes", "8", "--out", str(out / "b.csv")], out / "b.csv.manifest.json", []),
+    }[case]
+
+
+class TestManifest:
+    """``main`` writes every command's run manifest, once the command has
+    returned."""
+
+    @pytest.mark.parametrize(
+        "case", ["ingest", "dict", "dict --titles", "train", "tune", "mine", "stats", "bench"]
+    )
+    def test_names_the_command_and_digests_its_inputs(self, pipeline, tmp_path, monkeypatch, case):
+        import bimine.cli
+
+        (tmp_path / "reference.tsv").write_text("Topic 0\t0\t0\nTopic 1\t1\t1\n", encoding="utf-8")
+        (tmp_path / "bitext.tsv").write_text("0.9000\tdomo\thouse\n", encoding="utf-8")
+        argv, manifest_path, inputs = manifest_case(case, pipeline, tmp_path)
+        events = []
+        real_write = bimine.cli.write_manifest
+
+        def slow_print(*args, **kwargs):
+            time.sleep(0.05)
+            builtins.print(*args, **kwargs)
+            events.append("print")
+
+        def recorded_write(*args):
+            events.append("manifest")
+            real_write(*args)
+
+        monkeypatch.setattr(bimine.cli, "print", slow_print, raising=False)
+        monkeypatch.setattr(bimine.cli, "write_manifest", recorded_write)
+        assert main(argv) == 0
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        assert manifest["command"] == argv[0]
+        assert manifest["inputs"] == digests(inputs)
+        # Written once, after the command's last print, whose time it covers.
+        assert events.count("manifest") == 1 and events[-1] == "manifest"
+        assert manifest["wall_time_ms"] >= 50 * events.count("print") > 0
+
+    def test_command_that_raises_writes_none(self, pipeline, tmp_path, capsys):
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("", encoding="utf-8")
+        lexicon = str(pipeline / "lexicon.tsv")
+        assert main(["train", str(empty), lexicon, str(tmp_path / "m.json")]) == 1
+        missing = str(tmp_path / "missing.tsv")
+        assert main(["stats", missing, "--manifest-out", str(tmp_path / "s.json")]) == 1
+        with pytest.raises(SystemExit):
+            main(["bench", "--sizes", "8,x", "--out", str(tmp_path / "b.csv")])
+        assert [path.name for path in tmp_path.iterdir()] == ["empty.tsv"]
+
+    def test_mine_with_a_failing_pair_writes_one_and_exits_1(self, pipeline, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(pipeline / "corpus", corpus)
+        sentences = corpus / "sentences.tsv"
+        rows = [
+            "Topic 1\tsrc\t0\t!!!" if row.startswith("Topic 1\tsrc\t0\t") else row
+            for row in sentences.read_text(encoding="utf-8").splitlines()
+        ]
+        sentences.write_text("".join(f"{row}\n" for row in rows), encoding="utf-8")
+        model, lexicon = str(pipeline / "model.json"), str(pipeline / "lexicon.tsv")
+        assert main(["mine", str(corpus), model, lexicon, str(tmp_path / "mined.tsv")]) == 1
+        assert capsys.readouterr().err.endswith("\n1 document pairs failed\n")
+        manifest = json.loads((tmp_path / "mined.tsv.manifest.json").read_text(encoding="utf-8"))
+        assert manifest["command"] == "mine"
+        corpus_files = [corpus / "pairs.tsv", sentences]
+        assert manifest["inputs"] == digests([*corpus_files, model, lexicon])
 
 
 class TestReproducibility:

@@ -127,7 +127,10 @@ def use_random_matrices(monkeypatch):
             matrices[key] = rng.random((len(source), len(target)))
         return matrices[key]
 
-    monkeypatch.setattr(tuning, "build_score_matrix", random_matrix)
+    def random_scores(model, lexicon, pairs):
+        return [random_matrix(model, lexicon, source, target) for source, target in pairs]
+
+    monkeypatch.setattr(tuning, "score_pairs", random_scores)
     monkeypatch.setattr(oracles, "build_score_matrix", random_matrix)
 
 
