@@ -23,7 +23,6 @@ from .classifier import (  # noqa: F401
     load_model,
     make_negative_pairs,
     save_model,
-    similarity,
     train_classifier,
 )
 from .corpus import (  # noqa: F401

@@ -17,8 +17,7 @@ score minus gap penalties is found by one of two engines:
   artifact of greedy sequence aligners that skip the monotonicity
   requirement.
 
-``run_engine`` is the one place an engine name (``ENGINES``) becomes
-an alignment; ``bimine bench`` times the engines through it.
+``bimine bench`` times both engines, by name (``cli._CLI_ENGINES``).
 
 Matches above a confidence threshold become mined sentence pairs.
 Mining and tuning align through one walker, ``kept_cells``, by the
@@ -57,8 +56,6 @@ from . import kernels
 from .classifier import SimilarityModel, pair_blocks, runs, score_pairs
 from .corpus import DocumentPair
 from .lexicon import Lexicon
-
-ENGINES = ("nw", "astar_constrained")
 
 
 @dataclass(frozen=True)
@@ -110,14 +107,17 @@ class MiningConfig:
             raise ValueError("workers must be >= 1")
 
 
-def _validate_scores(scores: np.ndarray) -> np.ndarray:
-    sim = np.ascontiguousarray(scores, dtype=np.float64)
-    if sim.ndim != 2 or sim.shape[0] == 0 or sim.shape[1] == 0:
+def _validate_scores(matrices: Sequence[np.ndarray]) -> list[np.ndarray]:
+    # Each matrix as C-contiguous float64; every shape is checked, then
+    # the range of all their values at once (no matrices, nothing to check).
+    sims = [np.ascontiguousarray(matrix, dtype=np.float64) for matrix in matrices]
+    if any(sim.ndim != 2 or sim.shape[0] == 0 or sim.shape[1] == 0 for sim in sims):
         raise ValueError("score matrix must be a non-empty 2-D array")
+    values = np.concatenate([sim.ravel() for sim in sims]) if sims else np.zeros(1)
     # A NaN makes both comparisons false, and an infinity fails one.
-    if not (sim.min() >= 0.0 and sim.max() <= 1.0):
+    if not (values.min() >= 0.0 and values.max() <= 1.0):
         raise ValueError("score matrix values must be finite and lie in [0, 1]")
-    return sim
+    return sims
 
 
 def build_score_matrix(
@@ -216,7 +216,7 @@ def nw_align(scores: np.ndarray, config: MiningConfig) -> Alignment:
     ``Alignment`` are recorded by walking its moves as ``_matches`` does
     (``_steps``), and its score is the fill's.
     """
-    sim = _validate_scores(scores)
+    (sim,) = _validate_scores([scores])
     mismatch, bonus, gap = config.mismatch_cost, config.match_bonus, config.gap_penalty
     moves, final = kernels.fill([sim[::-1, ::-1]], mismatch, bonus, [gap])
     return Alignment(steps=tuple(_steps(moves)), score=float(final[0]))
@@ -242,7 +242,7 @@ def astar_align(scores: np.ndarray, config: MiningConfig, constrained: bool = Tr
     from where it lands, so a cell's best score never rests on a path
     that cannot finish and the search always reaches the goal.
     """
-    sim = _validate_scores(scores)
+    (sim,) = _validate_scores([scores])
     n, m = sim.shape
     bonus = config.match_bonus
     mismatch = config.mismatch_cost
@@ -330,16 +330,6 @@ def filter_by_threshold(
     return emitted
 
 
-def run_engine(scores: np.ndarray, config: MiningConfig, engine: str) -> Alignment:
-    """The alignment of ``scores`` by the engine named ``engine``, one of
-    ``ENGINES``."""
-    if engine == "nw":
-        return nw_align(scores, config)
-    if engine == "astar_constrained":
-        return astar_align(scores, config, constrained=True)
-    raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-
-
 def _lane_groups(shapes: Sequence[tuple[int, int]], own_matrices: bool) -> Iterator[list[int]]:
     """Groups of lanes to fill together, given each lane's shape.
 
@@ -391,7 +381,7 @@ def kept_cells(
     only (``_matches``), so memory stays bounded and no ``Alignment`` is
     built.
     """
-    sims = [_validate_scores(matrix) for matrix in matrices]
+    sims = _validate_scores(matrices)
     thresholds = [float(threshold) for threshold, _ in trials]
     gaps = [float(gap) for _, gap in trials]
     if not all(math.isfinite(gap) and gap >= 0.0 for gap in gaps):
@@ -434,7 +424,7 @@ def _mine_pairs(
     lexicon: Lexicon,
     pairs: Sequence[DocumentPair],
     config: MiningConfig,
-) -> list[tuple[list[tuple[float, str, str]] | None, str | None]]:
+) -> list[list[tuple[float, str, str]] | str]:
     """Mined rows or an error message for each pair, in order.
 
     The one mining path of the serial run, of every pool worker and of
@@ -465,16 +455,16 @@ def _mine_pairs(
                 matrices = [exc] * (block.stop - block.start)
             for k, matrix in zip(range(block.start, block.stop), matrices):
                 if isinstance(matrix, Exception):
-                    outcomes[k] = (None, f"pair {pairs[k].topic_id}: {matrix}")
+                    outcomes[k] = f"pair {pairs[k].topic_id}: {matrix}"
                 else:
                     scored[k] = matrix
         try:
             for k, cells in zip(scored, kept_cells(list(scored.values()), trial, config)):
                 source, target = sentences[k]
-                outcomes[k] = ([(score, source[i], target[j]) for score, i, j in cells], None)
+                outcomes[k] = [(score, source[i], target[j]) for score, i, j in cells]
         except Exception as exc:  # mining continues past failing pairs
             for k in scored:
-                outcomes[k] = (None, f"pair {pairs[k].topic_id}: {exc}")
+                outcomes[k] = f"pair {pairs[k].topic_id}: {exc}"
     return outcomes
 
 
@@ -487,10 +477,10 @@ def mine_document_pair(
     """Mined sentence pairs of one document pair, with similarity scores:
     the one-pair case of ``_mine_pairs``, raising its error as a
     ``ValueError``."""
-    ((rows, error),) = _mine_pairs(model, lexicon, [pair], config)
-    if error is not None:
-        raise ValueError(error)
-    return rows
+    (outcome,) = _mine_pairs(model, lexicon, [pair], config)
+    if isinstance(outcome, str):
+        raise ValueError(outcome)
+    return outcome
 
 
 def _pool_mine(chunk: list[DocumentPair]):
@@ -547,13 +537,13 @@ def mine_corpus(
             if result is None:
                 # Alone, a chunk that kills its worker takes no other pairs with it.
                 (result,) = _pool_results([chunk], 1, initargs)
-            outcomes.extend(result if result is not None else [(None, WORKER_DIED)] * len(chunk))
+            outcomes.extend(result if result is not None else [WORKER_DIED] * len(chunk))
 
     mined: list[tuple[float, str, str]] = []
     failures: list[tuple[str, str]] = []
-    for pair, (rows, error) in zip(pairs, outcomes):
-        if error is None and rows is not None:
-            mined.extend(rows)
+    for pair, outcome in zip(pairs, outcomes):
+        if isinstance(outcome, str):
+            failures.append((pair.topic_id, outcome))
         else:
-            failures.append((pair.topic_id, error or "unknown error"))
+            mined.extend(outcome)
     return MiningOutcome(rows=tuple(mined), failures=tuple(failures))

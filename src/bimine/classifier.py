@@ -17,7 +17,7 @@ array passes against the lexicon, with work that follows each pair's
 own sentences and tokens.  ``score_pairs`` adds the margin and the
 sigmoid; ``training_features`` runs the stage over the training
 examples as 1x1 pairs of one encoded run (``tokenizable_pairs``).
-``extract_features`` and ``similarity`` are its one-cell cases.
+``extract_features`` is its one-cell case.
 Features and scores are bit-identical to the per-pair definition that
 ``tests/oracles.py`` keeps.
 
@@ -701,13 +701,3 @@ def training_accuracy(model: SimilarityModel, x: np.ndarray, y: np.ndarray) -> f
     margins = model.margin(x.T)
     return np.count_nonzero(np.where(y > 0, margins > 0, margins <= 0)) / len(y)
 
-
-def similarity(
-    model: SimilarityModel, source_sentence: str, target_sentence: str, lexicon: Lexicon
-) -> float:
-    """Calibrated translation-likelihood score in [0, 1]: the one-cell
-    case of ``score_pairs``."""
-    (matrix,) = score_pairs(model, lexicon, [([source_sentence], [target_sentence])])
-    if isinstance(matrix, ValueError):
-        raise matrix
-    return float(matrix[0, 0])

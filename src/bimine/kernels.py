@@ -32,9 +32,10 @@ every interior cell of every lane records two one-byte moves,
 
 which hold exactly when the cell equals its diagonal candidate, and
 (when it does not) its up candidate; ties resolve diagonal first, then
-up, then left.  ``fill_sequential`` runs the same sweep with every
-diagonal kept, as rows that are strided views of one ``(n+1, m+1)``
-table.  Each lane is bit-identical to filling it alone, which the test
+up, then left.  The sweep reads diagonal ``d`` from row ``d % R`` of
+an ``(R, n+1, L)`` array: ``fill`` rolls over three rows, and
+``fill_sequential`` keeps all ``n+m+1`` and reads its table off them.
+Each lane is bit-identical to filling it alone, which the test
 suite checks against a plain-loop oracle: no cell reads a cell below or
 to the right of it, so a padded matrix's own ``(n_k+1, m_k+1)`` region
 never sees the padding.  The mapped-cost table has one lane per matrix,
@@ -47,7 +48,7 @@ so one matrix filled for T gaps keeps it one lane wide.
 from __future__ import annotations
 
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,7 +83,7 @@ def fill_bytes(n: int, m: int, lanes: int, matrices: int) -> int:
 
 
 def _sweep(
-    row: Callable[[int], np.ndarray],
+    rows: np.ndarray,
     moves: np.ndarray,
     cost: np.ndarray,
     gaps: np.ndarray,
@@ -90,22 +91,22 @@ def _sweep(
     end_rows: np.ndarray,
     scores: np.ndarray,
 ) -> None:
-    # row(d) is the (n+1, L) row of diagonal d, for d in 0..n+m; rows d,
-    # d-1 and d-2 must not overlap.  moves is (2, (n+1)*(m+1), L)
+    # rows is (R, n+1, L), R >= 3; diagonal d, for d in 0..n+m, is held
+    # in rows[d % R], indexed by i.  moves is (2, (n+1)*(m+1), L)
     # bool (diagonal plane, then up plane), written at interior cells
     # only; cost is the mapped cost, ((n+1)*(m+1), 1 or L), read at
     # interior cells; gaps holds 1 or L penalties.  ends maps a diagonal
     # to the lanes whose last cell is on it, in row end_rows[lane]; their
     # values are copied into scores once it is filled.
-    prev = prev2 = row(0)
-    n, lanes = prev.shape[0] - 1, prev.shape[1]
+    prev = prev2 = rows[0]
+    kept, n, lanes = rows.shape[0], rows.shape[1] - 1, rows.shape[2]
     m = moves.shape[1] // (n + 1) - 1
     take_diag, take_up = moves
     neg = -gaps
     gapped = np.empty((min(n, m) + 1, lanes))
     best = np.empty((min(n, m), lanes))
     for d in range(n + m + 1):
-        cur = row(d)
+        cur = rows[d % kept]
         # The outer cells (0, d) and (d, 0) hold -gap * d.
         first, last = (0 if d <= m else d), (d if d <= n else 0)
         if first <= last:
@@ -136,10 +137,10 @@ def _fill(
     mismatch: float,
     bonus: float,
     gaps: Sequence[float],
-    table: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    # The sweep of ``fill``; with ``table``, a C-contiguous (n+1, m+1, L)
-    # array, every diagonal is kept in it instead of in three rows.
+    kept: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The sweep of ``fill``, holding its diagonals on ``kept`` rows;
+    # returns the moves, the scores and the rows.
     gaps = np.asarray(gaps, dtype=np.float64)
     (lanes,) = np.broadcast_shapes((len(sims),), gaps.shape)
     # One shape tuple at a time: a list of them would park each in
@@ -155,25 +156,11 @@ def _fill(
         cost[1 : sim.shape[0] + 1, 1 : sim.shape[1] + 1, k] = sim
     np.multiply(cost, bonus - mismatch, out=cost)
     np.add(cost, mismatch, out=cost)
-    # Each diagonal's row is taken as the sweep reaches it, so no view
-    # outlives the two diagonals after it.
-    if table is None:
-        ring = np.empty((3, n + 1, lanes))
-
-        def row(d: int) -> np.ndarray:
-            return ring[d % 3]
-
-    else:
-        # Row d's cell i is table cell (i, d - i), at flat i*m + d.
-        flat = table.reshape(-1, lanes)
-
-        def row(d: int) -> np.ndarray:
-            return flat[d::m][: n + 1]
-
+    rows = np.empty((kept, n + 1, lanes))
     moves = np.empty((2, n + 1, m + 1, lanes), dtype=bool)
     scores = np.empty(lanes)
     _sweep(
-        row,
+        rows,
         moves.reshape(2, -1, lanes),
         cost.reshape(-1, len(sims)),
         gaps,
@@ -181,7 +168,7 @@ def _fill(
         shapes[:, 0],
         scores,
     )
-    return moves, scores
+    return moves, scores, rows
 
 
 def _ends(shapes: np.ndarray) -> dict[int, np.ndarray]:
@@ -211,15 +198,17 @@ def fill(
     filling the lane alone.  Callers bound the fill (see ``fill_bytes``);
     this function does not split it.
     """
-    return _fill(sims, mismatch, bonus, gaps, None)
+    moves, scores, _ = _fill(sims, mismatch, bonus, gaps, 3)
+    return moves, scores
 
 
 def fill_sequential(sim: np.ndarray, mismatch: float, bonus: float, gap: float) -> np.ndarray:
     """The ``(n+1, m+1)`` score table for one gap penalty: the sweep of
     ``fill`` with every diagonal kept."""
-    table = np.empty((sim.shape[0] + 1, sim.shape[1] + 1, 1))
-    _fill([sim], mismatch, bonus, [gap], table)
-    return table[:, :, 0]
+    n, m = sim.shape
+    _, _, rows = _fill([sim], mismatch, bonus, [gap], n + m + 1)
+    i, j = np.indices((n + 1, m + 1))
+    return rows[i + j, i, 0]
 
 
 def fill_wavefront(

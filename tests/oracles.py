@@ -2,12 +2,13 @@
 
 Everything here is deliberately naive: exhaustive enumeration instead
 of dynamic programming, a traceback that records every step as it
-walks, mining one document pair at a time with its own engine call, dict-based EM written from the update equations,
+walks, mining and tuning one document pair at a time with its own
+search (``ENGINES``), dict-based EM written from the update equations,
 features of one sentence pair at a time from the lexicon's dict rows
 instead of array blocks, Pegasos training one step at a time, and
-markup cleaning and sentence segmentation
-by whole-text regex passes that may rescan the text.  These stay
-separate from the package's fast paths so each check has two routes.
+markup cleaning and sentence segmentation by whole-text regex passes
+that may rescan the text.  These stay separate from the package's fast
+paths so each check has two routes.
 """
 
 from __future__ import annotations
@@ -24,14 +25,19 @@ from bimine.align import (
     Match,
     MiningConfig,
     Step,
+    astar_align,
     build_score_matrix,
     filter_by_threshold,
-    run_engine,
+    nw_align,
 )
 from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS
 from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
+
+# The searches the oracles align with, by the name a parametrized test
+# gives; A* is constrained by default.
+ENGINES = {"nw": nw_align, "astar_constrained": astar_align}
 
 
 def brute_force_best_score(
@@ -228,7 +234,7 @@ def reference_mine_pair(model, lexicon, pair, config, engine="nw"):
     it alone, align it with its own engine call and keep the matches at or
     above the threshold (no blocks, no shared fills)."""
     scores = build_score_matrix(model, lexicon, pair.source.sentences, pair.target.sentences)
-    alignment = run_engine(scores, config, engine)
+    alignment = ENGINES[engine](scores, config)
     return filter_by_threshold(scores, alignment, config.threshold)
 
 
@@ -256,7 +262,7 @@ def reference_tune(model, lexicon, samples, budget, seed, engine="nw", base_conf
         trial_config = replace(config, threshold=threshold, gap_penalty=gap_penalty)
         agreements = []
         for matrix, sample in zip(matrices, samples):
-            alignment = run_engine(matrix, trial_config, engine)
+            alignment = ENGINES[engine](matrix, trial_config)
             matched = filter_by_threshold(matrix, alignment, threshold)
             agreements.append(
                 alignment_agreement([(i, j) for _, i, j in matched], sample.reference)

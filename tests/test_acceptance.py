@@ -20,7 +20,7 @@ from bimine.align import (
     nw_align,
     nw_align_wavefront,
 )
-from bimine.classifier import make_negative_pairs, similarity
+from bimine.classifier import make_negative_pairs, score_pairs
 from bimine.cli import main
 from bimine.demos import (
     DEMO_CONFIG,
@@ -257,8 +257,10 @@ def test_criterion_8_classifier_sanity(toy_model, toy_lexicon):
     rng = np.random.default_rng(8008)
     positives = make_parallel_sentences(rng, 100)
     negatives = make_negative_pairs(positives, seed=8009)
-    pos_scores = [similarity(toy_model, s, t, toy_lexicon) for s, t in positives]
-    neg_scores = [similarity(toy_model, s, t, toy_lexicon) for s, t in negatives]
+    pos_scores, neg_scores = (
+        [m[0, 0] for m in score_pairs(toy_model, toy_lexicon, [([s], [t]) for s, t in pairs])]
+        for pairs in (positives, negatives)
+    )
     correct = sum(1 for v in pos_scores if v >= 0.5) + sum(1 for v in neg_scores if v < 0.5)
     accuracy = correct / (len(pos_scores) + len(neg_scores))
     in_bounds = all(0.0 <= v <= 1.0 for v in pos_scores + neg_scores)

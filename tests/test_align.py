@@ -369,6 +369,12 @@ class TestNwAlignBatch:
     def test_rejects_bad_matrices(self):
         with pytest.raises(ValueError):
             list(kept_cells([np.array([[0.5, 1.5]])], trials_of([1.0]), MiningConfig()))
+        # The range is checked once over all matrices, after every shape.
+        several = [np.eye(3), np.full((2, 4), 0.5), np.array([[0.5, np.nan]])]
+        with pytest.raises(ValueError, match=r"^score matrix values must be finite"):
+            kept_cells(several, trials_of([1.0]), MiningConfig())
+        with pytest.raises(ValueError, match=r"^score matrix must be a non-empty 2-D"):
+            kept_cells([*several, np.zeros((0, 3))], trials_of([1.0]), MiningConfig())
 
 
 class TestKeptCells:
@@ -461,11 +467,6 @@ class TestKeptCells:
             assert (n + 1) * (m + 1) * len(lanes) <= 2 * needed
             size = kernels.fill_bytes(n, m, len(lanes), len(lanes) if own_matrices else 1)
             assert size <= kernels.BATCH_BYTES or len(lanes) == 1
-
-
-def test_run_engine_rejects_unknown_engine():
-    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
-        align.run_engine(np.eye(2), MiningConfig(), "bogus")
 
 
 TIE_GRIDS = ((0.0, 0.5, 1.0), (0.0, 1.0), tuple(k / 10 for k in range(11)))
@@ -810,13 +811,6 @@ class TestConfig:
 
 
 class TestScoreMatrix:
-    def test_single_cell_equals_similarity(self, toy_model, toy_lexicon):
-        from bimine.classifier import similarity
-
-        matrix = build_score_matrix(toy_model, toy_lexicon, ["domo kato"], ["house cat"])
-        assert matrix.shape == (1, 1)
-        assert matrix[0, 0] == similarity(toy_model, "domo kato", "house cat", toy_lexicon)
-
     def test_row_vector_for_two_targets(self, toy_model, toy_lexicon):
         matrix = build_score_matrix(
             toy_model, toy_lexicon, ["domo kato"], ["house cat", "zork blip"]

@@ -17,7 +17,6 @@ from bimine.classifier import (
     make_negative_pairs,
     save_model,
     score_pairs,
-    similarity,
     tokenizable_pairs,
     train_classifier,
     training_accuracy,
@@ -187,7 +186,8 @@ class TestTraining:
         lexicon = Lexicon({"a": {"x": 1.0}, "q": {"q": 1.0}})
         x, y = training_set([("a", "x")] * 2, [("a", "q")] * 2, lexicon)
         model = train_classifier(x, y, epochs=5, seed=1)
-        assert similarity(model, "a", "x", lexicon) > similarity(model, "a", "q", lexicon)
+        (matrix,) = score_pairs(model, lexicon, [(["a"], ["x", "q"])])
+        assert matrix[0, 0] > matrix[0, 1]
 
     def test_deterministic_model_bytes(self, tmp_path, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(60), 20)
@@ -337,16 +337,18 @@ class TestScoring:
         assert scores.shape == (len(margins), 1)
         assert scores[:, 0].tolist() == expected
 
-    def test_similarity_raises_the_pairs_error(self, toy_model, toy_lexicon):
-        with pytest.raises(ValueError) as excinfo:
-            similarity(toy_model, "domo", "...", toy_lexicon)
-        assert str(excinfo.value) == "target sentence 0: untokenizable sentence: '...'"
+    def test_one_cell_pair_gets_its_error(self, toy_model, toy_lexicon):
+        (error,) = score_pairs(toy_model, toy_lexicon, [(["domo"], ["..."])])
+        assert isinstance(error, ValueError)
+        assert str(error) == "target sentence 0: untokenizable sentence: '...'"
 
     def test_positives_score_above_negatives(self, toy_model, toy_lexicon):
         positives = make_parallel_sentences(np.random.default_rng(70), 25)
         negatives = make_negative_pairs(positives, 71)
-        pos_scores = [similarity(toy_model, s, t, toy_lexicon) for s, t in positives]
-        neg_scores = [similarity(toy_model, s, t, toy_lexicon) for s, t in negatives]
+        pos_scores, neg_scores = (
+            [m[0, 0] for m in score_pairs(toy_model, toy_lexicon, [([s], [t]) for s, t in pairs])]
+            for pairs in (positives, negatives)
+        )
         assert min(pos_scores) > max(neg_scores)
 
 

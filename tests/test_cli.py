@@ -834,6 +834,21 @@ class TestBench:
         assert "engines must name at least one engine" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_engine_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--engines", "nw,bogus", "--out", str(out)])
+        assert excinfo.value.code == 2
+        assert "unknown engine 'bogus'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_wavefront_alias_and_astar_rows(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        argv = ["bench", "--engines", "nw-wavefront,astar", "--sizes", "8", "--out", str(out)]
+        assert main(argv) == 0
+        _, *rows = out.read_text(encoding="utf-8").splitlines()
+        assert [tuple(row.split(",")[:2]) for row in rows] == [("8", "nw-wavefront"), ("8", "astar")]
+
 
 def digests(paths) -> dict[str, str]:
     return {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest() for path in paths}
