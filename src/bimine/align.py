@@ -415,8 +415,13 @@ _POOL_STATE: dict = {}
 WORKER_DIED = "worker process died"
 
 
-def _pool_init(model: SimilarityModel, lexicon: Lexicon, config: MiningConfig) -> None:
-    _POOL_STATE["args"] = (model, lexicon, config)
+def _pool_init(
+    model: SimilarityModel,
+    lexicon: Lexicon,
+    pairs: Sequence[DocumentPair],
+    config: MiningConfig,
+) -> None:
+    _POOL_STATE["args"] = (model, lexicon, pairs, config)
 
 
 def _mine_pairs(
@@ -483,14 +488,20 @@ def mine_document_pair(
     return outcome
 
 
-def _pool_mine(chunk: list[DocumentPair]):
-    model, lexicon, config = _POOL_STATE["args"]
-    return _mine_pairs(model, lexicon, chunk, config)
+def _pool_mine(chunk: range):
+    model, lexicon, pairs, config = _POOL_STATE["args"]
+    return _mine_pairs(model, lexicon, pairs[chunk.start : chunk.stop], config)
 
 
-def _pool_results(chunks: list[list[DocumentPair]], workers: int, initargs: tuple) -> list:
-    """Outcomes of each chunk from one fresh pool; ``None`` for every
-    chunk whose result had not arrived when a worker process died."""
+def _pool_results(chunks: list[range], workers: int, initargs: tuple) -> list:
+    """Outcomes of each chunk, a range of positions in the pairs of
+    ``initargs``, from one fresh pool; ``None`` for every chunk whose
+    result had not arrived when a worker process died.
+
+    The pool forks its workers, which inherit ``initargs`` (the model,
+    the lexicon, the pairs and the config) in memory, so only the
+    ranges and the outcomes are pickled.
+    """
     results: list = []
     with ProcessPoolExecutor(
         max_workers=workers,
@@ -515,15 +526,17 @@ def mine_corpus(
 ) -> MiningOutcome:
     """Mine document pairs across ``config.workers`` worker processes.
 
-    The model and lexicon are shared read-only with the workers; output
-    concatenation follows the input pair order whatever the completion
-    order, and failing pairs are reported and skipped.  A worker process
-    that dies (out of memory, a signal) breaks the pool, which fails
-    every chunk of pairs still pending; each of those chunks is rerun
-    once, alone in a fresh one-process pool, in input order.  Only the
-    pairs of a chunk that kills its worker again are reported, as
-    ``worker process died``.  Parallelism comes from the pair-level
-    fan-out only; every alignment runs on one thread.
+    The model, the lexicon and the pairs are shared read-only with the
+    forked workers, which each mine chunks of consecutive pairs, sent as
+    ranges of positions; output concatenation follows the input pair
+    order whatever the completion order, and failing pairs are reported
+    and skipped.  A worker process that dies (out of memory, a signal)
+    breaks the pool, which fails every chunk of pairs still pending;
+    each of those chunks is rerun once, alone in a fresh one-process
+    pool, in input order.  Only the pairs of a chunk that kills its
+    worker again are reported, as ``worker process died``.  Parallelism
+    comes from the pair-level fan-out only; every alignment runs on one
+    thread.
     """
     workers = min(config.workers, max(len(pairs), 1))
     if workers <= 1:
@@ -531,8 +544,9 @@ def mine_corpus(
     else:
         outcomes = []
         chunksize = max(1, len(pairs) // (workers * 4))
-        chunks = [list(pairs[k : k + chunksize]) for k in range(0, len(pairs), chunksize)]
-        initargs = (model, lexicon, config)
+        positions = range(len(pairs))
+        chunks = [positions[k : k + chunksize] for k in positions[::chunksize]]
+        initargs = (model, lexicon, pairs, config)
         for chunk, result in zip(chunks, _pool_results(chunks, workers, initargs)):
             if result is None:
                 # Alone, a chunk that kills its worker takes no other pairs with it.

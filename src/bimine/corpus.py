@@ -28,7 +28,14 @@ from .text import clean_markup, segment_sentences, tokenize
 
 @dataclass(frozen=True)
 class Document:
-    """One article in one language, already cleaned and segmented."""
+    """One article in one language, already cleaned and segmented.
+
+    Its fields are checked when it is built: a non-empty id, a non-blank
+    language, at least one sentence, no blank sentence, and no tab or
+    line break where its file stores the field unescaped.  All the
+    sentences are checked in one pass; they are looked at one by one
+    only to name the sentence that fails.
+    """
 
     id: str
     lang: str
@@ -40,9 +47,9 @@ class Document:
             raise ValueError("document id must be non-empty")
         # pairs.tsv stores id and lang unescaped, and ``escape_field``
         # has no escape for a carriage return.
-        if any(c in self.id for c in "\t\n\r"):
+        if _has_break(self.id):
             raise ValueError(f"document id {self.id!r} contains a tab or line break")
-        if any(c in self.lang for c in "\t\n\r"):
+        if _has_break(self.lang):
             raise ValueError(f"document {self.id}: lang {self.lang!r} contains a tab or line break")
         if not self.lang.strip():
             raise ValueError(f"document {self.id}: lang is blank")
@@ -50,14 +57,20 @@ class Document:
             raise ValueError(f"document {self.id}: title contains a carriage return")
         if not self.sentences:
             raise ValueError(f"document {self.id} has no sentences")
+        if all(map(str.strip, self.sentences)) and not _has_break("".join(self.sentences)):
+            return
         for index, sentence in enumerate(self.sentences):
             if not sentence.strip():
                 raise ValueError(f"document {self.id} contains an empty sentence")
             # sentences.tsv stores a sentence unescaped, one per line.
-            if "\t" in sentence or "\n" in sentence or "\r" in sentence:
+            if _has_break(sentence):
                 raise ValueError(
                     f"document {self.id}: sentence {index} contains a tab or line break"
                 )
+
+
+def _has_break(text: str) -> bool:
+    return "\t" in text or "\n" in text or "\r" in text
 
 
 @dataclass(frozen=True)
@@ -103,6 +116,8 @@ def escape_field(text: str) -> str:
 
 
 def unescape_field(text: str) -> str:
+    if "\\" not in text:
+        return text
     return _UNESCAPE_RE.sub(lambda m: _UNESCAPE_MAP[m.group(1)], text)
 
 
@@ -418,42 +433,82 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     (at its first such line), a second pair row of one topic, and a pair
     row whose documents fail their checks, such as a topic without
     sentence rows or two sides of one language.
+
+    Each file is read once.  ``sentences.tsv`` is taken a run of rows at
+    a time, from one row of index ``0`` up to the next: a run of one
+    topic and side whose indices go on from that side's last, written as
+    ``save_corpus`` writes them, and whose sentences are not blank is
+    added to the side's sentences whole.  Only the rows of any other run
+    are checked one at a time, keyed by index, which finds the same
+    first error as checking every row so.
     """
     pairs_path, sentences_path = corpus_files(corpus_dir)
-    # (topic, side) -> sentence index -> (line number, sentence)
-    sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
-    for numbers, columns in read_columns(sentences_path, 4):
-        for lineno, topic_id, side, index, sentence in zip(numbers, *columns):
-            if side not in ("src", "tgt"):
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
-                )
-            position = integer(index)
-            if position is None or position < 0:
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: sentence index must be a "
-                    f"non-negative integer, got {index!r}"
-                )
-            if not sentence.strip():
-                raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
-            rows = sentences.setdefault((unescape_field(topic_id), side), {})
-            if position in rows:
-                raise ValueError(
-                    f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
-                    f"(first on line {rows[position][0]})"
-                )
-            rows[position] = (lineno, sentence)
+    # (topic, side) -> (line numbers, sentences) of indices 0..k-1 while its
+    # rows arrive in order; once one does not, index -> (line number, sentence)
+    sentences: dict[tuple[str, str], tuple[Sequence[int], list[str]] | dict] = {}
+    names: list[str] = []  # names[k] is str(k), as save_corpus writes index k
+    for numbers, (topics, sides, indices, texts) in read_columns(sentences_path, 4):
+        start = 0
+        while start < len(indices):
+            try:
+                stop = indices.index("0", start + 1)
+            except ValueError:
+                stop = len(indices)
+            topic, side, count = topics[start], sides[start], stop - start
+            key = (unescape_field(topic), side)
+            held = sentences.get(key, ((), []))
+            ordered = not isinstance(held, dict)
+            first = len(held[1]) if ordered else 0  # the index the run should start at
+            if first + count > len(names):
+                names.extend(map(str, range(len(names), first + count)))
+            if (
+                ordered
+                and side in ("src", "tgt")
+                and topics[start:stop].count(topic) == count
+                and sides[start:stop].count(side) == count
+                and indices[start:stop] == names[first : first + count]
+                and all(map(str.strip, texts[start:stop]))
+            ):
+                lines, run = numbers[start:stop], texts[start:stop]
+                sentences[key] = ([*held[0], *lines], held[1] + run) if first else (lines, run)
+            else:
+                for row in range(start, stop):
+                    lineno, side, index = numbers[row], sides[row], indices[row]
+                    sentence = texts[row]
+                    if side not in ("src", "tgt"):
+                        raise ValueError(
+                            f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', "
+                            f"got {side!r}"
+                        )
+                    position = integer(index)
+                    if position is None or position < 0:
+                        raise ValueError(
+                            f"{sentences_path}: line {lineno}: sentence index must be a "
+                            f"non-negative integer, got {index!r}"
+                        )
+                    if not sentence.strip():
+                        raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
+                    key = (unescape_field(topics[row]), side)
+                    rows = sentences.get(key, ((), []))
+                    if not isinstance(rows, dict):
+                        rows = sentences[key] = dict(enumerate(zip(*rows)))
+                    if position in rows:
+                        raise ValueError(
+                            f"{sentences_path}: line {lineno}: duplicate sentence index "
+                            f"{position} (first on line {rows[position][0]})"
+                        )
+                    rows[position] = (lineno, sentence)
+            start = stop
     for (topic_id, side), rows in sentences.items():
-        for expected, position in enumerate(sorted(rows)):
-            if position != expected:
-                raise ValueError(
-                    f"{sentences_path}: line {rows[position][0]}: sentence index {position} "
-                    f"of {topic_id!r} {side} leaves index {expected} missing"
-                )
-
-    def doc_sentences(topic_id: str, side: str) -> tuple[str, ...]:
-        rows = sentences.get((topic_id, side), {})
-        return tuple(rows[position][1] for position in range(len(rows)))
+        if isinstance(rows, dict):
+            for expected, position in enumerate(sorted(rows)):
+                if position != expected:
+                    raise ValueError(
+                        f"{sentences_path}: line {rows[position][0]}: sentence index "
+                        f"{position} of {topic_id!r} {side} leaves index {expected} missing"
+                    )
+            lines, run = zip(*(rows[position] for position in range(len(rows))))
+            sentences[topic_id, side] = (lines, run)
 
     pairs: list[DocumentPair] = []
     first_line: dict[str, int] = {}  # topic -> the pair row it first appears on
@@ -471,20 +526,20 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
                     id=fields[1],
                     lang=fields[2],
                     title=unescape_field(fields[3]),
-                    sentences=doc_sentences(topic_id, "src"),
+                    sentences=tuple(sentences.get((topic_id, "src"), ((), ()))[1]),
                 )
                 target = Document(
                     id=fields[4],
                     lang=fields[5],
                     title=unescape_field(fields[6]),
-                    sentences=doc_sentences(topic_id, "tgt"),
+                    sentences=tuple(sentences.get((topic_id, "tgt"), ((), ()))[1]),
                 )
                 pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
             except ValueError as exc:
                 raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
     orphans = [
-        (min(lineno for lineno, _ in rows.values()), topic_id)
-        for (topic_id, _), rows in sentences.items()
+        (min(lines), topic_id)
+        for (topic_id, _), (lines, _) in sentences.items()
         if topic_id not in first_line
     ]
     if orphans:

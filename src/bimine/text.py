@@ -28,7 +28,6 @@ _NOISE_OPEN_RE = re.compile(r"<(" + "|".join(_NOISE_TAGS) + r")\b", re.IGNORECAS
 _TAG_RE = re.compile(r"</?[a-zA-Z][^>]*>")
 # A tag that never closes is stripped up to the end of its line.
 _UNCLOSED_TAG_RE = re.compile(r"<[/a-zA-Z][^>\n]*")
-_WS_RE = re.compile(r"\s+")
 
 # Titles and similar short forms whose trailing period is not a sentence
 # boundary.  Single capital letters (initials) are guarded separately.
@@ -67,7 +66,9 @@ def clean_markup(raw: str) -> str:
     head = text.rfind(">") + 1
     text = _TAG_RE.sub(" ", text[:head]) + text[head:]
     text = _UNCLOSED_TAG_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    # ``str.split()`` splits at the characters that ``re`` matches as
+    # ``\s``, so this is ``re.sub(r"\s+", " ", text).strip()``.
+    return " ".join(text.split())
 
 
 def _drop_noise(text: str) -> str:

@@ -5,14 +5,16 @@ of dynamic programming, a traceback that records every step as it
 walks, mining and tuning one document pair at a time with its own
 search (``ENGINES``), dict-based EM written from the update equations,
 features of one sentence pair at a time from the lexicon's dict rows
-instead of array blocks, Pegasos training one step at a time, and
+instead of array blocks, Pegasos training one step at a time,
 markup cleaning and sentence segmentation by whole-text regex passes
-that may rescan the text.  These stay separate from the package's fast
+that may rescan the text, and a paired corpus loaded one sentence row
+at a time, keyed by index.  These stay separate from the package's fast
 paths so each check has two routes.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from collections import defaultdict
 from dataclasses import replace
@@ -31,6 +33,7 @@ from bimine.align import (
     nw_align,
 )
 from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS
+from bimine.corpus import Document, DocumentPair, integer, unescape_field
 from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 from bimine.tuning import GAP_PENALTY_RANGE, TuningResult, alignment_agreement
@@ -431,3 +434,84 @@ def reference_merge_title_lexicon(lexicon, titles):
         total = sum(row.values())
         table[s] = {token: p / total for token, p in row.items()}
     return Lexicon(table), skipped
+
+
+def reference_sentence_error(doc_id: str, sentences: tuple[str, ...]) -> str | None:
+    """The message ``Document`` raises for the first bad sentence of
+    ``sentences``, found one sentence at a time, or None."""
+    for index, sentence in enumerate(sentences):
+        if not sentence.strip():
+            return f"document {doc_id} contains an empty sentence"
+        if "\t" in sentence or "\n" in sentence or "\r" in sentence:
+            return f"document {doc_id}: sentence {index} contains a tab or line break"
+    return None
+
+
+def reference_load_corpus(corpus_dir) -> list[DocumentPair]:
+    """``corpus.load_corpus`` with every sentence row checked on its own
+    and kept by (topic, side) and index, from rows read one line at a
+    time (``reference_read_rows``): the same pairs, or the same first
+    error, whatever the row order."""
+    pairs_path = os.path.join(corpus_dir, "pairs.tsv")
+    sentences_path = os.path.join(corpus_dir, "sentences.tsv")
+    # (topic, side) -> sentence index -> (line number, sentence)
+    sentences: dict[tuple[str, str], dict[int, tuple[int, str]]] = {}
+    for lineno, (topic_id, side, index, sentence) in reference_read_rows(sentences_path, 4):
+        if side not in ("src", "tgt"):
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', got {side!r}"
+            )
+        position = integer(index)
+        if position is None or position < 0:
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: sentence index must be a "
+                f"non-negative integer, got {index!r}"
+            )
+        if not sentence.strip():
+            raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
+        rows = sentences.setdefault((unescape_field(topic_id), side), {})
+        if position in rows:
+            raise ValueError(
+                f"{sentences_path}: line {lineno}: duplicate sentence index {position} "
+                f"(first on line {rows[position][0]})"
+            )
+        rows[position] = (lineno, sentence)
+    for (topic_id, side), rows in sentences.items():
+        for expected, position in enumerate(sorted(rows)):
+            if position != expected:
+                raise ValueError(
+                    f"{sentences_path}: line {rows[position][0]}: sentence index {position} "
+                    f"of {topic_id!r} {side} leaves index {expected} missing"
+                )
+
+    def doc_sentences(topic_id: str, side: str) -> tuple[str, ...]:
+        rows = sentences.get((topic_id, side), {})
+        return tuple(rows[position][1] for position in range(len(rows)))
+
+    pairs: list[DocumentPair] = []
+    first_line: dict[str, int] = {}
+    for lineno, fields in reference_read_rows(pairs_path, 7):
+        topic_id = unescape_field(fields[0])
+        if topic_id in first_line:
+            raise ValueError(
+                f"{pairs_path}: line {lineno}: duplicate topic {topic_id!r} "
+                f"(first on line {first_line[topic_id]})"
+            )
+        first_line[topic_id] = lineno
+        try:
+            source = Document(fields[1], fields[2], unescape_field(fields[3]),
+                              doc_sentences(topic_id, "src"))
+            target = Document(fields[4], fields[5], unescape_field(fields[6]),
+                              doc_sentences(topic_id, "tgt"))
+            pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
+        except ValueError as exc:
+            raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
+    orphans = [
+        (min(lineno for lineno, _ in rows.values()), topic_id)
+        for (topic_id, _), rows in sentences.items()
+        if topic_id not in first_line
+    ]
+    if orphans:
+        lineno, topic_id = min(orphans)
+        raise ValueError(f"{sentences_path}: line {lineno}: topic {topic_id!r} has no pair row")
+    return pairs

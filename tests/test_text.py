@@ -1,6 +1,7 @@
 """Markup cleanup, sentence segmentation and tokenization."""
 
 import re
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,6 +10,10 @@ from bimine import text
 from bimine.text import clean_markup, segment_sentences, tokenize
 from oracles import reference_clean_markup, reference_segment_sentences
 
+# Whitespace to ``re``'s ``\s`` and to ``str.split()`` beyond space, tab and
+# line feed: no-break, em and ideographic spaces, vertical tab, form feed,
+# carriage return, a file separator and next line.
+_UNICODE_SPACES = ["\u00a0", "\u2003", "\u3000", "\x0b", "\x0c", "\r", "\x1c", "\x85"]
 _MARKUP_PIECES = st.sampled_from(
     [
         "<table>", "<TABLE class='wide'>", "<Table\nborder=1>", "<ref name=x>", "<REF>",
@@ -17,6 +22,7 @@ _MARKUP_PIECES = st.sampled_from(
         "</ref>", "</Ref  >", "</references>", "</figure>", "</GALLERY>", "</gallery x>",
         "<b>", "</b>", "<a href='x'>", "<br/>", "<", ">", "</", "&lt;table&gt;", "&amp;lt;",
         "&amp;", "text", "Word", " ", "  ", "\n", "\t", "é", "ı", "ſ", "\u212a", "İ",
+        *_UNICODE_SPACES,
     ]
 )
 _SENTENCE_PIECES = st.sampled_from(
@@ -28,6 +34,13 @@ _SENTENCE_PIECES = st.sampled_from(
         " ", "  ", "\n", "\t", "\n\n",
     ]
 )
+
+
+def test_re_whitespace_is_str_whitespace():
+    # ``clean_markup`` splits with ``str.split()`` where the regex oracle
+    # substitutes ``\s+``; they agree if both see the same characters.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"\s", every) == [c for c in every if c.isspace()]
 
 
 class TestCleanMarkup:
