@@ -14,9 +14,13 @@ Consecutive whole document pairs are grouped into blocks of at most
 ``BLOCK_CELLS`` cells (a larger pair is a block of its own); a block is
 encoded by one ``encode`` call, and each feature of a block is a few
 array passes against the lexicon, with work that follows each pair's
-own sentences and tokens.  ``score_pairs`` adds the margin and the
-sigmoid; ``training_features`` runs the stage over the training
-examples as 1x1 pairs of one encoded run (``tokenizable_pairs``).
+own sentences and tokens.  The cells of a block are taken in runs of
+whole source sentences of at most ``4 * BLOCK_CELLS`` cells of a grid
+as wide as the run's widest pair, so the rows of a long pair are read
+whole and a wide pair among tiny ones stays bounded.  ``score_pairs``
+adds the margin and the sigmoid; ``training_features`` runs the stage
+over the training examples as 1x1 pairs of one encoded run
+(``tokenizable_pairs``).
 ``extract_features`` is its one-cell case.
 Features and scores are bit-identical to the per-pair definition that
 ``tests/oracles.py`` keeps.
@@ -50,10 +54,10 @@ ZERO_VARIANCE_EPS = 1e-12
 
 _RATIO_CAP = 4.0
 
-# Cells per block of document pairs in ``score_pairs``, and per row block
-# of a larger pair: large enough that per-block Python overhead is small,
-# small enough that the block's temporaries stay in cache and off the
-# peak memory of long document pairs.
+# Cells per block of document pairs in ``score_pairs``; a row run of
+# ``_features`` holds at most four times as many cells of its grid.  Large
+# enough that per-block Python overhead is small, small enough that the
+# temporaries stay in cache and off the peak memory of long document pairs.
 BLOCK_CELLS = 2048
 
 _VECTOR_FIELDS = ("weights", "feature_means", "feature_scales")
@@ -62,8 +66,10 @@ _SCALAR_FIELDS = ("bias", "sigmoid_a", "sigmoid_b")
 
 def _exp(x: np.ndarray) -> np.ndarray:
     """libm ``exp`` element-wise: ``np.exp`` rounds some inputs differently,
-    which would change scores in the last bit."""
-    return np.fromiter(map(math.exp, x.ravel().tolist()), np.float64, x.size).reshape(x.shape)
+    which would change scores in the last bit.  ``math.exp`` maps over a
+    ``memoryview`` of the values, which yields each as a Python float
+    without first building a list of them (``tolist``)."""
+    return np.fromiter(map(math.exp, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
 
 
 class Encoded(NamedTuple):
@@ -149,6 +155,18 @@ def runs(sizes: Sequence[int], cap: int) -> Iterator[slice]:
         start = stop
 
 
+def grid_runs(widths: np.ndarray, cap: int) -> Iterator[slice]:
+    """Consecutive runs of items whose count times their largest width is
+    at most ``cap``; an item wider than ``cap`` is a run of its own."""
+    start = 0
+    while start < len(widths):
+        window = widths[start : start + cap]  # a run of at most cap items of width >= 1
+        grid = np.maximum.accumulate(window) * np.arange(1, len(window) + 1)
+        stop = start + max(1, int(np.searchsorted(grid, cap, side="right")))
+        yield slice(start, stop)
+        start = stop
+
+
 def pair_blocks(shapes: Sequence[tuple[int, int]]) -> Iterator[slice]:
     """Runs of consecutive whole pairs of at most ``BLOCK_CELLS`` cells in
     total, given each pair's (sources, targets) shape; a larger pair is a
@@ -171,13 +189,18 @@ def _features(
     ids need be equal for equal tokens only within a pair.  Cells are
     numbered flat: pair after pair, each pair's sources x targets row by
     row, so no pair is padded to another's width.  Yields ``(cells,
-    features)`` for runs of whole source sentences of at most
-    ``BLOCK_CELLS`` cells (or one longer sentence).  Each source sentence
-    meets only its own pair's targets: the counts come from sorted joins
-    on (pair, token) keys, whose hits are counted into cells with
-    ``np.bincount`` (integers, so exact).  Probability sums add token
-    positions in sentence order and ratios are single divisions, as in
-    the one-pair definition.
+    features)`` for runs of whole source sentences (``grid_runs``) whose
+    count times their widest pair's width is at most ``4 * BLOCK_CELLS``
+    (or one wider sentence).  Each source sentence meets only its own
+    pair's targets: the counts come from sorted joins on (pair, token)
+    keys, whose hits are counted into cells with ``np.bincount``
+    (integers, so exact); the reach reuses the hits that the join of the
+    best table found for each (sentence, translation).  Each source
+    position's row of the best table is read whole, as wide as the run's
+    widest pair, into a (sentences x widest) grid that is then cut to each
+    pair's width; probability sums add token positions in sentence order
+    (a sentence that has no token at a rank is skipped there, not added
+    0.0), and ratios are single divisions, as in the one-pair definition.
     """
     first_token = _offsets(sentences.tokens)
     s_tokens, t_tokens = sentences.tokens[source], sentences.tokens[target]
@@ -233,8 +256,9 @@ def _features(
     prob = compiled.probs[entry][found]
     row_width = m[row_pair]
     row_start = _offsets(row_width)
-    zero_row = int(row_start[-1] + row_width[-1])  # start of an all-zero row
-    best = np.zeros(zero_row + int(row_width.max()))
+    # Zeros past the last row, so that a window as wide as the widest pair
+    # fits at every row's start.
+    best = np.zeros(int(row_start[-1] + row_width[-1] + row_width.max()))
     for run in runs(hits, 4 * BLOCK_CELLS):
         np.maximum.at(
             best,
@@ -245,10 +269,13 @@ def _features(
     # The found translations of each row start at found_start[row].
     found_count = np.bincount(candidate_row, minlength=len(row_keys))
     found_start = _offsets(found_count)
+    # Per source position: its rank in its sentence and its row in best.
+    rank_of = np.arange(len(source_of)) - first_position[source_of]
+    row_at = row_start[row_of_position]
 
     cells_of = m[pair_of_source]  # per source sentence
     first_cell = _offsets(cells_of)
-    for run in runs(cells_of, BLOCK_CELLS):
+    for run in grid_runs(cells_of, 4 * BLOCK_CELLS):
         a, b = run.start, run.stop
         positions = slice(first_position[a], first_position[b - 1] + s_tokens[b - 1])
         sentence = source_of[positions] - a  # per position, in the run
@@ -266,38 +293,48 @@ def _features(
 
         # The target positions that a found translation of one of the
         # sentence's tokens reaches: each distinct (sentence, translation)
-        # joined on (pair, token), weighted by the type's occurrences.
+        # once, with the run of target types that the best table's join
+        # found for that translation, weighted by the type's occurrences.
         reach_count = found_count[own_row]
-        reach_sentence, reach_token = np.divmod(
-            _distinct(
-                np.repeat(own_sentence, reach_count) * width
-                + translation[_ranges(found_start[own_row], reach_count)]
-            ),
-            width,
-        )
-        query, hit = _join(
-            keys, key_start, pair_of_source[reach_sentence + a] * width + reach_token
-        )
+        reach = _ranges(found_start[own_row], reach_count)  # found translations
+        reach_key = np.repeat(own_sentence, reach_count) * width + translation[reach]
+        order = np.argsort(reach_key)
+        order = order[_first_of_each(reach_key[order])]  # one per (sentence, translation)
+        pick = reach[order]
+        hit = _ranges(low[pick], hits[pick])
         reached = np.bincount(
-            cell_start[reach_sentence[query]] + type_cell[hit],
+            np.repeat(cell_start[reach_key[order] // width], hits[pick]) + type_cell[hit],
             weights=type_count[hit],
             minlength=cells,
         )
 
-        # covered and prob_sum: position by position in sentence order,
-        # the best of each position's row against every cell's target.
+        # covered and prob_sum: rank by rank in sentence order, the best
+        # row of each sentence's token at that rank, read whole into a
+        # (sentences x widest) grid.  Sentences go longest first, so the
+        # sentences that have a token at rank r are the prefix active[r].
+        lengths = s_tokens[a:b]
+        slot = np.empty(b - a, np.intp)
+        slot[np.argsort(-lengths, kind="stable")] = np.arange(b - a)  # grid row of each sentence
+        active = b - a - np.cumsum(np.bincount(lengths))[:-1]
+        position_best = np.zeros((len(active), b - a), np.intp)
+        position_best[rank_of[positions], slot[sentence]] = row_at[positions]
+        widest = int(cells_of[a:b].max())
+        # rows[i] is best[i : i + widest] as one item of 8 * widest bytes
+        # (the windows of ``sliding_window_view``), so that a gather of
+        # rows takes numpy's one-dimensional path whatever the width.
+        rows = np.ndarray(len(best) - widest + 1, (np.void, 8 * widest), best, 0, best.strides)
+        prob_sum = np.zeros((b - a) * widest)
+        covered = np.zeros((b - a) * widest, dtype=np.int64)
+        for row_of_sentence, k in zip(position_best, active.tolist()):
+            token_best = rows[row_of_sentence[:k]].view(np.float64)  # k rows, flat
+            prob_sum[: k * widest] += token_best
+            covered[: k * widest] += token_best > 0.0
+
+        # Back in sentence order, each row cut to its pair's width.
         cell_source = np.repeat(np.arange(b - a), cells_of[a:b])
         cell_slot = np.arange(cells) - cell_start[cell_source]
-        position_best = np.full((int(s_tokens[a:b].max()), b - a), zero_row)
-        rank = np.arange(positions.start, positions.stop) - first_position[sentence + a]
-        position_best[rank, sentence] = row_start[row_of_position[positions]]
-        prob_sum = np.zeros(cells)
-        covered = np.zeros(cells, dtype=np.int64)
-        for row_of_sentence in position_best:
-            token_best = best[row_of_sentence[cell_source] + cell_slot]
-            prob_sum += token_best
-            covered += token_best > 0.0
-
+        grid_cell = slot[cell_source] * widest + cell_slot
+        prob_sum, covered = prob_sum[grid_cell], covered[grid_cell]
         cell_target = first_target[pair_of_source[cell_source + a]] + cell_slot
         row_tokens = s_tokens[a:b][cell_source]
         yield slice(int(first_cell[a]), int(first_cell[a]) + cells), [

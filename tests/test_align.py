@@ -30,6 +30,7 @@ from bimine.align import (
 from bimine.classifier import (
     BLOCK_CELLS,
     SimilarityModel,
+    grid_runs,
     pair_blocks,
     score_pairs,
 )
@@ -1019,20 +1020,65 @@ def block_features(model, lexicon, pairs):
     return np.concatenate(rows)
 
 
+FIXED_MODEL = SimilarityModel(
+    weights=(0.5, 2.0, 1.5, 1.0, -0.2, 0.8),
+    bias=-1.0,
+    sigmoid_a=-1.3,
+    sigmoid_b=0.1,
+    feature_means=(1.0, 0.5, 0.5, 0.4, 1.0, 0.1),
+    feature_scales=(0.5, 0.3, 0.3, 0.2, 0.5, 0.2),
+)
+LONG_SOURCE_WORDS = tuple(f"s{k}" for k in range(30)) + ("same", "also", "nowhere")
+LONG_TARGET_WORDS = tuple(f"t{k}" for k in range(30)) + ("same", "also", "never")
+
+
+@pytest.fixture(scope="module")
+def long_pairs():
+    """A lexicon, two pairs of 150-260 sentences a side and their oracle
+    features and score matrices under ``FIXED_MODEL``.  Sentences have
+    1-30 tokens, drawn with repeats from lexicon words, words outside the
+    lexicon (s24-s29, "nowhere", "never", the target words on the source
+    side) and words of both sides; each side's sentences repeat from a
+    pool of 60, whose cells the oracles compute once."""
+    rng = np.random.default_rng(149)
+    lexicon = Lexicon(
+        {
+            f"s{k}": {
+                str(rng.choice(LONG_TARGET_WORDS + ("nowhere",))): float(
+                    rng.choice([0.0, 1.0, rng.random(), rng.random()])
+                )
+                for _ in range(rng.integers(1, 7))
+            }
+            for k in range(24)
+        }
+        | {"same": {"same": 0.7, "t3": 0.2}, "also": {"t5": 1.0}}
+    )
+
+    def pool(words):
+        return [
+            " ".join(rng.choice(words, rng.integers(1, 31)).tolist()) for _ in range(60)
+        ]
+
+    pairs, features, matrices = [], [], []
+    for n, m in ((150, 260), (260, 200)):
+        sources = pool(LONG_SOURCE_WORDS + LONG_TARGET_WORDS[:4])
+        targets = pool(LONG_TARGET_WORDS)
+        rows, columns = rng.integers(0, 60, n), rng.integers(0, 60, m)
+        pairs.append(([sources[i] for i in rows], [targets[j] for j in columns]))
+        cells = np.array([[extract_features(s, t, lexicon) for t in targets] for s in sources])
+        features.append(cells[np.ix_(rows, columns)].reshape(-1, 6))
+        reference = reference_score_matrix(FIXED_MODEL, lexicon, sources, targets)
+        matrices.append(reference[np.ix_(rows, columns)])
+    return lexicon, pairs, np.concatenate(features), matrices
+
+
 class TestScorePairs:
     """Scoring pairs in blocks equals the per-cell oracle bit for bit."""
 
     @settings(max_examples=40, deadline=None)
     @given(model=MODELS, lexicon=LEXICONS, pairs=sentence_pairs())
     @example(
-        model=SimilarityModel(
-            weights=(0.5, 2.0, 1.5, 1.0, -0.2, 0.8),
-            bias=-1.0,
-            sigmoid_a=-1.3,
-            sigmoid_b=0.1,
-            feature_means=(1.0, 0.5, 0.5, 0.4, 1.0, 0.1),
-            feature_scales=(0.5, 0.3, 0.3, 0.2, 0.5, 0.2),
-        ),
+        model=FIXED_MODEL,
         lexicon=Lexicon({"ka": {"ab": 0.5, "same": 0.0, "nowhere": 0.3}, "same": {"same": 1.0}}),
         pairs=[
             (["ka"], ["ab"]),
@@ -1083,20 +1129,77 @@ class TestScorePairs:
         pair, _ = make_mining_pair(rng, "stub", true_pairs=8, target_noise=4)
         sources, targets = pair.source.sentences, pair.target.sentences
         pairs = [([sources[k % 8]], [targets[(k * 5) % 12]]) for k in range(600)]
-        pairs.insert(300, ([sources[0]], list(targets) * 30))  # a wide pair among tiny ones
+        # A wide pair among tiny ones, whose last target shares its source's tokens.
+        pairs.insert(300, ([sources[0]], list(targets) * 30 + [sources[0]]))
         assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
+        widths = np.array([len(t) for s, t in pairs for _ in s])
+        row_runs = list(grid_runs(widths, 4 * BLOCK_CELLS))
+        assert len(row_runs) == 3
         score_pairs(toy_model, toy_lexicon, pairs)
 
         def tokens(side):
             return sum(len(tokenize(sentence)) for sentence in side)
 
-        # The two counts (shared and reached tokens) join source sentences,
-        # the best table source tokens, against their own pair's targets.
-        per_pair = sum(len(s) * tokens(t) for s, t in pairs)
-        assert len(counts) == 2 and 0 < max(counts) <= per_pair
-        assert 0 < sum(lookups) <= 2 * per_pair + sum(tokens(s) * tokens(t) for s, t in pairs)
+        # One join per row run counts shared tokens of source sentences
+        # against their own pair's targets; the reach reuses the hits of
+        # the one lookup of the best table, of source tokens.
+        bound = np.array([tokens(t) for s, t in pairs for _ in s])  # per source sentence
+        per_pair = int(bound.sum())
+        assert len(counts) == len(row_runs) and max(counts) > 0
+        for run, count in zip(row_runs, counts):
+            assert count <= bound[run].sum()
+        assert lookups[0] > 0 and len(lookups) == 1 + len(counts)
+        assert sum(lookups) <= per_pair + sum(tokens(s) * tokens(t) for s, t in pairs)
         # Hits that crossed pairs would be bounded by the block instead.
         assert per_pair * 100 < len(pairs) * sum(tokens(t) for _, t in pairs)
+
+    @pytest.mark.parametrize("block_cells", [BLOCK_CELLS, 7])
+    def test_long_pairs_over_many_row_runs(self, long_pairs, block_cells, monkeypatch):
+        lexicon, pairs, features, matrices = long_pairs
+        monkeypatch.setattr(classifier, "BLOCK_CELLS", block_cells)
+        for sources, targets in pairs:
+            row_runs = list(grid_runs(np.full(len(sources), len(targets)), 4 * block_cells))
+            assert len(row_runs) >= 5
+        assert np.array_equal(block_features(FIXED_MODEL, lexicon, pairs), features)
+        for matrix, expected in zip(score_pairs(FIXED_MODEL, lexicon, pairs), matrices):
+            assert np.array_equal(matrix, expected)
+
+    def test_wide_pair_among_tiny_ones_stays_in_bounded_runs(self, toy_model, toy_lexicon):
+        # A 1x1024 pair among 1024 1x1 pairs, one block: a grid of all its
+        # sentences would be 1025 x 1024 cells, 36 MB as tracemalloc sees
+        # it; cut into runs of at most 4 * BLOCK_CELLS grid cells, scoring
+        # the block peaks near 2.2 MB (2.6 MB when runs held 2048 real cells).
+        rng = np.random.default_rng(139)
+        pair, _ = make_mining_pair(rng, "wide", true_pairs=8, target_noise=4)
+        sources, targets = pair.source.sentences, pair.target.sentences
+        pairs = [([sources[k % 8]], [targets[k % 12]]) for k in range(1024)]
+        pairs.insert(512, ([sources[0]], [targets[j % 12] for j in range(1024)]))
+        assert len(list(pair_blocks([(len(s), len(t)) for s, t in pairs]))) == 1
+        tracemalloc.start()
+        try:
+            matrices = score_pairs(toy_model, toy_lexicon, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+        for (s, t), matrix in zip(pairs, matrices):
+            assert np.array_equal(matrix, reference_score_matrix(toy_model, toy_lexicon, s, t))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        widths=st.lists(st.integers(1, 300), max_size=60).map(np.array),
+        cap=st.integers(1, 2000),
+    )
+    def test_grid_runs_cover_in_order_and_bound_the_grid(self, widths, cap):
+        row_runs = list(grid_runs(widths, cap))
+        assert [k for run in row_runs for k in range(run.start, run.stop)] == list(
+            range(len(widths))
+        )
+        for run in row_runs:
+            grid = (run.stop - run.start) * widths[run].max()
+            assert grid <= cap or run.stop - run.start == 1
+            if run.stop < len(widths):  # greedy: the next item would not fit
+                assert (run.stop - run.start + 1) * widths[run.start : run.stop + 1].max() > cap
 
     def test_block_of_many_pairs_in_several_row_blocks(self, toy_model, toy_lexicon):
         # 100 tall pairs and one wide one: 820 cells in one block, whose
