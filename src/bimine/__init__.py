@@ -10,16 +10,11 @@ from .align import (  # noqa: F401
     MiningConfig,
     MiningOutcome,
     astar_align,
-    build_score_matrix,
-    filter_by_threshold,
     mine_corpus,
-    mine_document_pair,
     nw_align,
-    nw_align_wavefront,
 )
 from .classifier import (  # noqa: F401
     SimilarityModel,
-    extract_features,
     load_model,
     make_negative_pairs,
     save_model,

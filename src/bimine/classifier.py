@@ -356,12 +356,14 @@ def score_pairs(
     the ``ValueError`` of its first sentence without tokens, sources
     first: ``source sentence i: untokenizable sentence: '...'``.
 
-    Every cell equals ``score_from_margin(margin(features))`` of the
-    pair's six features, bit for bit.  Each block of ``pair_blocks`` is
-    encoded by one ``encode`` call, so ids past the lexicon are numbered
-    per block (``_features`` keys every join on pair and id), and its
-    pairs that tokenize are scored together; a block's matrices are
-    C-contiguous views of one array.  No side may be empty.
+    Every cell is ``scores_from_margins(margin(features))`` of the pair's
+    six features, which equals the per-cell definition,
+    ``tests/oracles.score_from_margin`` of the cell's margin, bit for
+    bit.  Each block of ``pair_blocks`` is encoded by one ``encode``
+    call, so ids past the lexicon are numbered per block (``_features``
+    keys every join on pair and id), and its pairs that tokenize are
+    scored together; a block's matrices are C-contiguous views of one
+    array.  No side may be empty.
     """
     compiled = lexicon.compiled()
     shapes = [(len(sources), len(targets)) for sources, targets in pairs]
@@ -447,16 +449,12 @@ class SimilarityModel:
             d += self.weights[k] * (features[k] - self.feature_means[k]) / self.feature_scales[k]
         return d
 
-    def score_from_margin(self, margin: float) -> float:
-        z = self.sigmoid_a * margin + self.sigmoid_b
-        if z >= 0:
-            p = math.exp(-z) / (1.0 + math.exp(-z)) if z < 700 else 0.0
-        else:
-            p = 1.0 / (1.0 + math.exp(z)) if z > -700 else 1.0
-        return min(max(p, 0.0), 1.0)
-
     def scores_from_margins(self, margins: np.ndarray) -> np.ndarray:
-        """``score_from_margin`` element-wise, with the same libm ``exp``."""
+        """The Platt sigmoid ``1 / (1 + exp(a * margin + b))`` of each
+        margin, clipped to [0, 1]: ``exp`` is libm's, taken of ``-|z|``
+        so that it never overflows, and ``|z| >= 700`` saturates to 0 or
+        1.  Bit for bit the per-cell definition,
+        ``tests/oracles.score_from_margin``, applied element-wise."""
         z = self.sigmoid_a * margins + self.sigmoid_b
         upper = z >= 0
         e = _exp(np.where(upper, -z, z))

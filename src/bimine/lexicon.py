@@ -55,37 +55,14 @@ class CompiledLexicon(NamedTuple):
 class Lexicon:
     """Immutable token translation table with per-source probabilities.
 
-    A lexicon is held only as arrays: those of ``compiled()``, whose rows
-    also keep their entries of probability 0 when there are any, in
-    their places.  ``prob``, ``translations``, ``items`` and ``==`` read
-    the rows back as strings.
+    A lexicon is built from its entries (``build_lexicon``,
+    ``read_lexicon`` and the title merge) and held only as arrays: those
+    of ``compiled()``, whose rows also keep their entries of probability
+    0 when there are any, in their places.  ``translations`` and
+    ``items`` read the rows back as strings.
     """
 
-    def __init__(self, table: Mapping[str, Mapping[str, float]]):
-        rows = table.values()
-        targets: defaultdict[str, int] = defaultdict(count().__next__)
-        self._arrange(
-            {s: row for row, s in enumerate(table)},
-            targets,
-            np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
-            np.array([targets[t] for row in rows for t in row], dtype=np.intp),
-            np.array([p for row in rows for p in row.values()], dtype=np.float64),
-        )
-
-    @classmethod
-    def _from_entries(
-        cls,
-        sources: dict[str, int],
-        targets: dict[str, int],
-        rows: np.ndarray,
-        cols: np.ndarray,
-        probs: np.ndarray,
-    ) -> Lexicon:
-        lexicon = cls.__new__(cls)
-        lexicon._arrange(sources, targets, rows, cols, probs)
-        return lexicon
-
-    def _arrange(
+    def __init__(
         self,
         sources: dict[str, int],
         targets: dict[str, int],
@@ -132,9 +109,6 @@ class Lexicon:
             self._names = list(self._arrays.ids)
         return self._names
 
-    def prob(self, source_token: str, target_token: str) -> float:
-        return self.translations(source_token).get(target_token, 0.0)
-
     def translations(self, source_token: str) -> Mapping[str, float]:
         ids, indptr, targets, probs = self._arrays
         row = ids.get(source_token, self._sources)
@@ -143,9 +117,6 @@ class Lexicon:
         span = slice(indptr[row], indptr[row + 1])
         names = self._tokens()
         return dict(zip(map(names.__getitem__, targets[span].tolist()), probs[span].tolist()))
-
-    def source_tokens(self) -> Iterator[str]:
-        return islice(self._arrays.ids, self._sources)
 
     def items(self) -> Iterator[tuple[str, str, float]]:
         _, indptr, targets, probs = self._arrays
@@ -174,7 +145,7 @@ class Lexicon:
         new_rows = [sources[s] for s, row in table.items() for _ in row]
         new_cols = [tokens.setdefault(t, len(tokens)) for row in table.values() for t in row]
         new_probs = [p for row in table.values() for p in row.values()]
-        return Lexicon._from_entries(
+        return Lexicon(
             sources,
             tokens,
             np.concatenate([rows[kept], np.array(new_rows, dtype=np.intp)]),
@@ -182,23 +153,8 @@ class Lexicon:
             np.concatenate([probs[kept], np.array(new_probs, dtype=np.float64)]),
         )
 
-    def _table(self) -> dict[str, dict[str, float]]:
-        # Each source token's row as a dict, in row order.
-        _, indptr, targets, probs = self._arrays
-        names = self._tokens()
-        translated = list(map(names.__getitem__, targets.tolist()))
-        values = probs.tolist()
-        bounds = indptr[: self._sources + 1].tolist()
-        return {
-            s: dict(zip(translated[a:b], values[a:b]))
-            for s, a, b in zip(names, bounds, bounds[1:])
-        }
-
     def __len__(self) -> int:
         return len(self._arrays.probs)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lexicon) and self._table() == other._table()
 
 
 def build_lexicon(
@@ -232,7 +188,7 @@ def build_lexicon(
     names = list(source_types)
     sources = {names[k]: row for row, k in enumerate(np.flatnonzero(kept).tolist())}
     rows = (np.cumsum(kept) - 1)[source]
-    return Lexicon._from_entries(sources, target_types, rows, target, prob)
+    return Lexicon(sources, target_types, rows, target, prob)
 
 
 def _estimate(
@@ -385,7 +341,7 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
     _reject_repeats(path, row * len(targets) + col)
     if error is not None:
         raise error
-    return Lexicon._from_entries(dict(sources), targets, row, col, np.concatenate(probs))
+    return Lexicon(dict(sources), targets, row, col, np.concatenate(probs))
 
 
 def _reject_repeats(path: str | os.PathLike, keys: np.ndarray) -> None:

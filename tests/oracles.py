@@ -7,17 +7,20 @@ search (``ENGINES``), dict-based EM written from the update equations,
 features of one sentence pair at a time from the lexicon's dict rows
 instead of array blocks, Pegasos training one step at a time,
 markup cleaning and sentence segmentation by whole-text regex passes
-that may rescan the text, and a paired corpus loaded one sentence row
-at a time, keyed by index.  These stay separate from the package's fast
-paths so each check has two routes.
+that may rescan the text, a paired corpus loaded one sentence row at a
+time, keyed by index, a lexicon built from and read back as a table of
+dict rows, and the sigmoid of one margin at a time.  These stay
+separate from the package's fast paths so each check has two routes.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from collections import defaultdict
 from dataclasses import replace
+from itertools import count, islice
 
 import numpy as np
 
@@ -228,8 +231,19 @@ def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -
     for i, source in enumerate(source_sentences):
         for j, target in enumerate(target_sentences):
             features = extract_features(source, target, lexicon)
-            matrix[i, j] = model.score_from_margin(model.margin(features))
+            matrix[i, j] = score_from_margin(model, model.margin(features))
     return matrix
+
+
+def score_from_margin(model, margin: float) -> float:
+    """The calibrated score of one margin, the per-cell definition that
+    ``SimilarityModel.scores_from_margins`` computes element-wise."""
+    z = model.sigmoid_a * margin + model.sigmoid_b
+    if z >= 0:
+        p = math.exp(-z) / (1.0 + math.exp(-z)) if z < 700 else 0.0
+    else:
+        p = 1.0 / (1.0 + math.exp(z)) if z > -700 else 1.0
+    return min(max(p, 0.0), 1.0)
 
 
 def reference_mine_pair(model, lexicon, pair, config, engine="nw"):
@@ -416,11 +430,46 @@ def reference_read_rows(path, count):
         yield lineno, fields
 
 
+def lexicon_from_table(table) -> Lexicon:
+    """The lexicon of a table of rows, ``{source: {target: p}}``: its
+    rows in the table's order, each row's entries in the row's order,
+    empty rows and entries of probability 0 included."""
+    rows = table.values()
+    targets: defaultdict[str, int] = defaultdict(count().__next__)
+    return Lexicon(
+        {s: row for row, s in enumerate(table)},
+        targets,
+        np.repeat(np.arange(len(rows)), [len(row) for row in rows]),
+        np.array([targets[t] for row in rows for t in row], dtype=np.intp),
+        np.array([p for row in rows for p in row.values()], dtype=np.float64),
+    )
+
+
+def source_tokens(lexicon) -> list[str]:
+    """The source tokens of a lexicon, in row order: the first ids."""
+    return list(islice(lexicon.compiled().ids, lexicon._sources))
+
+
+def table_of(lexicon) -> dict[str, dict[str, float]]:
+    """The table ``lexicon_from_table`` would build ``lexicon`` from:
+    every source row in row order, empty rows and entries of probability
+    0 included.  Two lexicons are equal when their tables are."""
+    table: dict[str, dict[str, float]] = {s: {} for s in source_tokens(lexicon)}
+    for s, t, p in lexicon.items():
+        table[s][t] = p
+    return table
+
+
+def prob(lexicon, source_token: str, target_token: str) -> float:
+    """``p(target | source)``, 0 for a pair the lexicon does not hold."""
+    return lexicon.translations(source_token).get(target_token, 0.0)
+
+
 def reference_merge_title_lexicon(lexicon, titles):
     """``lexicon.merge_title_lexicon`` on dict rows: every row of the
     lexicon is copied into a dict, each single-token title pair updates
     and renormalizes its row, and a new lexicon is built from all rows."""
-    table = {s: dict(lexicon.translations(s)) for s in lexicon.source_tokens()}
+    table = table_of(lexicon)
     skipped = 0
     for source_title, target_title in titles:
         source_tokens = tokenize(source_title)
@@ -433,7 +482,7 @@ def reference_merge_title_lexicon(lexicon, titles):
         row[t] = max(row.get(t, 0.0), 0.5)
         total = sum(row.values())
         table[s] = {token: p / total for token, p in row.items()}
-    return Lexicon(table), skipped
+    return lexicon_from_table(table), skipped
 
 
 def reference_sentence_error(doc_id: str, sentences: tuple[str, ...]) -> str | None:

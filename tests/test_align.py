@@ -35,7 +35,6 @@ from bimine.classifier import (
     score_pairs,
 )
 from bimine.corpus import Document, DocumentPair
-from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 from bimine.demos import (
     DEMO_CONFIG,
@@ -51,6 +50,7 @@ from conftest import SOURCE_VOCAB, TARGET_VOCAB, make_mining_pair, make_parallel
 from oracles import (
     brute_force_best_score,
     extract_features,
+    lexicon_from_table,
     reference_dp_table,
     reference_mine_pair,
     reference_moves,
@@ -856,7 +856,7 @@ LEXICONS = st.dictionaries(
         max_size=5,
     ),
     max_size=9,
-).map(Lexicon)
+).map(lexicon_from_table)
 
 MODELS = st.builds(
     SimilarityModel,
@@ -897,25 +897,28 @@ class TestScoreMatrixOracle:
 
     def test_zero_probability_entries(self, toy_model):
         # p = 0.0 neither covers a token nor makes a target reachable.
-        lexicon = Lexicon({"ka": {"ab": 0.0, "cd": 0.4}, "lo": {"ab": 0.0}})
+        lexicon = lexicon_from_table({"ka": {"ab": 0.0, "cd": 0.4}, "lo": {"ab": 0.0}})
         matrix = assert_matches_oracle(toy_model, lexicon, ["ka lo", "lo"], ["ab", "cd ab", "ef"])
-        only_zero = reference_score_matrix(toy_model, Lexicon({}), ["lo"], ["ab", "cd ab", "ef"])
+        empty = lexicon_from_table({})
+        only_zero = reference_score_matrix(toy_model, empty, ["lo"], ["ab", "cd ab", "ef"])
         assert np.array_equal(matrix[1], only_zero[0])
 
     def test_tokens_shared_across_languages(self, toy_model):
-        lexicon = Lexicon({"same": {"same": 0.7}, "ka": {"same": 0.2}})
+        lexicon = lexicon_from_table({"same": {"same": 0.7}, "ka": {"same": 0.2}})
         assert_matches_oracle(
             toy_model, lexicon, ["same ka", "same same", "ka"], ["same", "ab same cd", "ab"]
         )
 
     def test_repeated_tokens(self, toy_model):
-        lexicon = Lexicon({"ka": {"ab": 0.3, "cd": 0.9}, "lo": {"ab": 1.0}})
+        lexicon = lexicon_from_table({"ka": {"ab": 0.3, "cd": 0.9}, "lo": {"ab": 1.0}})
         assert_matches_oracle(
             toy_model, lexicon, ["ka ka ka lo", "lo lo"], ["ab ab cd", "cd cd cd cd", "ab"]
         )
 
     def test_translations_absent_from_the_document(self, toy_model):
-        lexicon = Lexicon({"ka": {"nowhere": 0.9, "ab": 0.1}, "lo": {"never": 1.0}})
+        lexicon = lexicon_from_table(
+            {"ka": {"nowhere": 0.9, "ab": 0.1}, "lo": {"never": 1.0}}
+        )
         assert_matches_oracle(toy_model, lexicon, ["ka lo", "lo"], ["ab cd", "ef"])
 
     @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (1, 1)])
@@ -1041,7 +1044,7 @@ def long_pairs():
     side) and words of both sides; each side's sentences repeat from a
     pool of 60, whose cells the oracles compute once."""
     rng = np.random.default_rng(149)
-    lexicon = Lexicon(
+    lexicon = lexicon_from_table(
         {
             f"s{k}": {
                 str(rng.choice(LONG_TARGET_WORDS + ("nowhere",))): float(
@@ -1079,7 +1082,9 @@ class TestScorePairs:
     @given(model=MODELS, lexicon=LEXICONS, pairs=sentence_pairs())
     @example(
         model=FIXED_MODEL,
-        lexicon=Lexicon({"ka": {"ab": 0.5, "same": 0.0, "nowhere": 0.3}, "same": {"same": 1.0}}),
+        lexicon=lexicon_from_table(
+            {"ka": {"ab": 0.5, "same": 0.0, "nowhere": 0.3}, "same": {"same": 1.0}}
+        ),
         pairs=[
             (["ka"], ["ab"]),
             (["ka lo same", "mi", "same ka ka"] * 16, ["ab same", "cd ab"] * 22),

@@ -22,14 +22,18 @@ from bimine.classifier import (
     training_accuracy,
     training_features,
 )
-from bimine.lexicon import Lexicon
 from bimine.text import tokenize
 
 from conftest import make_parallel_sentences, training_set
 from oracles import extract_features as reference_features
-from oracles import reference_pegasos, reference_score_matrix
+from oracles import (
+    lexicon_from_table,
+    reference_pegasos,
+    reference_score_matrix,
+    score_from_margin,
+)
 
-EMPTY = Lexicon({})
+EMPTY = lexicon_from_table({})
 
 
 # Lexicon words on both sides and target-only ones, tokens outside the
@@ -39,7 +43,7 @@ ENCODE_WORDS = (
     "domo", "Kato", "house", "cat", "zork", "blip", "Ünï", "日本", "ça", "İst",
     "...", "!?", "—", "(domo,", "'zork'", "CAT.", "",
 )
-ENCODE_LEXICON = Lexicon(
+ENCODE_LEXICON = lexicon_from_table(
     {"domo": {"house": 0.5, "ünï": 0.5}, "kato": {"cat": 1.0}, "ça": {"日本": 1.0, "x": 0.0}}
 )
 ENCODE_SENTENCES = st.lists(st.sampled_from(ENCODE_WORDS), max_size=6).map(" ".join)
@@ -111,11 +115,11 @@ class TestExtractFeatures:
         assert extract_features("a b", "a b", EMPTY) == [1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
 
     def test_full_coverage_single_tokens(self):
-        lexicon = Lexicon({"a": {"x": 1.0}})
+        lexicon = lexicon_from_table({"a": {"x": 1.0}})
         assert extract_features("a", "x", lexicon) == [1.0, 1.0, 1.0, 1.0, 1.0, 0.0]
 
     def test_hand_computed_components(self):
-        lexicon = Lexicon({"a": {"x": 0.6}})
+        lexicon = lexicon_from_table({"a": {"x": 0.6}})
         features = extract_features("a b", "x", lexicon)
         assert features == [2.0, 0.5, 1.0, 0.6, 3.0, 0.0]
 
@@ -131,10 +135,12 @@ class TestExtractFeatures:
             extract_features("x", "!!!", EMPTY)
 
     def test_coverage_components_swap_under_transposition(self):
-        lexicon = Lexicon({"a": {"x": 0.7}, "b": {"y": 0.4, "z": 0.6}})
+        lexicon = lexicon_from_table({"a": {"x": 0.7}, "b": {"y": 0.4, "z": 0.6}})
         # The same entries with the roles swapped; coverage depends only
         # on which entries have p > 0.
-        reversed_lexicon = Lexicon({"x": {"a": 1.0}, "y": {"b": 1.0}, "z": {"b": 1.0}})
+        reversed_lexicon = lexicon_from_table(
+            {"x": {"a": 1.0}, "y": {"b": 1.0}, "z": {"b": 1.0}}
+        )
         pairs = [("a b", "x y"), ("a a b", "z x"), ("b", "y y z")]
         for source, target in pairs:
             forward = extract_features(source, target, lexicon)
@@ -144,7 +150,7 @@ class TestExtractFeatures:
 
     def test_components_stay_in_bounds(self):
         rng = np.random.default_rng(3)
-        lexicon = Lexicon({"a": {"x": 0.9}, "b": {"y": 0.2}})
+        lexicon = lexicon_from_table({"a": {"x": 0.9}, "b": {"y": 0.2}})
         vocab = ["a", "b", "c", "x", "y", "z"]
         for _ in range(50):
             source = " ".join(rng.choice(vocab, size=rng.integers(1, 6)))
@@ -183,7 +189,7 @@ class TestTraining:
         assert training_accuracy(model, x, y) == 1.0
 
     def test_single_positive_and_negative_ordering(self):
-        lexicon = Lexicon({"a": {"x": 1.0}, "q": {"q": 1.0}})
+        lexicon = lexicon_from_table({"a": {"x": 1.0}, "q": {"q": 1.0}})
         x, y = training_set([("a", "x")] * 2, [("a", "q")] * 2, lexicon)
         model = train_classifier(x, y, epochs=5, seed=1)
         (matrix,) = score_pairs(model, lexicon, [(["a"], ["x", "q"])])
@@ -291,7 +297,7 @@ class TestScoring:
             feature_means=(0.0,) * 6,
             feature_scales=(1.0,) * 6,
         )
-        assert model.score_from_margin(0.0) == 0.5
+        assert model.scores_from_margins(np.array([0.0])).tolist() == [0.5]
 
     def test_large_margin_saturates_towards_one(self):
         model = SimilarityModel(
@@ -302,15 +308,16 @@ class TestScoring:
             feature_means=(0.0,) * 6,
             feature_scales=(1.0,) * 6,
         )
-        assert model.score_from_margin(50.0) > 0.999999
-        assert model.score_from_margin(1e6) == 1.0
-        assert model.score_from_margin(-1e6) == 0.0
+        large, saturated, floor = model.scores_from_margins(np.array([50.0, 1e6, -1e6]))
+        assert large > 0.999999
+        assert saturated == 1.0
+        assert floor == 0.0
 
     def test_monotone_in_margin(self, toy_model):
         margins = np.linspace(-30, 30, 301)
-        scores = [toy_model.score_from_margin(d) for d in margins]
-        assert all(b >= a for a, b in zip(scores, scores[1:]))
-        assert all(0.0 <= s <= 1.0 for s in scores)
+        scores = toy_model.scores_from_margins(margins)
+        assert np.all(np.diff(scores) >= 0.0)
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -331,7 +338,7 @@ class TestScoring:
             feature_means=(0.0,) * 6,
             feature_scales=(1.0,) * 6,
         )
-        expected = [model.score_from_margin(d) for d in margins]
+        expected = [score_from_margin(model, d) for d in margins]
         with np.errstate(invalid="ignore", over="ignore"):
             scores = model.scores_from_margins(np.array(margins).reshape(-1, 1))
         assert scores.shape == (len(margins), 1)
@@ -499,4 +506,5 @@ class TestModelLoaderFuzz:
         model = SimilarityModel.from_dict(
             {**VALID_MODEL, "weights": weights, "sigmoid_a": sigmoid_a, "feature_scales": scales}
         )
-        assert 0.0 <= model.score_from_margin(margin) <= 1.0
+        (score,) = model.scores_from_margins(np.array([margin]))
+        assert 0.0 <= score <= 1.0

@@ -29,7 +29,7 @@ from bimine.corpus import (
 from bimine.lexicon import read_lexicon
 from bimine.tuning import read_reference
 
-from oracles import reference_read_rows
+from oracles import reference_read_rows, table_of
 
 
 def write_docfile(path, records):
@@ -418,7 +418,7 @@ READERS = {
     ),
     "lexicon": (
         {"lexicon.tsv": [f"a{i}\tx{i}\t0.500000" for i in range(5)]},
-        "lexicon.tsv", 3, lambda d: read_lexicon(d / "lexicon.tsv"),
+        "lexicon.tsv", 3, lambda d: table_of(read_lexicon(d / "lexicon.tsv")),
     ),
     "reference": (
         {"reference.tsv": [f"Topic\t{i}\t{i}" for i in range(5)]},
