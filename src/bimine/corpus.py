@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import os
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -434,81 +435,44 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
     row whose documents fail their checks, such as a topic without
     sentence rows or two sides of one language.
 
-    Each file is read once.  ``sentences.tsv`` is taken a run of rows at
-    a time, from one row of index ``0`` up to the next: a run of one
-    topic and side whose indices go on from that side's last, written as
-    ``save_corpus`` writes them, and whose sentences are not blank is
-    added to the side's sentences whole.  Only the rows of any other run
-    are checked one at a time, keyed by index, which finds the same
-    first error as checking every row so.
+    Each file is read once.  Sentence rows are kept by topic, side and
+    index, and checked a chunk at a time; a chunk is walked row by row only
+    to find its first bad row, reported after the rows before it.
     """
     pairs_path, sentences_path = corpus_files(corpus_dir)
-    # (topic, side) -> (line numbers, sentences) of indices 0..k-1 while its
-    # rows arrive in order; once one does not, index -> (line number, sentence)
-    sentences: dict[tuple[str, str], tuple[Sequence[int], list[str]] | dict] = {}
-    names: list[str] = []  # names[k] is str(k), as save_corpus writes index k
+    # (topic, side) -> sentence index -> row; line_of[row] and sentence_of[row]
+    # are the row's line number and sentence.
+    sentences: defaultdict[tuple[str, str], dict[int, int]] = defaultdict(dict)
+    line_of: list[int] = []
+    sentence_of: list[str] = []
     for numbers, (topics, sides, indices, texts) in read_columns(sentences_path, 4):
-        start = 0
-        while start < len(indices):
-            try:
-                stop = indices.index("0", start + 1)
-            except ValueError:
-                stop = len(indices)
-            topic, side, count = topics[start], sides[start], stop - start
-            key = (unescape_field(topic), side)
-            held = sentences.get(key, ((), []))
-            ordered = not isinstance(held, dict)
-            first = len(held[1]) if ordered else 0  # the index the run should start at
-            if first + count > len(names):
-                names.extend(map(str, range(len(names), first + count)))
-            if (
-                ordered
-                and side in ("src", "tgt")
-                and topics[start:stop].count(topic) == count
-                and sides[start:stop].count(side) == count
-                and indices[start:stop] == names[first : first + count]
-                and all(map(str.strip, texts[start:stop]))
-            ):
-                lines, run = numbers[start:stop], texts[start:stop]
-                sentences[key] = ([*held[0], *lines], held[1] + run) if first else (lines, run)
-            else:
-                for row in range(start, stop):
-                    lineno, side, index = numbers[row], sides[row], indices[row]
-                    sentence = texts[row]
-                    if side not in ("src", "tgt"):
-                        raise ValueError(
-                            f"{sentences_path}: line {lineno}: side must be 'src' or 'tgt', "
-                            f"got {side!r}"
-                        )
-                    position = integer(index)
-                    if position is None or position < 0:
-                        raise ValueError(
-                            f"{sentences_path}: line {lineno}: sentence index must be a "
-                            f"non-negative integer, got {index!r}"
-                        )
-                    if not sentence.strip():
-                        raise ValueError(f"{sentences_path}: line {lineno}: sentence is empty")
-                    key = (unescape_field(topics[row]), side)
-                    rows = sentences.get(key, ((), []))
-                    if not isinstance(rows, dict):
-                        rows = sentences[key] = dict(enumerate(zip(*rows)))
-                    if position in rows:
-                        raise ValueError(
-                            f"{sentences_path}: line {lineno}: duplicate sentence index "
-                            f"{position} (first on line {rows[position][0]})"
-                        )
-                    rows[position] = (lineno, sentence)
-            start = stop
-    for (topic_id, side), rows in sentences.items():
-        if isinstance(rows, dict):
-            for expected, position in enumerate(sorted(rows)):
-                if position != expected:
-                    raise ValueError(
-                        f"{sentences_path}: line {rows[position][0]}: sentence index "
-                        f"{position} of {topic_id!r} {side} leaves index {expected} missing"
-                    )
-            lines, run = zip(*(rows[position] for position in range(len(rows))))
-            sentences[topic_id, side] = (lines, run)
+        digits = "".join(indices)  # ``int`` reads < 19 ASCII digits as ``integer`` does
+        plain = digits.isascii() and digits.isdigit() and all(indices)
+        plain = plain and max(map(len, indices)) < 19
+        positions = list(map(int if plain else integer, indices))
+        ok = sides.count("src") + sides.count("tgt") == len(texts) and all(map(str.strip, texts))
+        errors = [] if plain and ok else map(_sentence_error, sides, positions, indices, texts)
+        end, error = next(((row, e) for row, e in enumerate(errors) if e), (len(texts), None))
+        keys = zip(map(unescape_field, topics) if "\\" in "".join(topics) else topics, sides)
+        line_of.extend(numbers[:end])
+        sentence_of.extend(texts[:end])
+        for key, position, row in zip(keys, positions, range(len(line_of) - end, len(line_of))):
+            if sentences[key].setdefault(position, row) != row:
+                raise ValueError(
+                    f"{sentences_path}: line {line_of[row]}: duplicate sentence index "
+                    f"{position} (first on line {line_of[sentences[key][position]]})"
+                )
+        if error:
+            raise ValueError(f"{sentences_path}: line {numbers[end]}: {error}")
+    documents: defaultdict[tuple[str, str], tuple[str, ...]] = defaultdict(tuple)
+    for key, rows in sentences.items():
+        if max(rows) >= len(rows):
+            expected, position = next(p for p in enumerate(sorted(rows)) if p[0] != p[1])
+            raise ValueError(
+                f"{sentences_path}: line {line_of[rows[position]]}: sentence index "
+                f"{position} of {key[0]!r} {key[1]} leaves index {expected} missing"
+            )
+        documents[key] = tuple(map(sentence_of.__getitem__, map(rows.get, range(len(rows)))))
 
     pairs: list[DocumentPair] = []
     first_line: dict[str, int] = {}  # topic -> the pair row it first appears on
@@ -523,26 +487,31 @@ def load_corpus(corpus_dir: str | os.PathLike) -> list[DocumentPair]:
             first_line[topic_id] = lineno
             try:
                 source = Document(
-                    id=fields[1],
-                    lang=fields[2],
-                    title=unescape_field(fields[3]),
-                    sentences=tuple(sentences.get((topic_id, "src"), ((), ()))[1]),
+                    fields[1], fields[2], unescape_field(fields[3]), documents[topic_id, "src"]
                 )
                 target = Document(
-                    id=fields[4],
-                    lang=fields[5],
-                    title=unescape_field(fields[6]),
-                    sentences=tuple(sentences.get((topic_id, "tgt"), ((), ()))[1]),
+                    fields[4], fields[5], unescape_field(fields[6]), documents[topic_id, "tgt"]
                 )
                 pairs.append(DocumentPair(topic_id=topic_id, source=source, target=target))
             except ValueError as exc:
                 raise ValueError(f"{pairs_path}: line {lineno}: {exc}") from None
     orphans = [
-        (min(lines), topic_id)
-        for (topic_id, _), (lines, _) in sentences.items()
+        (line_of[min(rows.values())], topic_id)
+        for (topic_id, _), rows in sentences.items()
         if topic_id not in first_line
     ]
     if orphans:
         lineno, topic_id = min(orphans)
         raise ValueError(f"{sentences_path}: line {lineno}: topic {topic_id!r} has no pair row")
     return pairs
+
+
+def _sentence_error(side: str, position: int | None, index: str, sentence: str) -> str | None:
+    # The first check that one sentences.tsv row fails on its own, or None.
+    if side not in ("src", "tgt"):
+        return f"side must be 'src' or 'tgt', got {side!r}"
+    if position is None or position < 0:
+        return f"sentence index must be a non-negative integer, got {index!r}"
+    if not sentence.strip():
+        return "sentence is empty"
+    return None

@@ -72,8 +72,8 @@ class Lexicon:
     ) -> None:
         # Entry e gives source rows[e] (numbered by ``sources``, in row
         # order) the target cols[e] (numbered by ``targets``) with
-        # probs[e], each row's entries in the order given.  ``sources``
-        # becomes the ids.
+        # probs[e], each row's entries in the order given.  The ids are a
+        # copy of ``sources``, which is left as it is.
         order = np.argsort(rows, kind="stable")
         rows, cols, probs = rows[order], cols[order], probs[order]
         # A target that is also a source takes the source's id; the others
@@ -82,7 +82,7 @@ class Lexicon:
         ids_of = np.fromiter((sources.get(t, -1) for t in names), np.intp, len(names))
         fresh = list(dict.fromkeys(cols[ids_of[cols] < 0].tolist()))
         self._sources = len(sources)
-        ids = sources
+        ids = dict(sources)
         ids.update(zip([names[t] for t in fresh], range(len(ids), len(ids) + len(fresh))))
         ids_of[fresh] = np.arange(self._sources, len(ids))
         indptr = np.zeros(len(ids) + 2, dtype=np.intp)
@@ -341,7 +341,7 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
     _reject_repeats(path, row * len(targets) + col)
     if error is not None:
         raise error
-    return Lexicon(dict(sources), targets, row, col, np.concatenate(probs))
+    return Lexicon(sources, targets, row, col, np.concatenate(probs))
 
 
 def _reject_repeats(path: str | os.PathLike, keys: np.ndarray) -> None:

@@ -1,18 +1,18 @@
 """``load_corpus`` against its keyed oracle, and ``Document``'s one-pass
 sentence check against a per-sentence loop.
 
-``load_corpus`` adds a run of sentence rows whole when it arrives as
-``save_corpus`` writes it, and checks any other row on its own, keyed by
-index.  Whatever the row order, the blank lines and the chunks the file
-is read in, it must give the pairs, or the first error, of checking
-every row on its own (``oracles.reference_load_corpus``).
+``load_corpus`` keeps every sentence row by topic, side and index, and
+checks the rows a chunk at a time, parsing plain indices in bulk.
+Whatever the row order, the blank lines, the index spellings and the
+chunks the file is read in, it must give the pairs, or the first error,
+of checking every row on its own (``oracles.reference_load_corpus``).
 """
 
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bimine.corpus
@@ -101,7 +101,7 @@ def test_runs_across_chunks_load_to_equal_pairs(tmp_path, chunk):
         assert load_corpus(tmp_path) == pairs
 
 
-def test_non_canonical_indices_take_the_keyed_path(tmp_path):
+def test_non_canonical_indices_load_to_equal_pairs(tmp_path):
     pairs, lines = saved(tmp_path)
     rows = [line.split("\t") for line in lines]
     rows[1][2] = "+1"
@@ -110,13 +110,22 @@ def test_non_canonical_indices_take_the_keyed_path(tmp_path):
     assert load_corpus(tmp_path) == pairs
 
 
+# Two indices that ``corpus.integer`` rejects, which a bulk ``int`` would
+# not: one past the 4300 digits ``int`` reads, which it fails on, and an
+# Arabic-Indic digit three, which ``str.isdigit`` and ``int`` accept.
+_LONG_INDEX = "9" * 5000
+_ARABIC_INDEX = "\u0663"
+
 # One edit of the saved rows: (kind, position, value).
 _EDITS = st.tuples(
     st.sampled_from(
         ["swap", "move", "drop", "duplicate", "index", "side", "sentence", "topic", "blank"]
     ),
     st.integers(0, 10**6),
-    st.sampled_from(["0", "1", "01", "+2", "-1", "x", "", "src", "tgt", "SRC", " ", "alpha"]),
+    st.sampled_from(
+        ["0", "1", "01", "+2", "-1", "x", "", "src", "tgt", "SRC", " ", "alpha"]
+        + [_LONG_INDEX, _ARABIC_INDEX]
+    ),
 )
 
 
@@ -147,6 +156,12 @@ def edited(lines: list[str], edits) -> list[str]:
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(_EDITS, max_size=4), st.sampled_from([1, 50, 1 << 14]))
+@example(edits=[("index", 3, _LONG_INDEX)], chunk=1)
+@example(edits=[("index", 3, _LONG_INDEX)], chunk=50)
+@example(edits=[("index", 3, _LONG_INDEX)], chunk=1 << 14)
+@example(edits=[("index", 3, _ARABIC_INDEX)], chunk=1)
+@example(edits=[("index", 3, _ARABIC_INDEX)], chunk=50)
+@example(edits=[("index", 3, _ARABIC_INDEX)], chunk=1 << 14)
 def test_equals_keyed_oracle(tmp_path_factory, edits, chunk):
     corpus_dir = tmp_path_factory.mktemp("corpus")
     _, lines = saved(corpus_dir)

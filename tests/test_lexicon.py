@@ -201,6 +201,15 @@ class TestCompiledLexicon:
         lexicon = lexicon_from_table({"a": {"x": 1.0}})
         assert lexicon.compiled() is lexicon.compiled()
 
+    def test_ids_copy_the_sources(self):
+        sources = {"a": 0}
+        lexicon = bimine.lexicon.Lexicon(
+            sources, {"x": 0}, np.array([0]), np.array([0]), np.array([1.0])
+        )
+        assert sources == {"a": 0}
+        assert lexicon.compiled().ids is not sources
+        assert lexicon.compiled().ids == {"a": 0, "x": 1}
+
     def test_empty_lexicon(self):
         compiled = lexicon_from_table({}).compiled()
         assert compiled.ids == {}
