@@ -19,8 +19,8 @@ whole source sentences of at most ``4 * BLOCK_CELLS`` cells of a grid
 as wide as the run's widest pair, so the rows of a long pair are read
 whole and a wide pair among tiny ones stays bounded.  ``score_pairs``
 adds the margin and the sigmoid; ``training_features`` runs the stage
-over the training examples as 1x1 pairs of one encoded run
-(``tokenizable_pairs``).
+over the training examples of one encoded run (``tokenizable_pairs``),
+the examples of each source sentence as one 1xk pair.
 ``extract_features`` is its one-cell case.
 Features and scores are bit-identical to the per-pair definition that
 ``tests/oracles.py`` keeps.
@@ -626,21 +626,33 @@ def training_features(
 ) -> np.ndarray:
     """Feature rows of ``examples``, in order.
 
-    Each example is a 1x1 pair of the block feature stage over one run of
+    The examples run through the block feature stage over one run of
     sentences: ``distinct`` and their ``encoded`` ids, as
     ``tokenizable_pairs`` returns them, which must hold every example's
-    sentences.  An example sentence without tokens raises ``ValueError``.
+    sentences.  The examples that share a source sentence are one 1xk
+    pair of it and their targets, so each source's translations are
+    joined once; a cell's features do not depend on its pair.  An example
+    sentence without tokens raises ``ValueError``.
     """
     index = dict(zip(distinct, range(len(distinct))))
     numbers = np.array([(index[s], index[t]) for s, t in examples], dtype=np.intp).reshape(-1, 2)
     if not encoded.tokens[numbers].all():
         first = numbers.flat[np.argmin(encoded.tokens[numbers])]
         raise ValueError(f"untokenizable sentence: {distinct[first]!r}")
+    order = np.argsort(numbers[:, 0], kind="stable")  # the examples of each source together
+    source, target = numbers[order].T
+    heads = np.flatnonzero(_first_of_each(source))
+    m = np.diff(heads, append=len(source))
     x = np.empty((len(examples), FEATURE_COUNT))
-    for block in pair_blocks([(1, 1)] * len(examples)):
-        (source, target), ones = numbers[block].T, np.ones(block.stop - block.start, np.intp)
-        for cells, features in _features(lexicon.compiled(), encoded, source, target, ones, ones):
-            x[block.start + cells.start : block.start + cells.stop] = np.column_stack(features)
+    first_cell = _offsets(m)
+    for block in pair_blocks([(1, k) for k in m.tolist()]):
+        cell = first_cell[block.start]
+        targets = target[cell : cell + m[block].sum()]
+        ones = np.ones(block.stop - block.start, np.intp)
+        for cells, features in _features(
+            lexicon.compiled(), encoded, source[heads[block]], targets, ones, m[block]
+        ):
+            x[order[cell + cells.start : cell + cells.stop]] = np.column_stack(features)
     return x
 
 

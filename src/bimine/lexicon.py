@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 from collections import defaultdict
-from itertools import count, islice
+from itertools import count, islice, repeat
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -75,26 +75,40 @@ class Lexicon:
         # probs[e], each row's entries in the order given.  The ids are a
         # copy of ``sources``, which is left as it is.
         order = np.argsort(rows, kind="stable")
-        rows, cols, probs = rows[order], cols[order], probs[order]
-        # A target that is also a source takes the source's id; the others
-        # take the next ids in order of first appearance in the rows.
         names = list(targets)
-        ids_of = np.fromiter((sources.get(t, -1) for t in names), np.intp, len(names))
-        fresh = list(dict.fromkeys(cols[ids_of[cols] < 0].tolist()))
+        ids_of = np.fromiter(map(sources.get, names, repeat(-1)), np.intp, len(names))
+        counts = np.bincount(rows, minlength=len(sources))
+        self._arrange(sources, names, ids_of, counts, cols[order], probs[order])
+
+    def _arrange(
+        self,
+        sources: dict[str, int],
+        names: list[str],
+        ids_of: np.ndarray,
+        counts: np.ndarray,
+        cols: np.ndarray,
+        probs: np.ndarray,
+    ) -> None:
+        # The entries in row order, counts[r] of them in row r: entry e
+        # gives the target numbered cols[e], whose token is names[cols[e]],
+        # with probs[e].  ids_of[k] is the row of token k if it is a source
+        # and -1 if not; those take the next ids in order of first
+        # appearance in the rows, written into ids_of.
         self._sources = len(sources)
+        _, fresh = _number_by_first_touch(cols[ids_of[cols] < 0])
         ids = dict(sources)
-        ids.update(zip([names[t] for t in fresh], range(len(ids), len(ids) + len(fresh))))
+        ids.update(zip([names[t] for t in fresh.tolist()], range(len(ids), len(ids) + len(fresh))))
         ids_of[fresh] = np.arange(self._sources, len(ids))
         indptr = np.zeros(len(ids) + 2, dtype=np.intp)
-        np.cumsum(np.bincount(rows, minlength=len(ids) + 1), out=indptr[1:])
+        np.cumsum(counts, out=indptr[1 : self._sources + 1])
+        indptr[self._sources + 1 :] = indptr[self._sources]
         self._arrays = CompiledLexicon(ids, indptr, ids_of[cols], probs)
         self._names: list[str] | None = None
         keep = probs > 0.0
         if keep.all():
             self._compiled = self._arrays
         else:
-            kept = np.zeros_like(indptr)
-            np.cumsum(np.bincount(rows[keep], minlength=len(ids) + 1), out=kept[1:])
+            kept = np.concatenate([[0], np.cumsum(keep)])[indptr]
             self._compiled = CompiledLexicon(ids, kept, self._arrays.targets[keep], probs[keep])
 
     def compiled(self) -> CompiledLexicon:
@@ -118,10 +132,15 @@ class Lexicon:
         names = self._tokens()
         return dict(zip(map(names.__getitem__, targets[span].tolist()), probs[span].tolist()))
 
-    def items(self) -> Iterator[tuple[str, str, float]]:
+    def _entries(self) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray]:
+        # Each id's token, and each entry's source id, target id and
+        # probability, in row order.
         _, indptr, targets, probs = self._arrays
         rows = np.repeat(np.arange(self._sources), np.diff(indptr[: self._sources + 1]))
-        names = self._tokens()
+        return self._tokens(), rows, targets, probs
+
+    def items(self) -> Iterator[tuple[str, str, float]]:
+        names, rows, targets, probs = self._entries()
         return zip(
             map(names.__getitem__, rows.tolist()),
             map(names.__getitem__, targets.tolist()),
@@ -131,27 +150,42 @@ class Lexicon:
     def _with_rows(self, table: Mapping[str, Mapping[str, float]]) -> Lexicon:
         # A lexicon whose rows of the source tokens of ``table`` are
         # replaced by them; rows of new source tokens follow the others, in
-        # the order of ``table``.  The other rows' entries are kept as
-        # arrays, numbered by the ids (a token's target number is its id).
+        # the order of ``table``.  The entries are spliced, not sorted: each
+        # row's span is gathered from this lexicon's entries or from the
+        # table's, numbered by the ids (a token's number is its id) and then
+        # by the tokens new to the lexicon, in the order of ``table``.
         ids, indptr, targets, probs = self._arrays
-        sources = dict(islice(ids.items(), self._sources))
+        old = self._sources
+        sources = dict(islice(ids.items(), old))
         for s in table:
             sources.setdefault(s, len(sources))
-        tokens = dict(ids)
-        rows = np.repeat(np.arange(self._sources), np.diff(indptr[: self._sources + 1]))
-        kept = np.ones(len(sources), dtype=bool)
-        kept[[sources[s] for s in table]] = False
-        kept = kept[rows]
-        new_rows = [sources[s] for s, row in table.items() for _ in row]
-        new_cols = [tokens.setdefault(t, len(tokens)) for row in table.values() for t in row]
+        numbers = dict(ids)
+        new_cols = [numbers.setdefault(t, len(numbers)) for row in table.values() for t in row]
         new_probs = [p for row in table.values() for p in row.values()]
-        return Lexicon(
+        ids_of = np.full(len(numbers), -1, dtype=np.intp)
+        ids_of[:old] = np.arange(old)
+        added = [s for s in islice(sources, old, None) if s in numbers]
+        ids_of[[numbers[s] for s in added]] = [sources[s] for s in added]
+
+        starts = np.zeros(len(sources), dtype=np.intp)
+        lengths = np.zeros(len(sources), dtype=np.intp)
+        starts[:old] = indptr[:old]
+        lengths[:old] = np.diff(indptr[: old + 1])
+        rows = [sources[s] for s in table]
+        lengths[rows] = [len(row) for row in table.values()]
+        starts[rows] = len(targets) + np.cumsum(lengths[rows]) - lengths[rows]
+        ends = np.cumsum(lengths)
+        spans = np.arange(lengths.sum()) + np.repeat(starts - (ends - lengths), lengths)
+        merged = Lexicon.__new__(Lexicon)
+        merged._arrange(
             sources,
-            tokens,
-            np.concatenate([rows[kept], np.array(new_rows, dtype=np.intp)]),
-            np.concatenate([targets[kept], np.array(new_cols, dtype=np.intp)]),
-            np.concatenate([probs[kept], np.array(new_probs, dtype=np.float64)]),
+            list(numbers),
+            ids_of,
+            lengths,
+            np.concatenate([targets, np.array(new_cols, dtype=np.intp)])[spans],
+            np.concatenate([probs, np.array(new_probs, dtype=np.float64)])[spans],
         )
+        return merged
 
     def __len__(self) -> int:
         return len(self._arrays.probs)
@@ -170,10 +204,10 @@ def build_lexicon(
     ``prune_threshold`` are dropped (the surviving row is not rescaled).
 
     Every co-occurrence (one source token position against one target
-    token position of the same pair) is one element of a few flat
-    arrays, so memory grows with the sum of ``|source| * |target|`` over
-    the training pairs.  The lexicon's arrays are built once those are
-    gone.
+    token position of the same pair) is one element of each of two flat
+    integer arrays that the iterations keep, so memory grows with the
+    sum of ``|source| * |target|`` over the training pairs.  The
+    lexicon's arrays are built once those are gone.
     """
     if not parallel:
         raise ValueError("no training pairs")
@@ -216,19 +250,23 @@ def _estimate(
 
     # Co-occurrences (one source position against one target position of
     # the same pair) in the order EM visits them: by sentence, source
-    # position, then target position.
+    # position, then target position.  Each one's key, source id * number of
+    # target ids + target id, is built in one array: the target position,
+    # then its target id, then the source id's part added.
     width = np.repeat(target_lengths, source_lengths)  # per source occurrence
-    first_target = np.repeat(np.cumsum(target_lengths) - target_lengths, source_lengths)
     cell_start = np.cumsum(width) - width
-    occurrence = np.repeat(np.arange(len(width)), width)
-    target_index = np.arange(len(occurrence)) + (first_target - cell_start)[occurrence]
-    source_of_cell = np.array(source_ids)[occurrence]
-    target_of_cell = np.array(target_ids)[target_index]
-    pair_ids, pair_keys = _number_by_first_touch(source_of_cell * len(target_types) + target_of_cell)
+    first_target = np.repeat(np.cumsum(target_lengths) - target_lengths, source_lengths)
+    keys = np.repeat(first_target - cell_start, width)
+    keys += np.arange(len(keys))
+    keys = np.array(target_ids)[keys]
+    keys += np.repeat(np.array(source_ids) * len(target_types), width)
+    pair_ids, pair_keys = _number_by_first_touch(keys)
     pair_source, pair_target = np.divmod(pair_keys, len(target_types))
+    del keys, pair_keys
     # The pair ids that each target position adds to a denominator.  Source
     # occurrences are sorted by decreasing target length, so the ones long
-    # enough to have position j are a prefix of that order.
+    # enough to have position j are a prefix of that order.  These and
+    # ``pair_ids`` are the only arrays kept per co-occurrence.
     column_order = np.argsort(-width, kind="stable")
     reach = len(width) - np.cumsum(np.bincount(width))  # occurrences longer than j
     columns = [pair_ids[cell_start[column_order[:n]] + j] for j, n in enumerate(reach[:-1])]
@@ -242,7 +280,10 @@ def _estimate(
         denom[column_order] = ordered
         # No guard against zero: every probability starts positive, and each
         # occurrence hands its unit of mass to its own sentence's targets.
-        counts = np.bincount(pair_ids, weights=prob[pair_ids] / denom[occurrence])
+        share = prob[pair_ids]
+        share /= np.repeat(denom, width)
+        counts = np.bincount(pair_ids, weights=share)
+        del share  # before the next iteration's
         totals = np.bincount(pair_source, weights=counts)
         prob = counts / totals[pair_source]
 
@@ -254,12 +295,24 @@ def _estimate(
 
 def _number_by_first_touch(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Id of each key, numbering distinct keys in order of first
-    appearance, and the distinct keys in that order."""
-    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    by_first_touch = np.argsort(first)
+    appearance, and the distinct keys in that order.
+
+    One unstable sort groups equal keys, and a key's first appearance is
+    the least position in its group (``np.minimum.reduceat``), so the
+    numbering is exact for any keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    heads = np.ones(len(keys), dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=heads[1:])
+    starts = np.flatnonzero(heads)
+    distinct = ordered[starts]
+    del ordered, heads
+    by_first_touch = np.argsort(np.minimum.reduceat(order, starts))
     renumber = np.empty_like(by_first_touch)
     renumber[by_first_touch] = np.arange(len(by_first_touch))
-    return renumber[inverse], unique_keys[by_first_touch]
+    ids = np.empty(len(keys), dtype=np.intp)
+    ids[order] = np.repeat(renumber, np.diff(starts, append=len(keys)))
+    return ids, distinct[by_first_touch]
 
 
 class MergeResult(NamedTuple):
@@ -296,12 +349,23 @@ def write_lexicon(lexicon: Lexicon, path: str | os.PathLike) -> None:
     """Write ``source<TAB>target<TAB>probability`` lines.
 
     Rows are sorted by source token, then by descending probability,
-    then by target token so output is reproducible.
+    then by target token so output is reproducible.  The tokens are
+    ranked by name once, the entries ordered by one ``np.lexsort`` of
+    those ranks and the probabilities, and the lines written as one
+    string.
     """
-    entries = sorted(lexicon.items(), key=lambda e: (e[0], -e[2], e[1]))
+    names, rows, targets, probs = lexicon._entries()
+    rank = np.empty(len(names), dtype=np.intp)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((rank[targets], -probs, rank[rows]))
+    lines = map(
+        "{}\t{}\t{:.6f}\n".format,
+        map(names.__getitem__, rows[order].tolist()),
+        map(names.__getitem__, targets[order].tolist()),
+        probs[order].tolist(),
+    )
     with open(path, "w", encoding="utf-8") as handle:
-        for s, t, p in entries:
-            handle.write(f"{s}\t{t}\t{p:.6f}\n")
+        handle.write("".join(lines))
 
 
 def read_lexicon(path: str | os.PathLike) -> Lexicon:
@@ -347,12 +411,14 @@ def read_lexicon(path: str | os.PathLike) -> Lexicon:
 def _reject_repeats(path: str | os.PathLike, keys: np.ndarray) -> None:
     """Raise ``path: line N: duplicate entry ...`` for the first entry
     whose key, one per (source, target) pair, repeats an earlier one's."""
-    order = np.argsort(keys, kind="stable")
-    repeats = order[1:][keys[order[1:]] == keys[order[:-1]]]
+    ids, _ = _number_by_first_touch(keys)
+    # Ids are given in order of first touch, so an entry repeats an earlier
+    # one exactly when its id is not above every id before it.
+    repeats = np.flatnonzero(ids[1:] <= np.maximum.accumulate(ids)[:-1])
     if not len(repeats):
         return
-    entry = int(repeats.min())
-    first = int(np.flatnonzero(keys == keys[entry])[0])
+    entry = int(repeats[0]) + 1
+    first = int(np.flatnonzero(ids == ids[entry])[0])
     # Only this message needs line numbers, so none are kept and the
     # file is read again, in the same chunks, up to the repeated entry.
     entries = (

@@ -1,7 +1,12 @@
 """Shared synthetic fixtures: a one-to-one vocabulary, its lexicon and
-a trained similarity model, plus document-pair builders for mining."""
+a trained similarity model, plus document-pair builders for mining and
+a loader of the benchmark's corpus generator."""
 
 from __future__ import annotations
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,6 +29,17 @@ TARGET_VOCAB = (
     "road", "city", "day", "night", "bread", "hand", "flower",
 )
 NOISE_VOCAB = ("zork", "blip", "quux", "fnord", "grem", "vexil", "plonk")
+
+SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+
+
+def load_synth():
+    """The benchmark's corpus generator, ``perfbench/synth.py``."""
+    spec = importlib.util.spec_from_file_location("bimine_test_synth", SYNTH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_parallel_sentences(rng: np.random.Generator, count: int) -> list[tuple[str, str]]:

@@ -9,7 +9,9 @@ instead of array blocks, Pegasos training one step at a time,
 markup cleaning and sentence segmentation by whole-text regex passes
 that may rescan the text, a paired corpus loaded one sentence row at a
 time, keyed by index, a lexicon built from and read back as a table of
-dict rows, and the sigmoid of one margin at a time.  These stay
+dict rows, co-occurrences numbered through ``np.unique``, a lexicon
+file written from one tuple sort a line at a time, training features of
+one 1x1 pair per example, and the sigmoid of one margin at a time.  These stay
 separate from the package's fast paths so each check has two routes.
 """
 
@@ -35,7 +37,13 @@ from bimine.align import (
     filter_by_threshold,
     nw_align,
 )
-from bimine.classifier import FEATURE_COUNT, L2_LAMBDA, ZERO_VARIANCE_EPS
+from bimine.classifier import (
+    FEATURE_COUNT,
+    L2_LAMBDA,
+    ZERO_VARIANCE_EPS,
+    _features,
+    pair_blocks,
+)
 from bimine.corpus import Document, DocumentPair, integer, unescape_field
 from bimine.lexicon import Lexicon
 from bimine.text import tokenize
@@ -198,6 +206,22 @@ def extract_features(source_sentence, target_sentence, lexicon) -> list[float]:
     overlap = shared / max(len(source_set), len(target_set))
 
     return [token_ratio, source_coverage, target_coverage, mean_best_prob, char_ratio, overlap]
+
+
+def reference_training_features(examples, lexicon, distinct, encoded) -> np.ndarray:
+    """``classifier.training_features`` with each example as a 1x1 pair of
+    the block feature stage (the package's former grouping)."""
+    index = dict(zip(distinct, range(len(distinct))))
+    numbers = np.array([(index[s], index[t]) for s, t in examples], dtype=np.intp).reshape(-1, 2)
+    if not encoded.tokens[numbers].all():
+        first = numbers.flat[np.argmin(encoded.tokens[numbers])]
+        raise ValueError(f"untokenizable sentence: {distinct[first]!r}")
+    x = np.empty((len(examples), FEATURE_COUNT))
+    for block in pair_blocks([(1, 1)] * len(examples)):
+        (source, target), ones = numbers[block].T, np.ones(block.stop - block.start, np.intp)
+        for cells, features in _features(lexicon.compiled(), encoded, source, target, ones, ones):
+            x[block.start + cells.start : block.start + cells.stop] = np.column_stack(features)
+    return x
 
 
 def reference_pegasos(x: np.ndarray, y: np.ndarray, epochs: int, seed: int):
@@ -483,6 +507,28 @@ def reference_merge_title_lexicon(lexicon, titles):
         total = sum(row.values())
         table[s] = {token: p / total for token, p in row.items()}
     return lexicon_from_table(table), skipped
+
+
+def reference_number_by_first_touch(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``lexicon._number_by_first_touch`` through ``np.unique`` (the
+    package's former numbering): the id of each key, numbering distinct
+    keys in order of first appearance, and the distinct keys in that
+    order."""
+    unique_keys, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    by_first_touch = np.argsort(first)
+    renumber = np.empty_like(by_first_touch)
+    renumber[by_first_touch] = np.arange(len(by_first_touch))
+    return renumber[inverse], unique_keys[by_first_touch]
+
+
+def reference_write_lexicon(lexicon, path) -> None:
+    """``lexicon.write_lexicon`` by one sort of the entries on (source,
+    -probability, target) tuples, written a line at a time (the package's
+    former writer)."""
+    entries = sorted(lexicon.items(), key=lambda e: (e[0], -e[2], e[1]))
+    with open(path, "w", encoding="utf-8") as handle:
+        for s, t, p in entries:
+            handle.write(f"{s}\t{t}\t{p:.6f}\n")
 
 
 def reference_sentence_error(doc_id: str, sentences: tuple[str, ...]) -> str | None:

@@ -2,13 +2,16 @@
 
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bimine import classifier
 from bimine.classifier import (
+    BLOCK_CELLS,
     FEATURE_COUNT,
     SimilarityModel,
     encode,
@@ -30,6 +33,7 @@ from oracles import (
     lexicon_from_table,
     reference_pegasos,
     reference_score_matrix,
+    reference_training_features,
     score_from_margin,
 )
 
@@ -241,6 +245,52 @@ class TestTraining:
         expected = correct / len(examples)
         assert expected < 1.0
         assert training_accuracy(model, x, y) == expected
+
+
+@st.composite
+def shared_sources(draw):
+    """Training examples over a few sentences, so that a source sentence
+    comes back in examples far apart, with targets repeated and some
+    sentences without tokens."""
+    sentences = draw(st.lists(ENCODE_SENTENCES, min_size=1, max_size=6))
+    sentence = st.sampled_from(sentences)
+    return draw(st.lists(st.tuples(sentence, sentence), max_size=16))
+
+
+class TestTrainingFeaturesOracle:
+    """``training_features``, which takes the examples of each source
+    sentence as one 1xk pair, against one 1x1 pair per example."""
+
+    @staticmethod
+    def assert_equal(examples, lexicon):
+        _, distinct, encoded = tokenizable_pairs(examples, lexicon)
+        try:
+            expected = reference_training_features(examples, lexicon, distinct, encoded)
+        except ValueError as error:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(error))}$"):
+                training_features(examples, lexicon, distinct, encoded)
+            return
+        x = training_features(examples, lexicon, distinct, encoded)
+        assert x.shape == expected.shape and x.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(examples=shared_sources(), block_cells=st.sampled_from([1, 2, 5, BLOCK_CELLS]))
+    @example(examples=[], block_cells=BLOCK_CELLS)
+    @example(
+        examples=[("domo kato", "house"), ("ça", "cat"), ("domo kato", "日本 ünï"), ("ça", "cat")],
+        block_cells=2,
+    )
+    def test_equals_one_pair_per_example(self, examples, block_cells):
+        with mock.patch.object(classifier, "BLOCK_CELLS", block_cells):
+            self.assert_equal(examples, ENCODE_LEXICON)
+
+    def test_source_shared_past_a_block(self, toy_lexicon):
+        # One source sentence in more examples than a block holds cells,
+        # between examples of other sources.
+        positives = make_parallel_sentences(np.random.default_rng(64), BLOCK_CELLS + 40)
+        source = positives[0][0]
+        examples = positives[1:20] + [(source, t) for _, t in positives] + positives[20:40]
+        self.assert_equal(examples, toy_lexicon)
 
 
 @st.composite

@@ -10,8 +10,6 @@ inputs are a small corpus from the benchmark's generator
 """
 
 import hashlib
-import importlib.util
-import sys
 from pathlib import Path
 
 import pytest
@@ -19,20 +17,13 @@ import pytest
 from bimine import classifier, corpus, kernels
 from bimine.cli import main
 
-SYNTH = Path(__file__).resolve().parents[1] / "perfbench" / "synth.py"
+from conftest import load_synth
+
 LANGS = ["--source-lang", "xs", "--target-lang", "xt"]
 MINE_ARGS = ["--threshold", "0.3", "--gap-penalty", "0.6"]
 # 41 pairs: at two workers the pool chunks hold 5 pairs and at four 2,
 # and each last chunk holds 1.
 PAIRS = 41
-
-
-def load_synth():
-    spec = importlib.util.spec_from_file_location("bimine_test_synth", SYNTH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
 
 
 @pytest.fixture(scope="module")

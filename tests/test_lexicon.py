@@ -2,11 +2,12 @@
 
 import re
 import sys
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bimine.corpus
@@ -20,11 +21,14 @@ from bimine.lexicon import (
 )
 from bimine.text import tokenize
 
+from conftest import load_synth
 from oracles import (
     em_translation_oracle,
     lexicon_from_table,
     prob,
     reference_merge_title_lexicon,
+    reference_number_by_first_touch,
+    reference_write_lexicon,
     source_tokens,
     table_of,
 )
@@ -152,6 +156,44 @@ class TestBuildLexicon:
             build_lexicon([], iterations=3)
         with pytest.raises(ValueError, match="no training pairs"):
             build_lexicon([("...", "!!!")], iterations=3)
+
+    def test_peak_memory_per_cooccurrence(self):
+        """The EM keeps two integer arrays per co-occurrence, the pair ids
+        in visit order and by column, so its traced peak stays within 64
+        bytes per co-occurrence on the benchmark's training sentences."""
+        generator = load_synth().Generator(11)
+        pairs = [generator.parallel_pair(generator.topic()) for _ in range(2000)]
+        cooccurrences = sum(len(tokenize(s)) * len(tokenize(t)) for s, t in pairs)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build_lexicon(pairs, iterations=10)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * cooccurrences, peak / cooccurrences
+
+
+class TestNumberByFirstTouch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(0, 5),
+                st.integers(2**62 - 3, 2**62 + 3),
+                st.integers(2**63 - 3, 2**63 - 1),
+            ),
+            max_size=40,
+        )
+    )
+    @example([])
+    def test_equals_the_unique_based_numbering(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        got = bimine.lexicon._number_by_first_touch(keys)
+        want = reference_number_by_first_touch(keys)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
 
 
 def _line_events(pairs, iterations):
@@ -309,6 +351,36 @@ class TestLexiconFile:
         loaded = read_lexicon(path)
         for s, t, p in lexicon.items():
             assert prob(loaded, s, t) == pytest.approx(p, abs=5e-7)
+
+
+# Tokens that sort differently by code point and by other orders, some
+# outside ASCII and the BMP, drawn for both sides; probabilities with ties,
+# zeros of both signs and values that round alike at six places.
+_WRITER_TOKENS = ("a", "ab", "a-b", "B", "b", "é", "ß", "日本", "😀", "\u00a0x")
+_WRITER_ROWS = st.dictionaries(
+    st.sampled_from(_WRITER_TOKENS),
+    st.dictionaries(
+        st.sampled_from(_WRITER_TOKENS),
+        st.one_of(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, 1e-7, 2e-7]), st.floats(0.0, 1.0)),
+        max_size=5,
+    ),
+    max_size=6,
+)
+
+
+class TestWriterOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(table=_WRITER_ROWS)
+    @example(table={})
+    @example(table={"b": {"y": 0.5, "b": 0.0, "x": 0.5, "é": -0.0}, "日本": {"b": 0.0, "😀": 1.0}})
+    def test_equals_the_tuple_sort(self, tmp_path_factory, table):
+        lexicon = lexicon_from_table(table)
+        directory = tmp_path_factory.mktemp("lex")
+        write_lexicon(lexicon, directory / "lexicon.tsv")
+        reference_write_lexicon(lexicon, directory / "reference.tsv")
+        written = (directory / "lexicon.tsv").read_bytes()
+        assert written == (directory / "reference.tsv").read_bytes()
+        assert len(written.splitlines()) == len(lexicon)
 
 
 class TestLexiconReader:
