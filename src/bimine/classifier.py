@@ -65,11 +65,15 @@ _SCALAR_FIELDS = ("bias", "sigmoid_a", "sigmoid_b")
 
 
 def _exp(x: np.ndarray) -> np.ndarray:
-    """libm ``exp`` element-wise: ``np.exp`` rounds some inputs differently,
-    which would change scores in the last bit.  ``math.exp`` maps over a
-    ``memoryview`` of the values, which yields each as a Python float
-    without first building a list of them (``tolist``)."""
-    return np.fromiter(map(math.exp, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
+    """libm ``exp`` element-wise, as ``math.exp`` gives it.  The float64
+    ``np.exp`` is a SIMD kernel that rounds some inputs differently, which
+    would change scores in the last bit.  numpy's complex ``exp`` calls
+    libm per element: of ``x + 0j`` it gives ``exp(x) * cos(0)``, whose
+    real part is libm's ``exp(x)``, in C.  (A NaN comes back as the
+    default NaN, without its sign or payload; no NaN reaches a score.)"""
+    z = x.astype(np.complex128)
+    np.exp(z, out=z)
+    return z.real.copy()
 
 
 class Encoded(NamedTuple):

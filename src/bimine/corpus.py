@@ -218,6 +218,7 @@ def _wrong_width(path: str | os.PathLike, lineno: int, count: int, got: int) -> 
 # whitespace, non-ASCII digits and words such as ``inf``, none of which a
 # writer of this package emits.
 _NOT_DECIMAL = re.compile(r"[^0-9.eE+-]")
+_DECIMAL_BYTES = b"0123456789.eE+-"
 _NOT_INTEGER = re.compile(r"[^0-9+-]")
 
 
@@ -235,8 +236,10 @@ def decimal(field: str) -> float:
 
 def decimals(fields: Sequence[str]) -> np.ndarray:
     """``decimal`` of each field, as float64: one check and one ``float``
-    pass over a column of plain numbers."""
-    if _NOT_DECIMAL.search("".join(fields)) is None:
+    pass over a column of plain numbers.  The check deletes the characters
+    ``decimal`` allows from the joined ASCII bytes, and finds none left."""
+    joined = "".join(fields)
+    if joined.isascii() and not joined.encode("ascii").translate(None, _DECIMAL_BYTES):
         try:
             return np.fromiter(map(float, fields), np.float64, len(fields))
         except ValueError:

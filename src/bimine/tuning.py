@@ -81,10 +81,16 @@ def alignment_agreement(
     empty candidate agrees fully with an empty reference and not at all
     otherwise.
     """
-    if not reference:
-        return 100.0 if not candidate else 0.0
     shared = {tuple(pair) for pair in candidate} & {tuple(pair) for pair in reference}
-    return 100.0 * len(shared) / len(reference)
+    return _percent_shared(len(shared), len(candidate), len(reference))
+
+
+def _percent_shared(shared: int, candidates: int, references: int) -> float:
+    """``alignment_agreement`` from its counts: ``shared`` of the
+    ``references`` reference pairs are among the ``candidates``."""
+    if not references:
+        return 100.0 if not candidates else 0.0
+    return 100.0 * shared / references
 
 
 def tune(
@@ -109,9 +115,10 @@ def tune(
     per trial, the walker mining uses.  A sample's trials share fills of
     at most ``kernels.BATCH_BYTES`` (all of them, for samples of a few
     thousand cells), and each trial's moves are walked in place for its
-    matched cells only, so no ``Alignment`` is built per trial.  The
-    first sample, in sample order, with a sentence without tokens fails
-    the search as ``pair <id>: ...``.
+    matched cells only, so no ``Alignment`` is built per trial; its
+    agreement counts those cells in the sample's reference set, which is
+    built once per sample.  The first sample, in sample order, with a
+    sentence without tokens fails the search as ``pair <id>: ...``.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -132,9 +139,10 @@ def tune(
     for s, (sample, matrix) in enumerate(zip(samples, score_pairs(model, lexicon, pairs))):
         if isinstance(matrix, ValueError):  # named as mining names a pair it cannot score
             raise ValueError(f"pair {sample.pair.topic_id}: {matrix}")
+        reference = set(sample.reference)
         for trial, cells in enumerate(kept_cells([matrix], trials, config)):
-            candidate = [(i, j) for _, i, j in cells]
-            per_trial[trial][s] = alignment_agreement(candidate, sample.reference)
+            shared = sum((i, j) in reference for _, i, j in cells)
+            per_trial[trial][s] = _percent_shared(shared, len(cells), len(sample.reference))
 
     means = [sum(agreements) / len(agreements) for agreements in per_trial]
     best = max(range(len(trials)), key=means.__getitem__)  # the first of equal means

@@ -11,7 +11,8 @@ that may rescan the text, a paired corpus loaded one sentence row at a
 time, keyed by index, a lexicon built from and read back as a table of
 dict rows, co-occurrences numbered through ``np.unique``, a lexicon
 file written from one tuple sort a line at a time, training features of
-one 1x1 pair per example, and the sigmoid of one margin at a time.  These stay
+one 1x1 pair per example, the sigmoid of one margin at a time, and
+libm's ``exp`` one ``math.exp`` call per value.  These stay
 separate from the package's fast paths so each check has two routes.
 """
 
@@ -257,6 +258,13 @@ def reference_score_matrix(model, lexicon, source_sentences, target_sentences) -
             features = extract_features(source, target, lexicon)
             matrix[i, j] = score_from_margin(model, model.margin(features))
     return matrix
+
+
+def reference_exp(x: np.ndarray) -> np.ndarray:
+    """libm ``exp`` element-wise, one ``math.exp`` call per value: it maps
+    over a ``memoryview`` of the values, which yields each as a Python
+    float without first building a list of them (``tolist``)."""
+    return np.fromiter(map(math.exp, memoryview(x.ravel())), np.float64, x.size).reshape(x.shape)
 
 
 def score_from_margin(model, margin: float) -> float:

@@ -31,6 +31,7 @@ from conftest import make_parallel_sentences, training_set
 from oracles import extract_features as reference_features
 from oracles import (
     lexicon_from_table,
+    reference_exp,
     reference_pegasos,
     reference_score_matrix,
     reference_training_features,
@@ -407,6 +408,42 @@ class TestScoring:
             for pairs in (positives, negatives)
         )
         assert min(pos_scores) > max(neg_scores)
+
+
+def _same_bits(x: np.ndarray) -> bool:
+    """``_exp`` of ``x`` equals ``reference_exp`` of it bit for bit."""
+    got, want = classifier._exp(x), reference_exp(x)
+    return got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+class TestExp:
+    """``_exp`` is libm's ``exp``, as ``reference_exp`` takes it one
+    ``math.exp`` call at a time.  Its one caller passes ``-|z|``, so the
+    values are at most 0."""
+
+    def test_equals_reference_on_ten_million_values(self):
+        rng = np.random.default_rng(34)
+        chunk = 1_000_000
+        for _ in range(4):  # uniform over the whole range, results down to 0
+            assert _same_bits(rng.uniform(-750.0, 0.0, chunk))
+        for _ in range(3):  # the band of subnormal results
+            assert _same_bits(rng.uniform(-745.13, -708.4, chunk))
+        for _ in range(3):  # random bit patterns with the sign bit set
+            bits = rng.integers(0, 2**63, chunk, dtype=np.uint64) | np.uint64(2**63)
+            values = bits.view(np.float64)
+            assert _same_bits(values[~np.isnan(values)])
+        assert _same_bits(np.array([0.0, -0.0, -np.inf, np.nan, -5e-324, -2.2250738585072014e-308]))
+
+    def test_shapes(self):
+        grid = np.random.default_rng(35).uniform(-40.0, 0.0, (30, 40))
+        for x in (np.array(-1.5), np.empty(0), np.empty((0, 3)), grid[::2, ::3], grid.T):
+            assert _same_bits(x)
+            assert classifier._exp(x).dtype == np.float64
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.floats(max_value=0.0), max_size=50))
+    def test_equals_reference_on_floats_at_most_zero(self, values):
+        assert _same_bits(np.array(values, dtype=np.float64))
 
 
 class TestModelFile:

@@ -4,6 +4,7 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,6 +15,8 @@ from bimine.corpus import (
     Document,
     DocumentPair,
     corpus_stats,
+    decimal,
+    decimals,
     escape_field,
     ingest_documents,
     load_corpus,
@@ -629,3 +632,41 @@ class TestReadColumns:
         assert str(excinfo.value) == (
             f"{path}: line 4000: not UTF-8 (byte 0xc3 at column 8: invalid continuation byte)"
         )
+
+
+def _parses(field: str) -> bool:
+    try:
+        float(field)
+    except ValueError:
+        return False
+    return True
+
+
+# Numbers as ``repr`` writes them, and text from the characters a number
+# is written with, letters ``float`` reads (``inf``, ``nan``), an
+# underscore, a space, and digits and letters outside ASCII that ``float``
+# reads too.
+DECIMAL_FIELDS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.text(alphabet="0123456789.eE+-_ infa\u0663\uff13\u00b2\u0130", max_size=7),
+)
+
+
+class TestDecimals:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(DECIMAL_FIELDS, max_size=6))
+    @example(["1", "\u0663"])  # an Arabic-Indic 3, which ``float`` reads
+    @example(["1_0"])
+    @example(["1", ""])
+    def test_column_check_equals_the_regex_form(self, fields):
+        # The column takes the one ``float`` pass exactly when no field
+        # has a character outside ``[0-9.eE+-]`` and each parses, and gives
+        # ``decimal`` of each field either way.
+        plain = re.search(r"[^0-9.eE+-]", "".join(fields)) is None
+        with mock.patch.object(bimine.corpus, "decimal", wraps=decimal) as per_field:
+            values = decimals(fields)
+        assert per_field.called == (bool(fields) and not (plain and all(map(_parses, fields))))
+        expected = np.array([decimal(field) for field in fields], np.float64)
+        assert values.dtype == np.float64
+        assert values.view(np.int64).tolist() == expected.view(np.int64).tolist()

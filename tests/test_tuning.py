@@ -244,19 +244,29 @@ class TestTune:
                 _init(self, *args, **kwargs)
 
             monkeypatch.setattr(cls, "__init__", counted_init)
-        agreements = []
-        agreement = tuning.alignment_agreement
-        monkeypatch.setattr(
-            tuning,
-            "alignment_agreement",
-            lambda candidate, reference: agreements.append(1) or agreement(candidate, reference),
-        )
+        lanes = []
+        walk = tuning.kept_cells
+
+        def counted_walk(matrices, trials, config):
+            cells = walk(matrices, trials, config)
+            lanes.append(len(cells))
+            return cells
+
+        monkeypatch.setattr(tuning, "kept_cells", counted_walk)
         nw_align(np.eye(2), MiningConfig())  # what the counter sees
         assert built == {"Match": 2, "Alignment": 1}
         built.clear()
         tune(toy_model, toy_lexicon, planted, budget=9, seed=3)
         assert not built
-        assert len(agreements) == 9 * len(planted)
+        assert sum(lanes) == 9 * len(planted)
+
+    def test_empty_reference_equals_oracle(self, toy_model, toy_lexicon, planted):
+        # An empty reference agrees fully with a trial that keeps no cell
+        # and not at all with one that keeps some.
+        samples = [*planted[:2], TuningSample(pair=planted[2].pair, reference=())]
+        for budget in (1, 12):
+            expected = oracles.reference_tune(toy_model, toy_lexicon, samples, budget, seed=8)
+            assert tune(toy_model, toy_lexicon, samples, budget, seed=8) == expected
 
 
 class TestReferenceFile:
